@@ -1,8 +1,9 @@
 """Expected maxima of independent Gaussian samples, by quadrature.
 
-Computes A_n = E max(|eta_1|, ..., |eta_n|) and B_m = E max(eta_1, ..., eta_m)
-as integrals of survival functions, the centering sequence u_n, the quantile
-sequence t_n, and the two comparison inequalities
+Computes A_n = E max(|eta_1|, ..., |eta_n|), its higher moments and
+B_m = E max(eta_1, ..., eta_m) as integrals of survival functions, the
+centering sequence u_n, the quantile sequence t_n, and the two comparison
+inequalities
 
     B_{2n} <= A_n <= sqrt(2n/(2n-1)) * B_{2n},
     A_n / B_{2n} = 1 + (1 + o(1)) / (8 n log n).
@@ -27,6 +28,7 @@ __all__ = [
     "solve_t_n",
     "cdf_max_abs",
     "cdf_max",
+    "max_abs_moment",
     "expected_max_abs",
     "expected_max",
     "expected_max_gap",
@@ -73,6 +75,10 @@ class ComparisonReport:
 
 
 def _quad(f, lo, hi, cfg: QuadratureConfig, points=None):
+    """The package's one adaptive quadrature: scipy's quad under cfg, raising
+    QuadratureError instead of warning when it does not converge."""
+    if points is not None and len(points) >= cfg.limit:
+        raise QuadratureError(f"{len(points)} break points need more than limit={cfg.limit} subintervals")
     value, err, info, *rest = integrate.quad(
         f, lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit,
         points=points, full_output=True,
@@ -134,22 +140,41 @@ def _tail_phi_integral(t: float) -> float:
     return math.exp(-0.5 * t * t) / _SQRT_2PI - t * float(normal_tail(t))
 
 
-def expected_max_abs(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueResult:
-    """A_n = E max(|eta_1|, ..., |eta_n|) = int_0^inf (1 - F_n(t)) dt."""
+def max_abs_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
+    """E[(max |eta_i|)^k] = int_0^inf k t^(k-1) (1 - F_n(t)) dt, with error bound."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     t_hi = _trunc_point(2 * n, cfg.trunc_eps)
 
     def integrand(t):
         r = float(normal_tail(t))
-        if r >= 0.5:
-            return 1.0
-        return -math.expm1(n * math.log1p(-2.0 * r))
+        surv = 1.0 if r >= 0.5 else -math.expm1(n * math.log1p(-2.0 * r))
+        return k * t ** (k - 1) * surv
 
     peak = solve_t_n(n) if n > 1 else None
     value, err = _quad(integrand, 0.0, t_hi, cfg, points=[peak] if peak else None)
-    tail = 2 * n * _tail_phi_integral(t_hi)
-    return ExtremeValueResult(n=n, kind="max_abs", value=value, abs_error_bound=err + tail)
+    # tail: 1 - F_n <= 2n normal_tail(t), and t^(k-1) grows polynomially
+    tail = 2 * n * k * t_hi ** (k - 1) * float(normal_tail(t_hi)) * 2.0
+    return value, err + tail
+
+
+def expected_max_abs(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueResult:
+    """A_n = E max(|eta_1|, ..., |eta_n|), the k = 1 case of max_abs_moment."""
+    value, err = max_abs_moment(n, 1, cfg)
+    return ExtremeValueResult(n=n, kind="max_abs", value=value, abs_error_bound=err)
+
+
+def _neg_part(m: int, cfg: QuadratureConfig) -> tuple[float, float]:
+    # int_0^inf normal_tail(t)^m dt with its error bound.  The integrand is
+    # <= 2^-m for t >= 0 and decays super-exponentially; truncate where the
+    # log-integrand drops below -45.
+    def integrand(t):
+        r = float(normal_tail(t))
+        return math.exp(m * math.log(r)) if r > 0 else 0.0
+
+    t_neg = float(normal_tail_inverse(min(math.exp(-45.0 / m), 0.25)))
+    value, err = _quad(integrand, 0.0, t_neg, cfg)
+    return value, err + math.exp(-45.0)
 
 
 def expected_max(m: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueResult:
@@ -168,17 +193,8 @@ def expected_max(m: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueRe
         return -math.expm1(m * math.log1p(-r))
 
     pos, err_pos = _quad(pos_part, 0.0, t_hi, cfg, points=[solve_t_n(m)] if m > 1 else None)
-
-    # normal_tail(t)^m <= 2^-m for t >= 0 and decays super-exponentially;
-    # truncate where the log-integrand drops below -45.
-    def neg_part(t):
-        r = float(normal_tail(t))
-        return math.exp(m * math.log(r)) if r > 0 else 0.0
-
-    t_neg = float(normal_tail_inverse(min(math.exp(-45.0 / m), 0.25)))
-    neg, err_neg = _quad(neg_part, 0.0, t_neg, cfg)
-
-    tail = m * _tail_phi_integral(t_hi) + math.exp(-45.0)
+    neg, err_neg = _neg_part(m, cfg)
+    tail = m * _tail_phi_integral(t_hi)
     return ExtremeValueResult(n=m, kind="max", value=pos - neg, abs_error_bound=err_pos + err_neg + tail)
 
 
@@ -208,19 +224,11 @@ def expected_max_gap(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeVal
             return math.exp(a + delta) - math.exp(a)
         return math.exp(a) * math.expm1(delta)
 
-    m = 2 * n
     value, err = _quad(diff, 0.0, t_hi, cfg, points=[solve_t_n(n)] if n > 1 else None)
-
-    def neg_part(t):
-        r = float(normal_tail(t))
-        return math.exp(m * math.log(r)) if r > 0 else 0.0
-
-    t_neg = float(normal_tail_inverse(min(math.exp(-45.0 / m), 0.25)))
-    neg, err_neg = _quad(neg_part, 0.0, t_neg, cfg)
-
+    neg, err_neg = _neg_part(2 * n, cfg)
     return ExtremeValueResult(
         n=n, kind="gap", value=value + neg,
-        abs_error_bound=err + err_neg + 2 * n * _tail_phi_integral(t_hi) + math.exp(-45.0),
+        abs_error_bound=err + err_neg + 2 * n * _tail_phi_integral(t_hi),
     )
 
 

@@ -6,27 +6,27 @@ vertices inscribed in the unit sphere of R^{n-1}, and the crosspolytope
 C_n = conv(+-e_1, ..., +-e_n).
 
 Every moment E[W^k] reduces to a moment of a Gaussian extreme (sum, max of
-absolute values, or range) times a gamma-ratio prefactor assembled in log
-space.  The cube has closed forms for k <= 4; the other families go through
-adaptive quadrature of survival-function integrals.
+absolute values, or range) times a gamma-ratio prefactor.  The cube has a
+closed form for every k; the other families go through adaptive quadrature
+of survival-function integrals.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
-from scipy import integrate
+from dataclasses import dataclass, replace
 
 from .extremes import (
     DEFAULT_QUAD,
     QuadratureConfig,
+    _quad,
     expected_max,
     expected_max_abs,
+    max_abs_moment,
     solve_t_n,
 )
-from .special import log_gamma_ratio, normal_tail, normal_tail_inverse
+from .special import gaussian_abs_moment, log_gamma_ratio, normal_tail, normal_tail_inverse
 
 __all__ = [
     "PolytopeKind",
@@ -39,7 +39,6 @@ __all__ = [
     "width_moment_simplex_t",
     "range_cdf",
     "range_moment",
-    "max_abs_moment",
     "sudakov_v1",
 ]
 
@@ -88,47 +87,37 @@ def v1_from_mean_width(dim: int, mean_width: float) -> float:
     return math.exp(0.5 * math.log(math.pi) + log_gamma_ratio((dim + 1) / 2, dim / 2)) * mean_width
 
 
+def _abs_sum_moment(n: int, k: int) -> float:
+    # E[(|eta_1| + ... + |eta_n|)^k]: the cumulants of a sum of n iid terms
+    # are n times those of |eta|; moments <-> cumulants by the recursion
+    # m_j = sum_{i=1..j} C(j-1, i-1) kappa_i m_{j-i}.
+    m = [gaussian_abs_moment(j) for j in range(k + 1)]
+    kappa = [0.0] * (k + 1)
+    for j in range(1, k + 1):
+        kappa[j] = m[j] - sum(math.comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j))
+    s = [1.0] + [0.0] * k
+    for j in range(1, k + 1):
+        s[j] = sum(math.comb(j - 1, i - 1) * n * kappa[i] * s[j - i] for i in range(1, j + 1))
+    return s[k]
+
+
 def width_moment_cube(n: int, k: int) -> MomentEstimate:
-    """Closed-form E[W_{Q_n}^k] for k = 1..4."""
+    """Closed-form E[W_{Q_n}^k] = Gamma(n/2) / (2^(k/2) Gamma((n+k)/2)) E[(sum |eta_i|)^k]."""
     p = RegularPolytope(PolytopeKind.CUBE, n)
-    if k == 1:
-        value = n * math.exp(log_gamma_ratio(n / 2, (n + 1) / 2)) / math.sqrt(math.pi)
-    elif k == 2:
-        value = 1.0 + 2.0 * (n - 1) / math.pi
-    elif k == 3:
-        poly = 2.0 * n * n + (3.0 * math.pi - 6.0) * n + 4.0 - math.pi
-        value = 0.5 * math.exp(log_gamma_ratio(n / 2, (n + 3) / 2)) * math.pi ** -1.5 * n * poly
-    elif k == 4:
-        poly = (
-            4.0 * n**3
-            + (12.0 * math.pi - 24.0) * n**2
-            + (44.0 - 20.0 * math.pi + 3.0 * math.pi**2) * n
-            + 8.0 * math.pi
-            - 24.0
-        )
-        value = poly / ((n + 2) * math.pi**2)
+    if k < 1:
+        raise ValueError(f"moment order must be positive, got {k}")
+    try:
+        moment = _abs_sum_moment(n, k)
+    except OverflowError:
+        moment = math.inf
+    if k % 2 == 0:
+        # the prefactor is exactly 1 / (n (n+2) ... (n+k-2)) for even k
+        value = moment / math.prod(float(n + 2 * j) for j in range(k // 2))
     else:
-        raise ValueError(f"no closed form for cube moment k={k}; use the Monte Carlo route")
+        value = moment * math.exp(-0.5 * k * math.log(2.0) + log_gamma_ratio(n / 2, (n + k) / 2))
+    if not math.isfinite(value):
+        raise ValueError(f"cube moment n={n}, k={k} is out of double-precision range")
     return MomentEstimate(polytope=p, k=k, value=value, route="closed_form", error=8.0 * abs(value) * 2.2e-16)
-
-
-def max_abs_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
-    """E[(max |eta_i|)^k] = int_0^inf k t^(k-1) (1 - F_n(t)) dt, with error bound."""
-    t_hi = float(normal_tail_inverse(min(cfg.trunc_eps / (2 * n), 0.25)))
-
-    def integrand(t):
-        r = float(normal_tail(t))
-        surv = 1.0 if r >= 0.5 else -math.expm1(n * math.log1p(-2.0 * r))
-        return k * t ** (k - 1) * surv
-
-    peak = solve_t_n(n) if n > 1 else None
-    value, err = integrate.quad(
-        integrand, 0.0, t_hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit,
-        points=[peak] if peak else None,
-    )
-    # tail: 1 - F_n <= 2n normal_tail(t), and t^(k-1) grows polynomially
-    tail = 2 * n * k * t_hi ** (k - 1) * float(normal_tail(t_hi)) * 2.0
-    return value, err + tail
 
 
 def width_moment_cross(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> MomentEstimate:
@@ -154,8 +143,7 @@ def range_cdf(n: int, t: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
             return 0.0
         return math.exp(-0.5 * x * x) / _SQRT_2PI * diff ** (n - 1)
 
-    lo = -t - 9.0
-    value, _ = integrate.quad(integrand, lo, 9.0, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit)
+    value, _ = _quad(integrand, -t - 9.0, 9.0, cfg)
     return min(n * value, 1.0)
 
 
@@ -168,16 +156,13 @@ def range_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tuple[
     # range > t forces max > t/2 or -min > t/2, so the survival function is
     # bounded by 2n normal_tail(t/2)
     t_hi = 2.0 * float(normal_tail_inverse(min(cfg.trunc_eps / (2 * n), 0.25)))
-    inner_cfg = QuadratureConfig(epsabs=min(cfg.epsabs, 1e-13), epsrel=cfg.epsrel, limit=cfg.limit)
+    inner_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
 
     def integrand(t):
         return k * t ** (k - 1) * (1.0 - range_cdf(n, t, inner_cfg))
 
-    peak = 2.0 * solve_t_n(n)
-    value, err = integrate.quad(
-        integrand, 0.0, t_hi, epsabs=cfg.epsabs, epsrel=max(cfg.epsrel, 1e-11),
-        limit=cfg.limit, points=[peak],
-    )
+    outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
+    value, err = _quad(integrand, 0.0, t_hi, outer_cfg, points=[2.0 * solve_t_n(n)])
     tail = 2 * n * k * t_hi ** (k - 1) * float(normal_tail(t_hi / 2.0)) * 4.0
     return value, err + tail
 

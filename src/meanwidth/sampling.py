@@ -20,7 +20,6 @@ __all__ = [
     "McConfig",
     "chunk_rng",
     "sample_direction",
-    "sample_width",
     "width_samples",
     "estimate_moment",
     "estimate_moments",
@@ -98,9 +97,16 @@ def width_samples(p: RegularPolytope, rng: np.random.Generator, count: int) -> n
     return math.sqrt(n / (n - 1)) * rng_vals / np.linalg.norm(centered, axis=1)
 
 
-def sample_width(p: RegularPolytope, rng: np.random.Generator) -> float:
-    """A single width draw; see width_samples."""
-    return float(width_samples(p, rng, 1)[0])
+def _mean_stderr(sums, count: int) -> tuple[float, float]:
+    """Mean and standard error from per-chunk (sum, sum of squares) pairs,
+    reduced in chunk order."""
+    s = math.fsum(c[0] for c in sums)
+    s2 = math.fsum(c[1] for c in sums)
+    mean = s / count
+    var = max(s2 / count - mean * mean, 0.0)
+    if count > 1:
+        var *= count / (count - 1)
+    return mean, math.sqrt(var / count)
 
 
 def _moment_sums(values: np.ndarray, ks: tuple[int, ...]) -> dict[int, tuple[float, float]]:
@@ -125,15 +131,8 @@ def estimate_moments(
 
     per_chunk = _map_chunks(work, cfg, threads)
     out = {}
-    n_tot = cfg.samples
     for k in ks:
-        s = math.fsum(c[k][0] for c in per_chunk)
-        s2 = math.fsum(c[k][1] for c in per_chunk)
-        mean = s / n_tot
-        var = max(s2 / n_tot - mean * mean, 0.0)
-        if n_tot > 1:
-            var *= n_tot / (n_tot - 1)
-        stderr = math.sqrt(var / n_tot)
+        mean, stderr = _mean_stderr([c[k] for c in per_chunk], cfg.samples)
         out[k] = MomentEstimate(polytope=p, k=k, value=mean, route="monte_carlo", error=stderr)
     return out
 
@@ -168,11 +167,4 @@ def sample_correlated_max(gram: np.ndarray, cfg: McConfig, threads: int = 1) -> 
         m = (z @ root).max(axis=1)
         return float(m.sum()), float((m * m).sum())
 
-    per_chunk = _map_chunks(work, cfg, threads)
-    s = math.fsum(c[0] for c in per_chunk)
-    s2 = math.fsum(c[1] for c in per_chunk)
-    mean = s / cfg.samples
-    var = max(s2 / cfg.samples - mean * mean, 0.0)
-    if cfg.samples > 1:
-        var *= cfg.samples / (cfg.samples - 1)
-    return mean, math.sqrt(var / cfg.samples)
+    return _mean_stderr(_map_chunks(work, cfg, threads), cfg.samples)

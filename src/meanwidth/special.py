@@ -1,8 +1,7 @@
 """Special functions used throughout the library.
 
 Everything here is a pure, stateless function: the standard normal tail,
-log-space gamma ratios, absolute Gaussian moments, and the modified Bessel
-function K0 evaluated from its integral representation.
+log-space gamma ratios and absolute Gaussian moments.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 __all__ = [
@@ -18,7 +16,6 @@ __all__ = [
     "normal_tail_inverse",
     "log_gamma_ratio",
     "gaussian_abs_moment",
-    "bessel_k0",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -78,21 +75,3 @@ def gaussian_abs_moment(k: int) -> float:
     if k == 0:
         return 1.0
     return float(math.exp(0.5 * k * math.log(2.0) + sp.gammaln((k + 1) / 2) - 0.5 * math.log(math.pi)))
-
-
-def bessel_k0(z: float, *, epsrel: float = 1e-13) -> float:
-    """Modified Bessel function of the second kind, K0(z) for z > 0.
-
-    Evaluated by adaptive quadrature of the integral representation
-    int_0^inf exp(-z cosh t) dt, truncated where the integrand has dropped
-    by a factor e^-60 relative to its value at 0 (tail < 1e-14 of the
-    result).
-    """
-    if z <= 0:
-        raise ValueError(f"K0 requires z > 0, got {z}")
-    # exp(-z cosh T) = exp(-z) * exp(-60) at the cut.
-    t_max = math.acosh(1.0 + 60.0 / z)
-    value, err = integrate.quad(
-        lambda t: math.exp(-z * math.cosh(t)), 0.0, t_max, epsabs=0.0, epsrel=epsrel, limit=200
-    )
-    return value

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from meanwidth.cli import EXIT_OK, EXIT_USAGE, main
+from meanwidth.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from meanwidth.polytopes import width_moment_cube
 
 
@@ -46,11 +46,31 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_domain_error_maps_to_usage(self, capsys):
-        # k = 5 has no cube closed form
+        # moment orders start at k = 1
         code, _, err = run_cli(
-            capsys, ["moments", "--family", "cube", "--n", "3", "--k", "5", "--route", "closed"]
+            capsys, ["moments", "--family", "cube", "--n", "3", "--k", "0", "--route", "closed"]
         )
         assert code == EXIT_USAGE
+
+    def test_out_of_range_moment_maps_to_usage(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["moments", "--family", "cube", "--n", "10000000", "--k", "60", "--route", "closed"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "double-precision" in err
+
+
+class TestNumericalFailure:
+    def test_quadrature_nonconvergence_exits_4(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["moments", "--family", "simplex-s", "--n", "2", "--k", "12", "--route", "quadrature",
+             "--threads", "1"],
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "did not converge" in err
 
 
 class TestMomentsOutput:
@@ -69,6 +89,17 @@ class TestMomentsOutput:
         assert lookup[(3, 1)]["v1"] != ""
         assert float(lookup[(3, 1)]["v1"]) == pytest.approx(3.0, rel=1e-12)
         assert lookup[(3, 2)]["v1"] == ""
+
+    def test_closed_route_any_k(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["moments", "--family", "cube", "--n", "2", "--k", "5,8", "--route", "closed"]
+        )
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert [int(r["k"]) for r in rows] == [5, 8]
+        for row in rows:
+            # the library value, checked against quadrature in test_polytopes
+            assert float(row["value"]) == width_moment_cube(2, int(row["k"])).value
 
     def test_json_matches_csv_numerically(self, capsys):
         argv = ["moments", "--family", "cube", "--n", "4", "--k", "1,3", "--route", "closed"]

@@ -5,12 +5,15 @@ import pytest
 from scipy import integrate
 
 from meanwidth.extremes import (
+    QuadratureConfig,
+    QuadratureError,
     cdf_max,
     cdf_max_abs,
     comparison_report,
     emax_upper_bound,
     expected_max,
     expected_max_abs,
+    max_abs_moment,
     solve_t_n,
     u_sequence,
 )
@@ -105,6 +108,24 @@ class TestExpectedMaxAbs:
         value = expected_max_abs(10**4).value
         u = u_sequence(2 * 10**4)
         assert u <= value <= u + 1.0
+
+
+class TestMaxAbsMoment:
+    def test_first_moment_is_expected_max_abs(self):
+        for n in (1, 7, 1000):
+            assert max_abs_moment(n, 1)[0] == expected_max_abs(n).value
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_n1_half_normal_moments(self, k):
+        # max |eta_1| = |eta_1|: E|eta|^k = 1, 2 sqrt(2/pi), 3
+        exact = {2: 1.0, 3: 2.0 * math.sqrt(2.0 / math.pi), 4: 3.0}[k]
+        value, err = max_abs_moment(1, k)
+        assert abs(value - exact) <= err
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_subdivision_limit_raises(self, n):
+        with pytest.raises(QuadratureError):
+            max_abs_moment(n, 2, QuadratureConfig(limit=1))
 
 
 class TestExpectedMax:

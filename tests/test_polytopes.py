@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from scipy import integrate
 
-from meanwidth.extremes import emax_upper_bound
+from meanwidth.extremes import QuadratureConfig, QuadratureError, emax_upper_bound
 from meanwidth.polytopes import (
     PolytopeKind,
     RegularPolytope,
@@ -17,8 +18,28 @@ from meanwidth.polytopes import (
     width_moment_simplex_t,
 )
 from meanwidth.sampling import McConfig, estimate_moments
+from meanwidth.special import log_gamma_ratio
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def cube_polynomial(n, k):
+    """Hand-derived E[W_{Q_n}^k] for k = 1..4: the oracle of the cumulant route."""
+    if k == 1:
+        return n * math.exp(log_gamma_ratio(n / 2, (n + 1) / 2)) / math.sqrt(math.pi)
+    if k == 2:
+        return 1.0 + 2.0 * (n - 1) / math.pi
+    if k == 3:
+        poly = 2.0 * n * n + (3.0 * math.pi - 6.0) * n + 4.0 - math.pi
+        return 0.5 * math.exp(log_gamma_ratio(n / 2, (n + 3) / 2)) * math.pi ** -1.5 * n * poly
+    poly = (
+        4.0 * n**3
+        + (12.0 * math.pi - 24.0) * n**2
+        + (44.0 - 20.0 * math.pi + 3.0 * math.pi**2) * n
+        + 8.0 * math.pi
+        - 24.0
+    )
+    return poly / ((n + 2) * math.pi**2)
 
 
 class TestRegularPolytope:
@@ -65,8 +86,33 @@ class TestCubeMoments:
         assert v1_from_mean_width(3, est.value) == pytest.approx(3.0, rel=1e-13)
 
     def test_rejects_k_outside_closed_forms(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                width_moment_cube(3, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_polynomials(self, k):
+        for n in range(1, 1001):
+            assert width_moment_cube(n, k).value == pytest.approx(cube_polynomial(n, k), rel=2e-14, abs=0.0)
+
+    @pytest.mark.parametrize("k", range(5, 13))
+    def test_n1_higher_k_is_one(self, k):
+        # Q_1 is a unit segment: W = 1 in every direction
+        est = width_moment_cube(1, k)
+        assert abs(est.value - 1.0) <= est.error
+
+    @pytest.mark.parametrize("k", range(5, 13))
+    def test_n2_higher_k_quadrature_oracle(self, k):
+        # unit square: W = |cos phi| + |sin phi|, phi uniform on a quarter turn
+        oracle, _ = integrate.quad(
+            lambda phi: (math.cos(phi) + math.sin(phi)) ** k, 0.0, math.pi / 2, epsabs=0.0, epsrel=1e-13
+        )
+        assert width_moment_cube(2, k).value == pytest.approx(2.0 / math.pi * oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("n, k", [(10**7, 60), (10**7, 61), (1, 400)])
+    def test_rejects_values_out_of_double_range(self, n, k):
         with pytest.raises(ValueError):
-            width_moment_cube(3, 5)
+            width_moment_cube(n, k)
 
 
 class TestCrossMoments:
@@ -94,6 +140,16 @@ class TestRangeEngine:
         # E (eta_1 - eta_2)^2 = 2
         value, _ = range_moment(2, 2)
         assert value == pytest.approx(2.0, abs=1e-9)
+
+    def test_nonconvergence_raises(self):
+        # the exact value is 2^6 * 11!! = 665280, but the outer quadrature
+        # runs out of subdivisions before reaching its tolerance
+        with pytest.raises(QuadratureError):
+            range_moment(2, 12)
+
+    def test_cdf_subdivision_limit_raises(self):
+        with pytest.raises(QuadratureError):
+            range_cdf(5, 1.0, QuadratureConfig(limit=1))
 
 
 class TestSimplexMoments:
