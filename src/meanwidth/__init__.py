@@ -3,6 +3,7 @@
 from .extremes import (
     ComparisonReport,
     ExtremeValueResult,
+    NumericalError,
     QuadratureConfig,
     QuadratureError,
     comparison_report,

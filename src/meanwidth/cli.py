@@ -21,7 +21,7 @@ from .conjecture import (
     optimize_configuration,
     regular_simplex_gram,
 )
-from .extremes import QuadratureError, comparison_report
+from .extremes import NumericalError, comparison_report
 from .limits import (
     LimitLaw,
     ks_statistic,
@@ -288,14 +288,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuadratureError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        message = str(exc)
-        if "positive semidefinite" in message or "converge" in message:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_EIG_CLIP = -1e-10
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ class GramConfiguration:
             raise ValueError("Gram matrix must have unit diagonal")
         if np.any(np.abs(m) > 1.0 + 1e-12):
             raise ValueError("correlations must lie in [-1, 1]")
-        if np.linalg.eigvalsh(m).min() < _EIG_CLIP:
-            raise ValueError("Gram matrix is not positive semidefinite")
+        symmetric_sqrt(m)  # raises IndefiniteMatrixError unless m is PSD
         object.__setattr__(self, "matrix", m)
 
 
@@ -112,13 +110,9 @@ def conjecture_bound_check(g: GramConfiguration, cfg: McConfig,
     estimate, stderr = sample_correlated_max(g.matrix, cfg, threads)
     bound = math.sqrt(n / (n - 1)) * expected_max(n, quad).value
     ok = estimate <= bound + 4.0 * stderr
-    near_regular = gram_frobenius_distance(g, regular_simplex_gram(n)) < 1e-9
+    near_regular = np.linalg.norm(g.matrix - regular_simplex_gram(n).matrix) < 1e-9
     return BoundCheck(n=n, estimate=estimate, stderr=stderr, bound=bound, ok=bool(ok),
                       near_regular=bool(near_regular))
-
-
-def gram_frobenius_distance(a: GramConfiguration, b: GramConfiguration) -> float:
-    return float(np.linalg.norm(a.matrix - b.matrix))
 
 
 def gram_fingerprint_distance(a: GramConfiguration, b: GramConfiguration) -> float:
@@ -135,9 +129,20 @@ def gram_fingerprint_distance(a: GramConfiguration, b: GramConfiguration) -> flo
 
 
 def _common_normals(n: int, cfg: McConfig) -> np.ndarray:
-    """The common-random-numbers batch: all chunks concatenated in order."""
-    blocks = [chunk_rng(cfg.seed, i).standard_normal((c, n)) for i, c in cfg.chunks()]
-    return np.concatenate(blocks, axis=0)
+    """The common-random-numbers batch, one draw per column, chunks in order."""
+    blocks = [chunk_rng(cfg.seed, i).standard_normal((c, n)).T.copy() for i, c in cfg.chunks()]
+    return np.concatenate(blocks, axis=1)
+
+
+def _first_argmax(scores: np.ndarray) -> np.ndarray:
+    """scores.argmax(axis=0), lowest row on ties, by one contiguous pass per
+    row; the narrowest index type cuts memory traffic."""
+    best = scores[0].copy()
+    winners = np.zeros(scores.shape[1], dtype=np.min_scalar_type(scores.shape[0] - 1))
+    for j in range(1, scores.shape[0]):
+        winners += (scores[j] > best) * (j - winners)
+        np.maximum(best, scores[j], out=best)
+    return winners.astype(np.intp)
 
 
 def optimize_configuration(n: int, restarts: int, cfg: McConfig, iterations: int = 400) -> SearchResult:
@@ -156,36 +161,29 @@ def optimize_configuration(n: int, restarts: int, cfg: McConfig, iterations: int
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
 
-    z = _common_normals(n, cfg)
-    samples = z.shape[0]
-
-    def objective(points):
-        return z @ points.T
+    zt = _common_normals(n, cfg)
 
     def project(points):
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         return points / norms
 
-    best_points = None
     best_mean = -math.inf
     init_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     for _ in range(restarts):
         points = project(init_rng.standard_normal((n, n)))
         for it in range(1, iterations + 1):
-            scores = objective(points)
-            winners = scores.argmax(axis=1)
-            grad = np.zeros_like(points)
-            np.add.at(grad, winners, z)
-            grad /= samples
+            winners = _first_argmax(points @ zt)
+            # bincount sums each bin in sample order, bit for bit as np.add.at
+            grad = np.stack([np.bincount(winners, weights=row, minlength=n) for row in zt], axis=1)
+            grad /= cfg.samples
             points = project(points + (0.5 / math.sqrt(it)) * grad)
-        mean = objective(points).max(axis=1).mean()
+        maxima = (points @ zt).max(axis=0)
+        mean = maxima.mean()
         if mean > best_mean:
-            best_mean = mean
-            best_points = points
+            best_mean, best_points, best_maxima = mean, points, maxima
 
-    maxima = objective(best_points).max(axis=1)
-    stderr = float(maxima.std(ddof=1) / math.sqrt(samples))
+    stderr = float(best_maxima.std(ddof=1) / math.sqrt(cfg.samples))
     gram_m = np.clip(best_points @ best_points.T, -1.0, 1.0)
     np.fill_diagonal(gram_m, 1.0)
     best_gram = GramConfiguration(n=n, matrix=0.5 * (gram_m + gram_m.T))
@@ -226,14 +224,13 @@ def interpolation_emax_curve(n: int, t_grid, cfg: McConfig) -> list[tuple[float,
     t_grid = [float(t) for t in t_grid]
     if any(t1 > t2 for t1, t2 in zip(t_grid, t_grid[1:])):
         raise ValueError("t grid must be sorted ascending")
-    z = _common_normals(2 * n, cfg)
-    samples = z.shape[0]
+    zt = _common_normals(2 * n, cfg)
     out = []
     for t in t_grid:
         root = symmetric_sqrt(interpolation_covariance(n, t))
-        maxima = (z @ root).max(axis=1)
+        maxima = (zt.T @ root).max(axis=1)
         mean = float(maxima.mean())
-        stderr = float(maxima.std(ddof=1) / math.sqrt(samples))
+        stderr = float(maxima.std(ddof=1) / math.sqrt(cfg.samples))
         out.append((t, mean, stderr))
     return out
 

@@ -21,7 +21,9 @@ from .special import normal_tail, normal_tail_inverse
 
 __all__ = [
     "QuadratureConfig",
+    "NumericalError",
     "QuadratureError",
+    "IndefiniteMatrixError",
     "ExtremeValueResult",
     "ComparisonReport",
     "u_sequence",
@@ -39,8 +41,16 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-class QuadratureError(RuntimeError):
+class NumericalError(Exception):
+    """A computation that cannot produce a trustworthy number (CLI exit 4)."""
+
+
+class QuadratureError(NumericalError, RuntimeError):
     """Raised when an adaptive quadrature cannot reach the requested tolerance."""
+
+
+class IndefiniteMatrixError(NumericalError, ValueError):
+    """Raised when a matrix that must be positive semidefinite is not."""
 
 
 @dataclass(frozen=True)

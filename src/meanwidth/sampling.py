@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .extremes import IndefiniteMatrixError
 from .polytopes import MomentEstimate, PolytopeKind, RegularPolytope
 
 __all__ = [
@@ -150,7 +151,7 @@ def symmetric_sqrt(matrix: np.ndarray, clip: float = -1e-10) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     vals, vecs = np.linalg.eigh(matrix)
     if vals.min() < clip:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
+        raise IndefiniteMatrixError(f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
 

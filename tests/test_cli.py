@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from meanwidth import cli
 from meanwidth.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from meanwidth.extremes import IndefiniteMatrixError, NumericalError, QuadratureError
 from meanwidth.polytopes import width_moment_cube
 
 
@@ -71,6 +74,24 @@ class TestNumericalFailure:
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert "did not converge" in err
+
+    @pytest.mark.parametrize("exc, expected", [
+        (NumericalError("no trustworthy number"), EXIT_NUMERICAL),
+        (QuadratureError("quadrature did not converge"), EXIT_NUMERICAL),
+        (IndefiniteMatrixError("not positive semidefinite"), EXIT_NUMERICAL),
+        (np.linalg.LinAlgError("eigenvalues did not converge"), EXIT_NUMERICAL),
+        # the exit code follows the type, not the message text
+        (ValueError("matrix is not positive semidefinite and did not converge"), EXIT_USAGE),
+    ])
+    def test_exit_code_follows_the_exception_type(self, capsys, monkeypatch, exc, expected):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_search", handler)
+        code, out, err = run_cli(capsys, ["search", "--n", "3", "--restarts", "1", "--seed", "1"])
+        assert code == expected
+        assert out == ""
+        assert str(exc) in err
 
 
 class TestMomentsOutput:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from meanwidth.conjecture import (
     GramConfiguration,
+    _first_argmax,
     conjecture_bound_check,
     gram_fingerprint_distance,
     interpolation_covariance,
@@ -15,8 +16,8 @@ from meanwidth.conjecture import (
     regular_simplex_gram,
     softmax_bound,
 )
-from meanwidth.extremes import expected_max, expected_max_abs
-from meanwidth.sampling import McConfig, sample_correlated_max
+from meanwidth.extremes import IndefiniteMatrixError, NumericalError, expected_max, expected_max_abs
+from meanwidth.sampling import McConfig, chunk_rng, sample_correlated_max
 
 
 class TestGramConfiguration:
@@ -39,6 +40,13 @@ class TestGramConfiguration:
         m = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         with pytest.raises(ValueError):
             GramConfiguration(n=3, matrix=m)
+
+    def test_indefinite_is_a_numerical_error(self):
+        m = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        with pytest.raises(IndefiniteMatrixError) as info:
+            GramConfiguration(n=3, matrix=m)
+        assert isinstance(info.value, NumericalError)
+        assert isinstance(info.value, ValueError)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -227,3 +235,65 @@ class TestOptimizer:
     def test_never_beats_regular_significantly(self):
         res = optimize_configuration(3, 5, McConfig(seed=6, samples=50_000), iterations=200)
         assert res.gap <= 5.0 * res.best_stderr
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_matches_the_add_at_step_bit_for_bit(self, n):
+        # 20_001 samples leave a partial last chunk
+        cfg = McConfig(seed=17, samples=20_001)
+        res = optimize_configuration(n, 2, cfg, iterations=50)
+        value, stderr, gram = _add_at_search(n, 2, cfg, iterations=50)
+        assert res.best_value == value
+        assert res.best_stderr == stderr
+        assert np.array_equal(res.best_gram.matrix, gram)
+
+
+def _add_at_search(n, restarts, cfg, iterations):
+    """Reference optimizer: the draws as (samples, n) rows, argmax(axis=1)
+    winners and an np.add.at gradient.  Returns (best_value, best_stderr,
+    best Gram matrix)."""
+    z = np.concatenate([chunk_rng(cfg.seed, i).standard_normal((c, n)) for i, c in cfg.chunks()])
+
+    def project(points):
+        norms = np.linalg.norm(points, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        return points / norms
+
+    best_mean, best_points = -math.inf, None
+    init_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
+    for _ in range(restarts):
+        points = project(init_rng.standard_normal((n, n)))
+        for it in range(1, iterations + 1):
+            winners = (z @ points.T).argmax(axis=1)
+            grad = np.zeros_like(points)
+            np.add.at(grad, winners, z)
+            grad /= z.shape[0]
+            points = project(points + (0.5 / math.sqrt(it)) * grad)
+        mean = (z @ points.T).max(axis=1).mean()
+        if mean > best_mean:
+            best_mean, best_points = mean, points
+    maxima = (z @ best_points.T).max(axis=1)
+    stderr = float(maxima.std(ddof=1) / math.sqrt(z.shape[0]))
+    gram = np.clip(best_points @ best_points.T, -1.0, 1.0)
+    np.fill_diagonal(gram, 1.0)
+    root_2pi = math.sqrt(2.0 * math.pi)
+    return root_2pi * float(best_mean), root_2pi * stderr, 0.5 * (gram + gram.T)
+
+
+class TestFirstArgmax:
+    @pytest.mark.parametrize("scores", [
+        np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 2.0, 3.0]]),  # duplicated rows
+        np.full((5, 4), 0.25),  # every column all-equal
+        np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]]),  # signed zeros compare equal
+        np.array([[-1.0, 5.0], [-0.0, 5.0], [0.0, 7.0], [-0.0, 7.0]]),
+        np.array([[0.5, -2.0, 9.0]]),  # a single row
+    ])
+    def test_ties_go_to_the_lowest_row(self, scores):
+        winners = _first_argmax(scores)
+        assert winners.dtype == np.intp
+        assert np.array_equal(winners, scores.argmax(axis=0))
+
+    @pytest.mark.parametrize("rows", [2, 3, 12, 300])
+    def test_matches_argmax_on_rounded_draws(self, rows):
+        # rounding to a coarse grid makes ties common
+        scores = np.round(np.random.default_rng(rows).standard_normal((rows, 5_000)), 1)
+        assert np.array_equal(_first_argmax(scores), scores.argmax(axis=0))

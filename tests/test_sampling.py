@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meanwidth.extremes import expected_max
+from meanwidth.extremes import IndefiniteMatrixError, NumericalError, expected_max
 from meanwidth.polytopes import PolytopeKind, RegularPolytope
 from meanwidth.sampling import (
     McConfig,
@@ -162,6 +162,11 @@ class TestSymmetricSqrt:
         m = np.diag([1.0, -0.5])
         with pytest.raises(ValueError):
             symmetric_sqrt(m)
+
+    def test_indefinite_is_a_numerical_error(self):
+        with pytest.raises(IndefiniteMatrixError) as info:
+            symmetric_sqrt(np.diag([1.0, -0.5]))
+        assert isinstance(info.value, NumericalError)
 
     def test_accepts_boundary(self):
         # singular PSD matrix (rank 1) must pass
