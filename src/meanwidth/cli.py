@@ -36,7 +36,7 @@ from .polytopes import (
     width_moment,
     width_moment_cube,
 )
-from .sampling import McConfig, chunk_rng, estimate_moments, width_samples
+from .sampling import McConfig, _map_chunks, estimate_moments, width_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,8 +179,7 @@ def cmd_limits(args) -> int:
     family = PolytopeKind(args.family)
     p = RegularPolytope(family, args.n)
     cfg = McConfig(seed=args.seed, samples=args.samples)
-    blocks = [width_samples(p, chunk_rng(cfg.seed, i), c) for i, c in cfg.chunks()]
-    widths = np.concatenate(blocks)
+    widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg))
     if family is PolytopeKind.CUBE:
         std = standardize_cube(widths, args.n)
     elif family is PolytopeKind.CROSS:

@@ -14,6 +14,7 @@ covariance family whose E-max curve is non-increasing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .extremes import DEFAULT_QUAD, QuadratureConfig, expected_max
-from .sampling import McConfig, chunk_rng, sample_correlated_max, symmetric_sqrt
+from .sampling import McConfig, _map_chunks, sample_correlated_max, symmetric_sqrt
 
 __all__ = [
     "GramConfiguration",
@@ -103,12 +104,19 @@ def random_unit_diagonal_gram(n: int, rng: np.random.Generator) -> GramConfigura
     return GramConfiguration(n=n, matrix=np.clip(m, -1.0, 1.0))
 
 
+@functools.lru_cache(maxsize=64)
+def _simplex_bound(n: int, quad: QuadratureConfig) -> float:
+    """sqrt(n/(n-1)) E max(eta_1..eta_n): one quadrature per (n, quad), since
+    bound checks repeat the same few n."""
+    return math.sqrt(n / (n - 1)) * expected_max(n, quad).value
+
+
 def conjecture_bound_check(g: GramConfiguration, cfg: McConfig,
                            quad: QuadratureConfig = DEFAULT_QUAD, threads: int = 1) -> BoundCheck:
     """Compare E max under g against the sqrt(n/(n-1)) * E max(iid) bound."""
     n = g.n
     estimate, stderr = sample_correlated_max(g.matrix, cfg, threads)
-    bound = math.sqrt(n / (n - 1)) * expected_max(n, quad).value
+    bound = _simplex_bound(n, quad)
     ok = estimate <= bound + 4.0 * stderr
     near_regular = np.linalg.norm(g.matrix - regular_simplex_gram(n).matrix) < 1e-9
     return BoundCheck(n=n, estimate=estimate, stderr=stderr, bound=bound, ok=bool(ok),
@@ -130,8 +138,7 @@ def gram_fingerprint_distance(a: GramConfiguration, b: GramConfiguration) -> flo
 
 def _common_normals(n: int, cfg: McConfig) -> np.ndarray:
     """The common-random-numbers batch, one draw per column, chunks in order."""
-    blocks = [chunk_rng(cfg.seed, i).standard_normal((c, n)).T.copy() for i, c in cfg.chunks()]
-    return np.concatenate(blocks, axis=1)
+    return np.concatenate(_map_chunks(lambda rng, c: rng.standard_normal((c, n)).T.copy(), cfg), axis=1)
 
 
 def _first_argmax(scores: np.ndarray) -> np.ndarray:
@@ -160,6 +167,8 @@ def optimize_configuration(n: int, restarts: int, cfg: McConfig, iterations: int
         raise ValueError(f"search is capped at n = 12, got {n}")
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
+    if cfg.samples < 2:
+        raise ValueError(f"search needs at least 2 samples for a standard error, got {cfg.samples}")
 
     zt = _common_normals(n, cfg)
 
@@ -218,21 +227,13 @@ def interpolation_covariance(n: int, t: float) -> np.ndarray:
 def interpolation_emax_curve(n: int, t_grid, cfg: McConfig) -> list[tuple[float, float, float]]:
     """Common-random-numbers estimate of phi(t) = E max xi(t) on a t grid.
 
-    Returns (t, mean, stderr) per node; the shared draws make adjacent
-    differences far less noisy than the individual values.
+    Returns (t, mean, stderr) per node; every node reuses the same seeded
+    chunks, so adjacent differences are far less noisy than the values.
     """
     t_grid = [float(t) for t in t_grid]
     if any(t1 > t2 for t1, t2 in zip(t_grid, t_grid[1:])):
         raise ValueError("t grid must be sorted ascending")
-    zt = _common_normals(2 * n, cfg)
-    out = []
-    for t in t_grid:
-        root = symmetric_sqrt(interpolation_covariance(n, t))
-        maxima = (zt.T @ root).max(axis=1)
-        mean = float(maxima.mean())
-        stderr = float(maxima.std(ddof=1) / math.sqrt(cfg.samples))
-        out.append((t, mean, stderr))
-    return out
+    return [(t, *sample_correlated_max(interpolation_covariance(n, t), cfg)) for t in t_grid]
 
 
 def softmax_bound(x, beta: float) -> tuple[float, float]:

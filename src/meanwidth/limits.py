@@ -21,7 +21,6 @@ __all__ = [
     "CltConstants",
     "CLT_CONSTANTS",
     "LimitLaw",
-    "LimitFit",
     "standardize_cube",
     "standardize_simplex",
     "standardize_cross",
@@ -53,18 +52,6 @@ class LimitLaw(str, enum.Enum):
     GUMBEL = "gumbel"
     TWO_GUMBEL = "two-gumbel"
     GUMBEL_SUM = "gumbel-sum"
-
-
-@dataclass(frozen=True)
-class LimitFit:
-    law: LimitLaw
-    sample_size: int
-    n: int
-    ks_distance: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.ks_distance <= 1.0:
-            raise ValueError(f"KS distance must lie in [0, 1], got {self.ks_distance}")
 
 
 def standardize_cube(w, n: int):

@@ -5,10 +5,12 @@ S_{n-1} = conv(e_1, ..., e_n) in R^n, the regular simplex T_{n-1} with n
 vertices inscribed in the unit sphere of R^{n-1}, and the crosspolytope
 C_n = conv(+-e_1, ..., +-e_n).
 
-Every moment E[W^k] reduces to a moment of a Gaussian extreme (sum, max of
-absolute values, or range) times a gamma-ratio prefactor.  The cube has a
-closed form for every k; the other families go through adaptive quadrature
-of survival-function integrals.
+Every width is W = X / |g| with g ~ N(0, I_d), d the ambient dimension, and
+X a Gaussian extreme of g: the sum of absolute values (cube), twice the max
+of absolute values (crosspolytope) or the scaled range (simplices).  The
+direction g/|g| is independent of |g|, so E[W^k] = E[X^k] / E|g|^k.  The
+cube's E[X^k] has a closed form for every k; the other families go through
+adaptive quadrature of survival-function integrals.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ __all__ = [
     "MomentEstimate",
     "v1_from_mean_width",
     "width_moment_cube",
-    "width_moment_cross",
-    "width_moment_simplex_s",
-    "width_moment_simplex_t",
+    "width_moment",
     "range_cdf",
     "range_moment",
     "sudakov_v1",
@@ -101,6 +101,14 @@ def _abs_sum_moment(n: int, k: int) -> float:
     return s[k]
 
 
+def _per_norm_moment(x: float, d: int, k: int) -> float:
+    """x / E|g|^k for g ~ N(0, I_d), where E|g|^k = 2^(k/2) Gamma((d+k)/2) / Gamma(d/2)."""
+    if k % 2 == 0:
+        # E|g|^k is exactly d (d+2) ... (d+k-2) for even k
+        return x / math.prod(float(d + 2 * j) for j in range(k // 2))
+    return x * math.exp(-0.5 * k * math.log(2.0) + log_gamma_ratio(d / 2, (d + k) / 2))
+
+
 def width_moment_cube(n: int, k: int) -> MomentEstimate:
     """Closed-form E[W_{Q_n}^k] = Gamma(n/2) / (2^(k/2) Gamma((n+k)/2)) E[(sum |eta_i|)^k]."""
     p = RegularPolytope(PolytopeKind.CUBE, n)
@@ -110,24 +118,10 @@ def width_moment_cube(n: int, k: int) -> MomentEstimate:
         moment = _abs_sum_moment(n, k)
     except OverflowError:
         moment = math.inf
-    if k % 2 == 0:
-        # the prefactor is exactly 1 / (n (n+2) ... (n+k-2)) for even k
-        value = moment / math.prod(float(n + 2 * j) for j in range(k // 2))
-    else:
-        value = moment * math.exp(-0.5 * k * math.log(2.0) + log_gamma_ratio(n / 2, (n + k) / 2))
+    value = _per_norm_moment(moment, n, k)
     if not math.isfinite(value):
         raise ValueError(f"cube moment n={n}, k={k} is out of double-precision range")
     return MomentEstimate(polytope=p, k=k, value=value, route="closed_form", error=8.0 * abs(value) * 2.2e-16)
-
-
-def width_moment_cross(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> MomentEstimate:
-    """E[W_{C_n}^k] = 2^(k/2) Gamma(n/2)/Gamma((n+k)/2) E[(max |eta_i|)^k]."""
-    p = RegularPolytope(PolytopeKind.CROSS, n)
-    if k < 1:
-        raise ValueError(f"moment order must be positive, got {k}")
-    moment, err = max_abs_moment(n, k, cfg)
-    pref = math.exp(0.5 * k * math.log(2.0) + log_gamma_ratio(n / 2, (n + k) / 2))
-    return MomentEstimate(polytope=p, k=k, value=pref * moment, route="quadrature", error=pref * err)
 
 
 def range_cdf(n: int, t: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -167,35 +161,27 @@ def range_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tuple[
     return value, err + tail
 
 
-def width_moment_simplex_s(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> MomentEstimate:
-    """E[W_{S_{n-1}}^k] = 2^(-k/2) Gamma(n/2)/Gamma((n+k)/2) E[range^k]."""
-    p = RegularPolytope(PolytopeKind.SIMPLEX_S, n)
-    moment, err = range_moment(n, k, cfg)
-    pref = math.exp(-0.5 * k * math.log(2.0) + log_gamma_ratio(n / 2, (n + k) / 2))
-    return MomentEstimate(polytope=p, k=k, value=pref * moment, route="quadrature", error=pref * err)
-
-
-def width_moment_simplex_t(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> MomentEstimate:
-    """E[W_{T_{n-1}}^k] = 2^(-k/2) Gamma((n-1)/2)/Gamma((n-1+k)/2) (n/(n-1))^(k/2) E[range^k]."""
-    p = RegularPolytope(PolytopeKind.SIMPLEX_T, n)
-    moment, err = range_moment(n, k, cfg)
-    pref = math.exp(
-        -0.5 * k * math.log(2.0)
-        + log_gamma_ratio((n - 1) / 2, (n - 1 + k) / 2)
-        + 0.5 * k * (math.log(n) - math.log(n - 1))
-    )
-    return MomentEstimate(polytope=p, k=k, value=pref * moment, route="quadrature", error=pref * err)
-
-
 def width_moment(p: RegularPolytope, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> MomentEstimate:
-    """Dispatch to the family-specific closed form or quadrature route."""
+    """E[W^k] = E[X^k] / E|g|^k: the cube's closed form, or quadrature of
+    E[(max |eta_i|)^k] (crosspolytope, X = 2 max |eta_i|) or of E[range^k]
+    (simplices, X = range, scaled by sqrt(n/(n-1)) for T_{n-1})."""
     if p.kind is PolytopeKind.CUBE:
         return width_moment_cube(p.n, k)
+    if k < 1:
+        raise ValueError(f"moment order must be positive, got {k}")
     if p.kind is PolytopeKind.CROSS:
-        return width_moment_cross(p.n, k, cfg)
-    if p.kind is PolytopeKind.SIMPLEX_S:
-        return width_moment_simplex_s(p.n, k, cfg)
-    return width_moment_simplex_t(p.n, k, cfg)
+        scale, (moment, err) = 2.0, max_abs_moment(p.n, k, cfg)
+    else:
+        scale = math.sqrt(p.n / (p.n - 1)) if p.kind is PolytopeKind.SIMPLEX_T else 1.0
+        moment, err = range_moment(p.n, k, cfg)
+    sk = scale**k
+    return MomentEstimate(
+        polytope=p,
+        k=k,
+        value=_per_norm_moment(sk * moment, p.ambient_dim, k),
+        route="quadrature",
+        error=_per_norm_moment(sk * err, p.ambient_dim, k),
+    )
 
 
 def sudakov_v1(p: RegularPolytope, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:

@@ -20,7 +20,6 @@ from .polytopes import MomentEstimate, PolytopeKind, RegularPolytope
 __all__ = [
     "McConfig",
     "chunk_rng",
-    "sample_direction",
     "width_samples",
     "estimate_moment",
     "estimate_moments",
@@ -51,30 +50,24 @@ class McConfig:
             yield full, rem
 
 
-def chunk_rng(seed: int, chunk_index: int, stream: int = 0) -> np.random.Generator:
-    """Independent substream for one chunk of one logical random stream."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, chunk_index)))
+def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    """Independent PCG64 substream of one chunk."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, chunk_index)))
 
 
 def _map_chunks(fn, cfg: McConfig, threads: int = 1):
-    """Apply fn(chunk_index, count) to every chunk; results in chunk order."""
+    """Apply fn(chunk_rng(seed, i), count) to every chunk i; results in chunk
+    order.  Every chunked draw of the library goes through here."""
+
+    def run(i, count):
+        return fn(chunk_rng(cfg.seed, i), count)
+
     plan = list(cfg.chunks())
     if threads <= 1 or len(plan) <= 1:
-        return [fn(i, c) for i, c in plan]
+        return [run(i, c) for i, c in plan]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, i, c) for i, c in plan]
+        futures = [pool.submit(run, i, c) for i, c in plan]
         return [f.result() for f in futures]
-
-
-def sample_direction(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform point on the unit sphere of R^dim."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    while True:
-        g = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(g))
-        if norm > 0.0:
-            return g / norm
 
 
 def width_samples(p: RegularPolytope, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -126,11 +119,7 @@ def estimate_moments(
     if any(k < 1 for k in ks):
         raise ValueError(f"moment orders must be positive, got {ks}")
 
-    def work(i, count):
-        rng = chunk_rng(cfg.seed, i)
-        return _moment_sums(width_samples(p, rng, count), ks)
-
-    per_chunk = _map_chunks(work, cfg, threads)
+    per_chunk = _map_chunks(lambda rng, count: _moment_sums(width_samples(p, rng, count), ks), cfg, threads)
     out = {}
     for k in ks:
         mean, stderr = _mean_stderr([c[k] for c in per_chunk], cfg.samples)
@@ -157,15 +146,13 @@ def symmetric_sqrt(matrix: np.ndarray, clip: float = -1e-10) -> np.ndarray:
 
 
 def sample_correlated_max(gram: np.ndarray, cfg: McConfig, threads: int = 1) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, stderr) of E max of the unit-variance
-    centered Gaussian vector with the given correlation matrix."""
+    """Monte Carlo estimate (mean, stderr) of E max of the centered Gaussian
+    vector with the given covariance, which may be any PSD matrix."""
     root = symmetric_sqrt(gram)
     n = root.shape[0]
 
-    def work(i, count):
-        rng = chunk_rng(cfg.seed, i)
-        z = rng.standard_normal((count, n))
-        m = (z @ root).max(axis=1)
+    def work(rng, count):
+        m = (rng.standard_normal((count, n)) @ root).max(axis=1)
         return float(m.sum()), float((m * m).sum())
 
     return _mean_stderr(_map_chunks(work, cfg, threads), cfg.samples)

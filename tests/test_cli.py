@@ -43,6 +43,15 @@ class TestUsageErrors:
             main(["search", "--n", "3", "--restarts", "0", "--seed", "1"])
         assert exc.value.code == 2
 
+    def test_search_needs_two_samples(self, capsys):
+        # one draw has no standard error, so a gap could never be flagged
+        code, out, err = run_cli(
+            capsys, ["search", "--n", "3", "--restarts", "1", "--samples", "1", "--seed", "1"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "2 samples" in err
+
     def test_rejects_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["moments", "--family", "octahedron", "--n", "3", "--k", "1", "--route", "mc"])

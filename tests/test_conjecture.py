@@ -16,7 +16,13 @@ from meanwidth.conjecture import (
     regular_simplex_gram,
     softmax_bound,
 )
-from meanwidth.extremes import IndefiniteMatrixError, NumericalError, expected_max, expected_max_abs
+from meanwidth.extremes import (
+    IndefiniteMatrixError,
+    NumericalError,
+    QuadratureConfig,
+    expected_max,
+    expected_max_abs,
+)
 from meanwidth.sampling import McConfig, chunk_rng, sample_correlated_max
 
 
@@ -107,6 +113,14 @@ class TestBoundCheck:
         assert check.ok
         assert not check.near_regular
         assert check.estimate < check.bound
+
+    def test_bound_is_the_quadrature_value_on_every_call(self):
+        # the bound is memoized per (n, quad): a repeat call and another
+        # quadrature config must still give their own exact expression
+        g, cfg = regular_simplex_gram(4), McConfig(seed=1, samples=10)
+        for quad in (QuadratureConfig(), QuadratureConfig(epsrel=1e-6), QuadratureConfig()):
+            bound = conjecture_bound_check(g, cfg, quad).bound
+            assert bound == math.sqrt(4 / 3) * expected_max(4, quad).value
 
     def test_random_grams_all_pass(self):
         rng = np.random.default_rng(123)

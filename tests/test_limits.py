@@ -7,7 +7,6 @@ from scipy import integrate
 from meanwidth.limits import (
     CLT_CONSTANTS,
     EULER_GAMMA,
-    LimitFit,
     LimitLaw,
     gumbel_sum_density,
     ks_statistic,
@@ -82,12 +81,6 @@ class TestStandardizers:
             standardize_cube([1.0], 0)
         with pytest.raises(ValueError):
             standardize_cross([1.0], 1)
-
-
-class TestLimitFit:
-    def test_rejects_bad_ks(self):
-        with pytest.raises(ValueError):
-            LimitFit(law=LimitLaw.GUMBEL, sample_size=10, n=5, ks_distance=1.5)
 
 
 class TestSimpleCdfs:

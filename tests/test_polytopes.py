@@ -12,10 +12,7 @@ from meanwidth.polytopes import (
     sudakov_v1,
     v1_from_mean_width,
     width_moment,
-    width_moment_cross,
     width_moment_cube,
-    width_moment_simplex_s,
-    width_moment_simplex_t,
 )
 from meanwidth.sampling import McConfig, estimate_moments
 from meanwidth.special import log_gamma_ratio
@@ -117,11 +114,11 @@ class TestCubeMoments:
 
 class TestCrossMoments:
     def test_n1_is_constant_2(self):
-        assert width_moment_cross(1, 1).value == pytest.approx(2.0, rel=1e-11)
-        assert width_moment_cross(1, 2).value == pytest.approx(4.0, rel=1e-11)
+        assert width_moment(RegularPolytope(PolytopeKind.CROSS, 1), 1).value == pytest.approx(2.0, rel=1e-11)
+        assert width_moment(RegularPolytope(PolytopeKind.CROSS, 1), 2).value == pytest.approx(4.0, rel=1e-11)
 
     def test_n3_k2_vs_monte_carlo(self):
-        est = width_moment_cross(3, 2)
+        est = width_moment(RegularPolytope(PolytopeKind.CROSS, 3), 2)
         mc = estimate_moments(RegularPolytope(PolytopeKind.CROSS, 3), (2,), McConfig(seed=11, samples=1_000_000))[2]
         assert abs(est.value - mc.value) < 4.0 * mc.error + est.error
 
@@ -155,26 +152,26 @@ class TestRangeEngine:
 class TestSimplexMoments:
     def test_s_n2_k1(self):
         # segment of length sqrt(2) in R^2: E W = 2 sqrt(2) / pi
-        assert width_moment_simplex_s(2, 1).value == pytest.approx(2.0 * math.sqrt(2.0) / math.pi, abs=1e-9)
+        assert width_moment(RegularPolytope(PolytopeKind.SIMPLEX_S, 2), 1).value == pytest.approx(2.0 * math.sqrt(2.0) / math.pi, abs=1e-9)
 
     def test_s_n2_k2(self):
-        assert width_moment_simplex_s(2, 2).value == pytest.approx(1.0, abs=1e-9)
+        assert width_moment(RegularPolytope(PolytopeKind.SIMPLEX_S, 2), 2).value == pytest.approx(1.0, abs=1e-9)
 
     def test_s_n4_k1_vs_monte_carlo(self):
-        est = width_moment_simplex_s(4, 1)
+        est = width_moment(RegularPolytope(PolytopeKind.SIMPLEX_S, 4), 1)
         mc = estimate_moments(RegularPolytope(PolytopeKind.SIMPLEX_S, 4), (1,), McConfig(seed=21, samples=1_000_000))[1]
         assert abs(est.value - mc.value) < 4.0 * mc.error + est.error
 
     def test_t_n2_is_constant_2(self):
-        assert width_moment_simplex_t(2, 1).value == pytest.approx(2.0, abs=1e-9)
+        assert width_moment(RegularPolytope(PolytopeKind.SIMPLEX_T, 2), 1).value == pytest.approx(2.0, abs=1e-9)
 
     def test_t_n3_semiperimeter(self):
         # equilateral triangle inscribed in the unit circle: V1 = 3 sqrt(3) / 2
-        est = width_moment_simplex_t(3, 1)
+        est = width_moment(RegularPolytope(PolytopeKind.SIMPLEX_T, 3), 1)
         assert v1_from_mean_width(2, est.value) == pytest.approx(1.5 * math.sqrt(3.0), abs=1e-8)
 
     def test_t_n3_k2_vs_monte_carlo(self):
-        est = width_moment_simplex_t(3, 2)
+        est = width_moment(RegularPolytope(PolytopeKind.SIMPLEX_T, 3), 2)
         mc = estimate_moments(RegularPolytope(PolytopeKind.SIMPLEX_T, 3), (2,), McConfig(seed=31, samples=1_000_000))[2]
         assert abs(est.value - mc.value) < 4.0 * mc.error + est.error
 

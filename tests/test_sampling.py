@@ -11,7 +11,6 @@ from meanwidth.sampling import (
     estimate_moment,
     estimate_moments,
     sample_correlated_max,
-    sample_direction,
     symmetric_sqrt,
     width_samples,
 )
@@ -40,32 +39,7 @@ class TestChunkRng:
     def test_streams_and_chunks_differ(self):
         base = chunk_rng(7, 3).standard_normal(5)
         assert not np.array_equal(base, chunk_rng(7, 4).standard_normal(5))
-        assert not np.array_equal(base, chunk_rng(7, 3, stream=1).standard_normal(5))
         assert not np.array_equal(base, chunk_rng(8, 3).standard_normal(5))
-
-
-class TestSampleDirection:
-    def test_unit_norm(self):
-        for dim in (1, 2, 17):
-            v = sample_direction(dim, np.random.default_rng(0))
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_replay(self):
-        assert np.array_equal(
-            sample_direction(6, np.random.default_rng(3)),
-            sample_direction(6, np.random.default_rng(3)),
-        )
-
-    def test_first_coordinate_variance(self):
-        # uniform direction on S^{dim-1}: E theta_1^2 = 1/dim
-        dim = 5
-        rng = np.random.default_rng(12)
-        sq = [sample_direction(dim, rng)[0] ** 2 for _ in range(4_000)]
-        assert np.mean(sq) == pytest.approx(1.0 / dim, abs=0.02)
-
-    def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            sample_direction(0, np.random.default_rng(0))
 
 
 class TestWidthSupports:
