@@ -21,6 +21,7 @@ from .polytopes import (
     sudakov_v1,
     v1_from_mean_width,
     width_moment,
+    width_moments,
 )
 from .sampling import McConfig, estimate_moment, estimate_moments, sample_correlated_max
 from .conjecture import (

@@ -33,8 +33,7 @@ from .polytopes import (
     PolytopeKind,
     RegularPolytope,
     v1_from_mean_width,
-    width_moment,
-    width_moment_cube,
+    width_moments,
 )
 from .sampling import McConfig, _map_chunks, estimate_moments, width_samples
 
@@ -118,25 +117,19 @@ def cmd_moments(args) -> int:
     if args.route == "mc" and args.seed is None:
         print("error: --route mc requires an explicit --seed", file=sys.stderr)
         return EXIT_USAGE
+    if args.route == "closed" and family is not PolytopeKind.CUBE:
+        print("error: --route closed is only available for the cube", file=sys.stderr)
+        return EXIT_USAGE
     rows = []
     for n in args.n:
         p = RegularPolytope(family, n)
         if args.route == "mc":
             cfg = McConfig(seed=args.seed, samples=args.samples)
             ests = estimate_moments(p, tuple(args.k), cfg, threads=args.threads)
-            for k in args.k:
-                est = ests[k]
-                rows.append(_moment_row(p, est))
         else:
-            for k in args.k:
-                if args.route == "closed":
-                    if family is not PolytopeKind.CUBE:
-                        print("error: --route closed is only available for the cube", file=sys.stderr)
-                        return EXIT_USAGE
-                    est = width_moment_cube(n, k)
-                else:
-                    est = width_moment(p, k)
-                rows.append(_moment_row(p, est))
+            # the cube's width_moments is its closed form on either route
+            ests = width_moments(p, args.k)
+        rows.extend(_moment_row(p, ests[k]) for k in args.k)
     columns = ["family", "n", "k", "value", "route", "error", "v1"]
     emit(make_manifest("moments", args, args.seed), columns, rows, args.format, args.out)
     return EXIT_OK

@@ -37,8 +37,9 @@ __all__ = [
     "v1_from_mean_width",
     "width_moment_cube",
     "width_moment",
+    "width_moments",
     "range_cdf",
-    "range_moment",
+    "range_moments",
     "sudakov_v1",
 ]
 
@@ -141,47 +142,67 @@ def range_cdf(n: int, t: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     return min(n * value, 1.0)
 
 
-def range_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
-    """E[(max eta_i - min eta_i)^k] by nested quadrature of the range CDF."""
+def range_moments(n: int, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int, tuple[float, float]]:
+    """E[(max eta_i - min eta_i)^k] with error bound for each k, by nested
+    quadrature of the range CDF.  The outer quadratures of every k sample the
+    same nodes, so each range-CDF value is computed once per call."""
+    ks = tuple(dict.fromkeys(ks))
     if n < 2:
         raise ValueError(f"range needs n >= 2, got {n}")
-    if k < 1:
-        raise ValueError(f"moment order must be positive, got {k}")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"moment orders must be positive, got {ks}")
     # range > t forces max > t/2 or -min > t/2, so the survival function is
     # bounded by 2n normal_tail(t/2)
     t_hi = 2.0 * float(normal_tail_inverse(min(cfg.trunc_eps / (2 * n), 0.25)))
     inner_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
-
-    def integrand(t):
-        return k * t ** (k - 1) * (1.0 - range_cdf(n, t, inner_cfg))
-
     outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
-    value, err = _quad(integrand, 0.0, t_hi, outer_cfg, points=[2.0 * solve_t_n(n)])
-    tail = 2 * n * k * t_hi ** (k - 1) * float(normal_tail(t_hi / 2.0)) * 4.0
-    return value, err + tail
+    points = [2.0 * solve_t_n(n)]
+    survival = {}
+
+    def surv(t):
+        s = survival.get(t)
+        if s is None:
+            s = survival[t] = 1.0 - range_cdf(n, t, inner_cfg)
+        return s
+
+    out = {}
+    for k in ks:
+        value, err = _quad(lambda t: k * t ** (k - 1) * surv(t), 0.0, t_hi, outer_cfg, points=points)
+        tail = 2 * n * k * t_hi ** (k - 1) * float(normal_tail(t_hi / 2.0)) * 4.0
+        out[k] = (value, err + tail)
+    return out
+
+
+def width_moments(p: RegularPolytope, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int, MomentEstimate]:
+    """E[W^k] = E[X^k] / E|g|^k for several k: the cube's closed form, or
+    quadrature of E[(max |eta_i|)^k] (crosspolytope, X = 2 max |eta_i|) or of
+    E[range^k] (simplices, X = range, scaled by sqrt(n/(n-1)) for T_{n-1}),
+    every k from one set of range-CDF values."""
+    ks = tuple(dict.fromkeys(ks))
+    if p.kind is PolytopeKind.CUBE:
+        return {k: width_moment_cube(p.n, k) for k in ks}
+    if any(k < 1 for k in ks):
+        raise ValueError(f"moment orders must be positive, got {ks}")
+    if p.kind is PolytopeKind.CROSS:
+        scale, moments = 2.0, {k: max_abs_moment(p.n, k, cfg) for k in ks}
+    else:
+        scale = math.sqrt(p.n / (p.n - 1)) if p.kind is PolytopeKind.SIMPLEX_T else 1.0
+        moments = range_moments(p.n, ks, cfg)
+    out = {}
+    for k, (moment, err) in moments.items():
+        sk = scale**k
+        out[k] = MomentEstimate(
+            polytope=p,
+            k=k,
+            value=_per_norm_moment(sk * moment, p.ambient_dim, k),
+            route="quadrature",
+            error=_per_norm_moment(sk * err, p.ambient_dim, k),
+        )
+    return out
 
 
 def width_moment(p: RegularPolytope, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> MomentEstimate:
-    """E[W^k] = E[X^k] / E|g|^k: the cube's closed form, or quadrature of
-    E[(max |eta_i|)^k] (crosspolytope, X = 2 max |eta_i|) or of E[range^k]
-    (simplices, X = range, scaled by sqrt(n/(n-1)) for T_{n-1})."""
-    if p.kind is PolytopeKind.CUBE:
-        return width_moment_cube(p.n, k)
-    if k < 1:
-        raise ValueError(f"moment order must be positive, got {k}")
-    if p.kind is PolytopeKind.CROSS:
-        scale, (moment, err) = 2.0, max_abs_moment(p.n, k, cfg)
-    else:
-        scale = math.sqrt(p.n / (p.n - 1)) if p.kind is PolytopeKind.SIMPLEX_T else 1.0
-        moment, err = range_moment(p.n, k, cfg)
-    sk = scale**k
-    return MomentEstimate(
-        polytope=p,
-        k=k,
-        value=_per_norm_moment(sk * moment, p.ambient_dim, k),
-        route="quadrature",
-        error=_per_norm_moment(sk * err, p.ambient_dim, k),
-    )
+    return width_moments(p, (k,), cfg)[k]
 
 
 def sudakov_v1(p: RegularPolytope, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:

@@ -2,6 +2,7 @@ import inspect
 
 import pytest
 
+import meanwidth
 from meanwidth import conjecture, extremes, limits, polytopes, sampling, special
 
 
@@ -22,3 +23,8 @@ def test_all_lists_exactly_the_public_functions_and_classes(module):
     exported = {name: getattr(module, name) for name in module.__all__}
     listed = {name for name, obj in exported.items() if inspect.isfunction(obj) or inspect.isclass(obj)}
     assert listed == _own_functions_and_classes(module)
+
+
+def test_package_exports_both_quadrature_moment_entry_points():
+    assert meanwidth.width_moment is polytopes.width_moment
+    assert meanwidth.width_moments is polytopes.width_moments

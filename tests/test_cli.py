@@ -7,7 +7,7 @@ import pytest
 from meanwidth import cli
 from meanwidth.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from meanwidth.extremes import IndefiniteMatrixError, NumericalError, QuadratureError
-from meanwidth.polytopes import width_moment_cube
+from meanwidth.polytopes import PolytopeKind, RegularPolytope, width_moment, width_moment_cube
 
 
 def run_cli(capsys, argv):
@@ -130,6 +130,21 @@ class TestMomentsOutput:
         for row in rows:
             # the library value, checked against quadrature in test_polytopes
             assert float(row["value"]) == width_moment_cube(2, int(row["k"])).value
+
+    @pytest.mark.parametrize("family", ["simplex-t", "cross", "cube"])
+    def test_quadrature_rows_follow_k_order_with_duplicates(self, capsys, family):
+        code, out, _ = run_cli(
+            capsys, ["moments", "--family", family, "--n", "5,3", "--k", "3,1,3", "--route", "quadrature"]
+        )
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert [(int(r["n"]), int(r["k"])) for r in rows] == [(5, 3), (5, 1), (5, 3), (3, 3), (3, 1), (3, 3)]
+        for n in (5, 3):
+            p = RegularPolytope(PolytopeKind(family), n)
+            for row in (r for r in rows if int(r["n"]) == n):
+                est = width_moment(p, int(row["k"]))
+                assert row["value"] == format(est.value, ".17g")
+                assert row["error"] == format(est.error, ".17g")
 
     def test_json_matches_csv_numerically(self, capsys):
         argv = ["moments", "--family", "cube", "--n", "4", "--k", "1,3", "--route", "closed"]

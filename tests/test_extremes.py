@@ -18,7 +18,7 @@ from meanwidth.extremes import (
     u_sequence,
 )
 from meanwidth.sampling import McConfig
-from meanwidth.special import normal_tail
+from meanwidth.special import gaussian_abs_moment, normal_tail
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 EULER_GAMMA = 0.5772156649015329
@@ -121,6 +121,11 @@ class TestMaxAbsMoment:
         exact = {2: 1.0, 3: 2.0 * math.sqrt(2.0 / math.pi), 4: 3.0}[k]
         value, err = max_abs_moment(1, k)
         assert abs(value - exact) <= err
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_n1_error_is_an_honest_bound(self, k):
+        value, err = max_abs_moment(1, k)
+        assert abs(value - gaussian_abs_moment(k)) <= err
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_subdivision_limit_raises(self, n):

@@ -1,21 +1,30 @@
 import math
+from dataclasses import replace
 
 import pytest
 from scipy import integrate
 
-from meanwidth.extremes import QuadratureConfig, QuadratureError, emax_upper_bound
+from meanwidth.extremes import (
+    DEFAULT_QUAD,
+    QuadratureConfig,
+    QuadratureError,
+    _quad,
+    emax_upper_bound,
+    solve_t_n,
+)
 from meanwidth.polytopes import (
     PolytopeKind,
     RegularPolytope,
     range_cdf,
-    range_moment,
+    range_moments,
     sudakov_v1,
     v1_from_mean_width,
     width_moment,
     width_moment_cube,
+    width_moments,
 )
 from meanwidth.sampling import McConfig, estimate_moments
-from meanwidth.special import log_gamma_ratio
+from meanwidth.special import gaussian_abs_moment, log_gamma_ratio, normal_tail, normal_tail_inverse
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -130,23 +139,82 @@ class TestRangeEngine:
 
     def test_n2_range_is_abs_difference(self):
         # E|eta_1 - eta_2| = 2/sqrt(pi)
-        value, err = range_moment(2, 1)
+        value, err = range_moments(2, (1,))[1]
         assert value == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-9)
 
     def test_n2_second_moment(self):
         # E (eta_1 - eta_2)^2 = 2
-        value, _ = range_moment(2, 2)
+        value, _ = range_moments(2, (2,))[2]
         assert value == pytest.approx(2.0, abs=1e-9)
 
     def test_nonconvergence_raises(self):
         # the exact value is 2^6 * 11!! = 665280, but the outer quadrature
         # runs out of subdivisions before reaching its tolerance
         with pytest.raises(QuadratureError):
-            range_moment(2, 12)
+            range_moments(2, (12,))
 
     def test_cdf_subdivision_limit_raises(self):
         with pytest.raises(QuadratureError):
             range_cdf(5, 1.0, QuadratureConfig(limit=1))
+
+
+def per_k_range_moment(n, k, cfg=DEFAULT_QUAD):
+    """The nested quadrature of one k on its own, range CDF recomputed at
+    every outer node: the oracle of range_moments' shared survival values."""
+    t_hi = 2.0 * float(normal_tail_inverse(min(cfg.trunc_eps / (2 * n), 0.25)))
+    inner_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
+
+    def integrand(t):
+        return k * t ** (k - 1) * (1.0 - range_cdf(n, t, inner_cfg))
+
+    outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
+    value, err = _quad(integrand, 0.0, t_hi, outer_cfg, points=[2.0 * solve_t_n(n)])
+    tail = 2 * n * k * t_hi ** (k - 1) * float(normal_tail(t_hi / 2.0)) * 4.0
+    return value, err + tail
+
+
+class TestRangeMoments:
+    @pytest.mark.parametrize("n", [3, 57, 221])
+    def test_equals_the_per_k_quadrature_bit_for_bit(self, n):
+        shared = range_moments(n, (1, 2, 3, 4))
+        assert list(shared) == [1, 2, 3, 4]
+        for k in (1, 2, 3, 4):
+            value, err = shared[k]
+            oracle_value, oracle_err = per_k_range_moment(n, k)
+            assert value.hex() == oracle_value.hex()
+            assert err.hex() == oracle_err.hex()
+
+    def test_n2_error_is_an_honest_bound(self):
+        # the n = 2 range is |eta_1 - eta_2| = sqrt(2) |eta|
+        moments = range_moments(2, range(1, 8))
+        for k in range(1, 8):
+            value, err = moments[k]
+            exact = 2.0 ** (k / 2) * gaussian_abs_moment(k)
+            assert abs(value - exact) <= err, k
+
+    def test_duplicate_orders_are_computed_once(self):
+        assert list(range_moments(4, (3, 1, 3))) == [3, 1]
+
+    @pytest.mark.parametrize("n, ks", [(1, (1,)), (3, (1, 0)), (3, (-1,))])
+    def test_rejects_bad_input(self, n, ks):
+        with pytest.raises(ValueError):
+            range_moments(n, ks)
+
+
+class TestWidthMoments:
+    @pytest.mark.parametrize("kind", list(PolytopeKind))
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_each_k_equals_width_moment(self, kind, n):
+        p = RegularPolytope(kind, n)
+        ests = width_moments(p, (3, 1, 2, 3))
+        assert list(ests) == [3, 1, 2]
+        for k in (1, 2, 3):
+            assert ests[k] == width_moment(p, k)
+
+    @pytest.mark.parametrize("kind", list(PolytopeKind))
+    def test_rejects_nonpositive_order(self, kind):
+        with pytest.raises(ValueError):
+            width_moments(RegularPolytope(kind, 3), (1, 0))
 
 
 class TestSimplexMoments:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 from scipy import special as sp
 
+from meanwidth.extremes import cdf_max, cdf_max_abs
 from meanwidth.special import (
     gaussian_abs_moment,
     log_gamma_ratio,
@@ -51,6 +52,41 @@ class TestNormalTail:
     def test_inverse_roundtrip(self):
         for p in (0.4, 0.1, 1e-4, 1e-12):
             assert float(normal_tail(normal_tail_inverse(p))) == pytest.approx(p, rel=1e-12)
+
+
+def array_route_tail(t):
+    # normal_tail through np.asarray for every input: the scalar fast path's oracle
+    return 0.5 * sp.erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
+
+
+class TestNormalTailScalarPath:
+    @pytest.mark.parametrize(
+        "t",
+        [1.3, 3, np.float64(0.7), 0.0, -0.0, math.inf, -math.inf, math.nan, 40.0, -40.0],
+        ids=repr,
+    )
+    def test_equals_the_array_route_bitwise(self, t):
+        got, expected = normal_tail(t), array_route_tail(t)
+        assert type(got) is type(expected) is np.float64
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_equals_the_array_route_on_random_floats(self):
+        points = np.random.default_rng(5).normal(scale=10.0, size=50_000)
+        got = np.array([normal_tail(float(t)) for t in points])
+        assert got.tobytes() == array_route_tail(points).tobytes()
+
+    @pytest.mark.parametrize("t", [[0.5, -1.0, 3.0], np.array([0.5, -1.0, 3.0]), np.float32(0.5)],
+                             ids=["list", "array", "float32"])
+    def test_non_float_inputs_keep_the_array_route(self, t):
+        got, expected = normal_tail(t), array_route_tail(t)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("t", [[0.5, 1.0, 3.0], np.array([0.5, 1.0, 3.0])], ids=["list", "array"])
+    def test_cdf_inputs_keep_their_values(self, t):
+        r = array_route_tail(t)
+        assert cdf_max(4, t).tobytes() == np.exp(4 * np.log1p(-r)).tobytes()
+        assert cdf_max_abs(3, t).tobytes() == np.exp(3 * np.log1p(-2.0 * r)).tobytes()
 
 
 class TestLogGammaRatio:
