@@ -7,7 +7,6 @@ from .extremes import (
     QuadratureConfig,
     QuadratureError,
     comparison_report,
-    emax_upper_bound,
     expected_max,
     expected_max_abs,
     solve_t_n,
@@ -30,7 +29,6 @@ from .conjecture import (
     conjecture_bound_check,
     optimize_configuration,
     regular_simplex_gram,
-    softmax_bound,
 )
 
 __version__ = "0.1.0"

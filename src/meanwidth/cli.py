@@ -70,7 +70,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit(manifest: dict, columns: list[str], rows: list[dict], fmt: str, out_path: str | None) -> None:
+def emit(manifest: dict, rows: list[dict], fmt: str, out_path: str | None) -> None:
+    columns = list(rows[0])
     if fmt == "json":
         clean = [
             {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()}
@@ -130,8 +131,7 @@ def cmd_moments(args) -> int:
             # the cube's width_moments is its closed form on either route
             ests = width_moments(p, args.k)
         rows.extend(_moment_row(p, ests[k]) for k in args.k)
-    columns = ["family", "n", "k", "value", "route", "error", "v1"]
-    emit(make_manifest("moments", args, args.seed), columns, rows, args.format, args.out)
+    emit(make_manifest("moments", args, args.seed), rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -163,8 +163,7 @@ def cmd_extremes(args) -> int:
                 "gap_normalized": rep.gap_normalized,
             }
         )
-    columns = ["n", "a_n", "b_2n", "ratio", "slepian_ok", "upper_ok", "gap_normalized"]
-    emit(make_manifest("extremes", args, None), columns, rows, args.format, args.out)
+    emit(make_manifest("extremes", args, None), rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -193,8 +192,7 @@ def cmd_limits(args) -> int:
             "ks_distance": ks,
         }
     ]
-    columns = ["family", "n", "samples", "law", "mean", "variance", "ks_distance"]
-    emit(make_manifest("limits", args, args.seed), columns, rows, args.format, args.out)
+    emit(make_manifest("limits", args, args.seed), rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -213,10 +211,7 @@ def cmd_search(args) -> int:
             "fingerprint_distance": fingerprint,
         }
     ]
-    columns = [
-        "n", "restarts", "best_value", "best_stderr", "regular_value", "gap", "fingerprint_distance",
-    ]
-    emit(make_manifest("search", args, args.seed), columns, rows, args.format, args.out)
+    emit(make_manifest("search", args, args.seed), rows, args.format, args.out)
     if result.gap > 5.0 * result.best_stderr:
         # a search value above the regular simplex would contradict the
         # conjecture: surface it through the exit code

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .extremes import DEFAULT_QUAD, QuadratureConfig, expected_max
+from .extremes import DEFAULT_QUAD, QuadratureConfig, _SQRT_2PI, expected_max
+from .polytopes import PolytopeKind, RegularPolytope, sudakov_v1
 from .sampling import McConfig, _map_chunks, sample_correlated_max, symmetric_sqrt
 
 __all__ = [
@@ -34,12 +34,8 @@ __all__ = [
     "optimize_configuration",
     "interpolation_covariance",
     "interpolation_emax_curve",
-    "softmax_bound",
     "gram_fingerprint_distance",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class GramConfiguration:
@@ -167,8 +163,6 @@ def optimize_configuration(n: int, restarts: int, cfg: McConfig, iterations: int
         raise ValueError(f"search is capped at n = 12, got {n}")
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
-    if cfg.samples < 2:
-        raise ValueError(f"search needs at least 2 samples for a standard error, got {cfg.samples}")
 
     zt = _common_normals(n, cfg)
 
@@ -196,7 +190,7 @@ def optimize_configuration(n: int, restarts: int, cfg: McConfig, iterations: int
     gram_m = np.clip(best_points @ best_points.T, -1.0, 1.0)
     np.fill_diagonal(gram_m, 1.0)
     best_gram = GramConfiguration(n=n, matrix=0.5 * (gram_m + gram_m.T))
-    regular_value = _SQRT_2PI * math.sqrt(n / (n - 1)) * expected_max(n).value
+    regular_value = sudakov_v1(RegularPolytope(PolytopeKind.SIMPLEX_T, n))
     best_value = _SQRT_2PI * float(best_mean)
     return SearchResult(
         best_gram=best_gram,
@@ -234,15 +228,3 @@ def interpolation_emax_curve(n: int, t_grid, cfg: McConfig) -> list[tuple[float,
     if any(t1 > t2 for t1, t2 in zip(t_grid, t_grid[1:])):
         raise ValueError("t grid must be sorted ascending")
     return [(t, *sample_correlated_max(interpolation_covariance(n, t), cfg)) for t in t_grid]
-
-
-def softmax_bound(x, beta: float) -> tuple[float, float]:
-    """(smoothed max, true max) where the smoothed max is
-    (1/beta) log sum exp(beta x_i), computed with max-shift."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ValueError("softmax_bound needs a nonempty input")
-    soft = float(logsumexp(beta * x) / beta)
-    return soft, float(x.max())

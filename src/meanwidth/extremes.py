@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .special import normal_tail, normal_tail_inverse
 
@@ -28,17 +27,16 @@ __all__ = [
     "ComparisonReport",
     "u_sequence",
     "solve_t_n",
-    "cdf_max_abs",
-    "cdf_max",
     "max_abs_moment",
     "expected_max_abs",
     "expected_max",
     "expected_max_gap",
     "comparison_report",
-    "emax_upper_bound",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# survival-function mass cut off beyond each quadrature's upper limit
+_TRUNC_EPS = 1e-16
 
 
 class NumericalError(Exception):
@@ -57,7 +55,6 @@ class IndefiniteMatrixError(NumericalError, ValueError):
 class QuadratureConfig:
     epsabs: float = 1e-12
     epsrel: float = 1e-12
-    trunc_eps: float = 1e-16
     limit: int = 200
 
 
@@ -110,39 +107,14 @@ def solve_t_n(n: int) -> float:
     """The t with normal_tail(t) = 1/(2n), i.e. the (1 - 1/(2n)) normal quantile."""
     if n < 1:
         raise ValueError(f"t_n needs n >= 1, got {n}")
-    if n == 1:
-        return 0.0
-    target = 1.0 / (2.0 * n)
-    return float(optimize.brentq(lambda t: normal_tail(t) - target, 0.0, 50.0, xtol=1e-14, rtol=8.9e-16))
+    # closed form through erfcinv; abs turns its -0.0 at n = 1 into 0.0
+    return abs(float(normal_tail_inverse(1.0 / (2.0 * n))))
 
 
-def cdf_max_abs(n: int, t):
-    """F_n(t) = P[max |eta_i| <= t] = (1 - 2 normal_tail(t))^n for t >= 0."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("cdf_max_abs is defined for t >= 0")
-    r = normal_tail(t)
-    with np.errstate(divide="ignore"):
-        out = np.exp(n * np.log1p(-2.0 * r))
-    return out if out.ndim else float(out)
-
-
-def cdf_max(m: int, t):
-    """P[max(eta_1, ..., eta_m) <= t] = (1 - normal_tail(t))^m."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    r = normal_tail(t)
-    with np.errstate(divide="ignore"):
-        out = np.exp(m * np.log1p(-r))
-    return out if out.ndim else float(out)
-
-
-def _trunc_point(scale: int, eps: float) -> float:
-    # T with scale * normal_tail(T) = eps; integrand tails beyond T are
-    # bounded by the survival-function envelope scale * normal_tail(t).
-    return float(normal_tail_inverse(min(eps / scale, 0.25)))
+def _trunc_point(scale: int) -> float:
+    # T with scale * normal_tail(T) = _TRUNC_EPS; integrand tails beyond T
+    # are bounded by the survival-function envelope scale * normal_tail(t).
+    return float(normal_tail_inverse(min(_TRUNC_EPS / scale, 0.25)))
 
 
 def _tail_phi_integral(t: float) -> float:
@@ -154,7 +126,9 @@ def max_abs_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tupl
     """E[(max |eta_i|)^k] = int_0^inf k t^(k-1) (1 - F_n(t)) dt, with error bound."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    t_hi = _trunc_point(2 * n, cfg.trunc_eps)
+    if k < 1:
+        raise ValueError(f"moment order must be positive, got {k}")
+    t_hi = _trunc_point(2 * n)
 
     def integrand(t):
         r = float(normal_tail(t))
@@ -196,7 +170,7 @@ def expected_max(m: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueRe
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    t_hi = _trunc_point(m, cfg.trunc_eps)
+    t_hi = _trunc_point(m)
 
     def pos_part(t):
         r = float(normal_tail(t))
@@ -219,7 +193,7 @@ def expected_max_gap(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeVal
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    t_hi = _trunc_point(2 * n, cfg.trunc_eps)
+    t_hi = _trunc_point(2 * n)
 
     def diff(t):
         r = float(normal_tail(t))
@@ -262,10 +236,3 @@ def comparison_report(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> Compariso
         slepian_ok=bool(slepian_ok), upper_ok=bool(upper_ok),
         gap_normalized=gap_norm, slack=slack,
     )
-
-
-def emax_upper_bound(n: int) -> float:
-    """sqrt(2 log n): bounds E max of any n unit-variance centered Gaussians."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return math.sqrt(2.0 * math.log(n))

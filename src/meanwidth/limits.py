@@ -41,7 +41,6 @@ class CltConstants:
     v2: float = 2.0  # Var(eta^2)
     r: float = 1.0 / math.sqrt(math.pi - 2.0)  # Corr(|eta|, eta^2)
     limit_var: float = (math.pi - 3.0) / math.pi
-    euler_gamma: float = EULER_GAMMA
 
 
 CLT_CONSTANTS = CltConstants()

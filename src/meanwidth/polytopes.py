@@ -22,13 +22,15 @@ from dataclasses import dataclass, replace
 from .extremes import (
     DEFAULT_QUAD,
     QuadratureConfig,
+    _SQRT_2PI,
     _quad,
+    _trunc_point,
     expected_max,
     expected_max_abs,
     max_abs_moment,
     solve_t_n,
 )
-from .special import gaussian_abs_moment, log_gamma_ratio, normal_tail, normal_tail_inverse
+from .special import gaussian_abs_moment, log_gamma_ratio, normal_tail
 
 __all__ = [
     "PolytopeKind",
@@ -42,9 +44,6 @@ __all__ = [
     "range_moments",
     "sudakov_v1",
 ]
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 class PolytopeKind(str, enum.Enum):
     CUBE = "cube"
@@ -153,7 +152,7 @@ def range_moments(n: int, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int,
         raise ValueError(f"moment orders must be positive, got {ks}")
     # range > t forces max > t/2 or -min > t/2, so the survival function is
     # bounded by 2n normal_tail(t/2)
-    t_hi = 2.0 * float(normal_tail_inverse(min(cfg.trunc_eps / (2 * n), 0.25)))
+    t_hi = 2.0 * _trunc_point(2 * n)
     inner_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
     outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
     points = [2.0 * solve_t_n(n)]

@@ -58,6 +58,8 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _map_chunks(fn, cfg: McConfig, threads: int = 1):
     """Apply fn(chunk_rng(seed, i), count) to every chunk i; results in chunk
     order.  Every chunked draw of the library goes through here."""
+    if cfg.samples < 2:
+        raise ValueError(f"Monte Carlo needs at least 2 samples for a standard error, got {cfg.samples}")
 
     def run(i, count):
         return fn(chunk_rng(cfg.seed, i), count)
@@ -97,9 +99,7 @@ def _mean_stderr(sums, count: int) -> tuple[float, float]:
     s = math.fsum(c[0] for c in sums)
     s2 = math.fsum(c[1] for c in sums)
     mean = s / count
-    var = max(s2 / count - mean * mean, 0.0)
-    if count > 1:
-        var *= count / (count - 1)
+    var = max(s2 / count - mean * mean, 0.0) * (count / (count - 1))
     return mean, math.sqrt(var / count)
 
 
@@ -131,15 +131,15 @@ def estimate_moment(p: RegularPolytope, k: int, cfg: McConfig, threads: int = 1)
     return estimate_moments(p, (k,), cfg, threads)[k]
 
 
-def symmetric_sqrt(matrix: np.ndarray, clip: float = -1e-10) -> np.ndarray:
-    """Symmetric PSD square root, rejecting matrices with eigenvalues < clip.
+def symmetric_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root, rejecting matrices with eigenvalues < -1e-10.
 
-    Eigenvalues in [clip, 0) are treated as exact zeros; optimizer iterates
+    Eigenvalues in [-1e-10, 0) are treated as exact zeros; optimizer iterates
     and the singular regular-simplex Gram sit on the PSD boundary.
     """
     matrix = np.asarray(matrix, dtype=float)
     vals, vecs = np.linalg.eigh(matrix)
-    if vals.min() < clip:
+    if vals.min() < -1e-10:
         raise IndefiniteMatrixError(f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T

@@ -52,6 +52,36 @@ class TestUsageErrors:
         assert out == ""
         assert "2 samples" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--family", "cube", "--n", "3", "--k", "1", "--route", "mc", "--samples", "1"],
+            ["limits", "--family", "cube", "--n", "3", "--samples", "1"],
+        ],
+        ids=["moments", "limits"],
+    )
+    def test_monte_carlo_needs_two_samples(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv + ["--seed", "1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "2 samples" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--family", "cube", "--n", ",", "--k", "1", "--route", "closed"],
+            ["moments", "--family", "cube", "--n", "3", "--k", "", "--route", "closed"],
+            ["extremes", "--n", ","],
+        ],
+        ids=["moments-n", "moments-k", "extremes-n"],
+    )
+    def test_rejects_empty_lists(self, capsys, argv):
+        # every table has at least one row, which names its columns
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_rejects_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["moments", "--family", "octahedron", "--n", "3", "--k", "1", "--route", "mc"])

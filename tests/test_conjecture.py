@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from meanwidth.conjecture import (
     GramConfiguration,
@@ -14,7 +13,6 @@ from meanwidth.conjecture import (
     optimize_configuration,
     random_unit_diagonal_gram,
     regular_simplex_gram,
-    softmax_bound,
 )
 from meanwidth.extremes import (
     IndefiniteMatrixError,
@@ -198,29 +196,6 @@ class TestInterpolation:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             interpolation_emax_curve(2, [0.5, 0.2], McConfig(seed=1, samples=100))
-
-
-class TestSoftmaxBound:
-    def test_sandwich_example(self):
-        x = np.array([0.3, -1.0, 2.0, 1.9])
-        beta = 4.0
-        soft, hard = softmax_bound(x, beta)
-        assert hard == 2.0
-        assert hard <= soft <= hard + math.log(len(x)) / beta
-
-    @given(
-        st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=20),
-        st.floats(min_value=0.1, max_value=100.0),
-    )
-    def test_sandwich_property(self, values, beta):
-        soft, hard = softmax_bound(np.array(values), beta)
-        assert hard - 1e-9 <= soft <= hard + math.log(len(values)) / beta + 1e-9
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            softmax_bound(np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            softmax_bound(np.array([]), 1.0)
 
 
 class TestOptimizer:

@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from meanwidth.extremes import (
     QuadratureConfig,
     QuadratureError,
-    cdf_max,
-    cdf_max_abs,
     comparison_report,
-    emax_upper_bound,
     expected_max,
     expected_max_abs,
     max_abs_moment,
@@ -50,6 +47,7 @@ class TestUSequence:
 class TestSolveTn:
     def test_n1_is_zero(self):
         assert solve_t_n(1) == 0.0
+        assert math.copysign(1.0, solve_t_n(1)) == 1.0
 
     def test_n2_is_75pct_quantile(self):
         assert solve_t_n(2) == pytest.approx(0.6744897501960817, abs=1e-10)
@@ -58,37 +56,16 @@ class TestSolveTn:
         n = 10**4
         assert float(normal_tail(solve_t_n(n))) == pytest.approx(1.0 / (2 * n), abs=1e-12)
 
+    def test_closed_form_matches_the_root_finder(self):
+        # an independent route: the bracketed root of normal_tail(t) = 1/(2n)
+        for n in range(2, 2000):
+            target = 1.0 / (2.0 * n)
+            root = optimize.brentq(lambda t: normal_tail(t) - target, 0.0, 50.0, xtol=1e-14, rtol=8.9e-16)
+            assert solve_t_n(n) == pytest.approx(root, rel=4e-15, abs=0.0)
 
-class TestCdfs:
-    def test_max_abs_at_zero(self):
-        for n in (1, 3, 100):
-            assert cdf_max_abs(n, 0.0) == 0.0
-
-    def test_max_abs_n1_is_half_normal(self):
-        for t in (0.3, 1.0, 2.5):
-            assert cdf_max_abs(1, t) == pytest.approx(1.0 - 2.0 * float(normal_tail(t)), rel=1e-13)
-
-    def test_max_abs_n2_at_one(self):
-        expected = (1.0 - 2.0 * float(normal_tail(1.0))) ** 2
-        assert cdf_max_abs(2, 1.0) == pytest.approx(expected, rel=1e-13)
-        assert cdf_max_abs(2, 1.0) == pytest.approx(0.46606, abs=1e-5)
-
-    def test_max_abs_rejects_negative_t(self):
-        with pytest.raises(ValueError):
-            cdf_max_abs(3, -0.1)
-
-    def test_max_at_zero(self):
-        assert cdf_max(1, 0.0) == pytest.approx(0.5, rel=1e-14)
-        assert cdf_max(2, 0.0) == pytest.approx(0.25, rel=1e-14)
-
-    def test_max_m4_at_two(self):
-        assert cdf_max(4, 2.0) == pytest.approx((1.0 - float(normal_tail(2.0))) ** 4, rel=1e-13)
-
-    def test_max_dominates_max_abs(self):
-        # (1-z)^2 >= 1-2z pointwise
-        t = np.linspace(0.0, 8.0, 400)
-        for n in (1, 2, 10, 1000):
-            assert np.all(cdf_max(2 * n, t) >= cdf_max_abs(n, t) - 1e-15)
+    @pytest.mark.parametrize("n", [2, 7, 1999, 10**5, 10**6])
+    def test_tail_at_t_n_is_one_over_2n(self, n):
+        assert float(normal_tail(solve_t_n(n))) == pytest.approx(1.0 / (2 * n), rel=1e-13)
 
 
 class TestExpectedMaxAbs:
@@ -132,6 +109,12 @@ class TestMaxAbsMoment:
         with pytest.raises(QuadratureError):
             max_abs_moment(n, 2, QuadratureConfig(limit=1))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_orders_below_one(self, k):
+        # E[X^0] is 1, not the integral's 0, and k < 0 has an unbounded integrand
+        with pytest.raises(ValueError):
+            max_abs_moment(3, k)
+
 
 class TestExpectedMax:
     def test_m1_is_zero(self):
@@ -149,6 +132,17 @@ class TestExpectedMax:
 
     def test_m3_closed_form(self):
         assert expected_max(3).value == pytest.approx(3.0 / (2.0 * math.sqrt(math.pi)), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "m, exact",
+        [
+            (4, 3.0 / (2.0 * math.sqrt(math.pi)) * (1.0 + 2.0 / math.pi * math.asin(1.0 / 3.0))),
+            (5, 5.0 / (4.0 * math.sqrt(math.pi)) * (1.0 + 6.0 / math.pi * math.asin(1.0 / 3.0))),
+        ],
+    )
+    def test_m4_m5_closed_forms_within_the_error_bound(self, m, exact):
+        res = expected_max(m)
+        assert abs(res.value - exact) <= res.abs_error_bound
 
     @pytest.mark.parametrize("n", [2, 5, 50])
     def test_monte_carlo_agreement(self, n):
@@ -203,17 +197,18 @@ class TestComparison:
 
 
 class TestUpperBound:
+    # sqrt(2 log n) bounds E max of any n unit-variance centered Gaussians
     def test_n1(self):
-        assert emax_upper_bound(1) == 0.0
+        assert math.sqrt(2 * math.log(1)) == 0.0
         assert expected_max(1).value <= 1e-10
 
     def test_n2(self):
-        assert emax_upper_bound(2) == pytest.approx(1.17741, abs=1e-5)
-        assert emax_upper_bound(2) >= expected_max(2).value
+        assert math.sqrt(2 * math.log(2)) == pytest.approx(1.17741, abs=1e-5)
+        assert math.sqrt(2 * math.log(2)) >= expected_max(2).value
 
     @pytest.mark.parametrize("n", [2, 10, 1000, 10**6])
     def test_dominates_expected_max(self, n):
-        assert expected_max(n).value <= emax_upper_bound(n)
+        assert expected_max(n).value <= math.sqrt(2 * math.log(n))
 
 
 class TestEulerGammaTrend:

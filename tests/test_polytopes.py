@@ -8,8 +8,9 @@ from meanwidth.extremes import (
     DEFAULT_QUAD,
     QuadratureConfig,
     QuadratureError,
+    _TRUNC_EPS,
     _quad,
-    emax_upper_bound,
+    expected_max,
     solve_t_n,
 )
 from meanwidth.polytopes import (
@@ -161,7 +162,7 @@ class TestRangeEngine:
 def per_k_range_moment(n, k, cfg=DEFAULT_QUAD):
     """The nested quadrature of one k on its own, range CDF recomputed at
     every outer node: the oracle of range_moments' shared survival values."""
-    t_hi = 2.0 * float(normal_tail_inverse(min(cfg.trunc_eps / (2 * n), 0.25)))
+    t_hi = 2.0 * float(normal_tail_inverse(min(_TRUNC_EPS / (2 * n), 0.25)))
     inner_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
 
     def integrand(t):
@@ -191,6 +192,13 @@ class TestRangeMoments:
             value, err = moments[k]
             exact = 2.0 ** (k / 2) * gaussian_abs_moment(k)
             assert abs(value - exact) <= err, k
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 57, 221, 2000])
+    def test_mean_range_is_twice_the_expected_max(self, n):
+        # E[max - min] = 2 E max by symmetry: an independent quadrature route
+        value, err = range_moments(n, (1,))[1]
+        emax = expected_max(n)
+        assert abs(value - 2.0 * emax.value) <= err + 2.0 * emax.abs_error_bound
 
     def test_duplicate_orders_are_computed_once(self):
         assert list(range_moments(4, (3, 1, 3))) == [3, 1]
@@ -279,7 +287,7 @@ class TestSudakovV1:
         # V1(T_{n-1}) <= sqrt(4 pi log n)
         for n in (2, 10, 100, 10_000):
             t = sudakov_v1(RegularPolytope(PolytopeKind.SIMPLEX_T, n))
-            assert t <= SQRT_2PI * emax_upper_bound(n) * math.sqrt(n / (n - 1)) + 1e-9
+            assert t <= SQRT_2PI * math.sqrt(2 * math.log(n)) * math.sqrt(n / (n - 1)) + 1e-9
             if n >= 10:
                 assert t <= math.sqrt(4.0 * math.pi * math.log(n)) + 1e-9
 

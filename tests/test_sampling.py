@@ -29,6 +29,13 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(seed=1, samples=10, chunk_size=0)
 
+    def test_one_sample_has_no_standard_error(self):
+        cfg = McConfig(seed=1, samples=1)
+        with pytest.raises(ValueError, match="2 samples"):
+            sample_correlated_max(np.eye(3), cfg)
+        with pytest.raises(ValueError, match="2 samples"):
+            estimate_moments(RegularPolytope(PolytopeKind.CUBE, 3), (1,), cfg)
+
 
 class TestChunkRng:
     def test_replay_is_identical(self):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 from scipy import special as sp
 
-from meanwidth.extremes import cdf_max, cdf_max_abs
 from meanwidth.special import (
     gaussian_abs_moment,
     log_gamma_ratio,
@@ -81,13 +80,6 @@ class TestNormalTailScalarPath:
         got, expected = normal_tail(t), array_route_tail(t)
         assert type(got) is type(expected)
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
-
-    @pytest.mark.parametrize("t", [[0.5, 1.0, 3.0], np.array([0.5, 1.0, 3.0])], ids=["list", "array"])
-    def test_cdf_inputs_keep_their_values(self, t):
-        r = array_route_tail(t)
-        assert cdf_max(4, t).tobytes() == np.exp(4 * np.log1p(-r)).tobytes()
-        assert cdf_max_abs(3, t).tobytes() == np.exp(3 * np.log1p(-2.0 * r)).tobytes()
-
 
 class TestLogGammaRatio:
     def test_identical_arguments(self):
