@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 
 from scipy import integrate
+from scipy.special import gammaincc
 
-from .special import normal_tail, normal_tail_inverse
+from .special import gaussian_abs_moment, normal_tail, normal_tail_inverse
 
 __all__ = [
     "QuadratureConfig",
@@ -111,35 +112,51 @@ def solve_t_n(n: int) -> float:
     return abs(float(normal_tail_inverse(1.0 / (2.0 * n))))
 
 
-def _trunc_point(scale: int) -> float:
-    # T with scale * normal_tail(T) = _TRUNC_EPS; integrand tails beyond T
-    # are bounded by the survival-function envelope scale * normal_tail(t).
-    return float(normal_tail_inverse(min(_TRUNC_EPS / scale, 0.25)))
+def _survival_moments(surv, ks, envelope: float, cfg: QuadratureConfig, peak: float, scale: float = 1.0):
+    """{k: (int_0^inf k t^(k-1) surv(t) dt, error bound)} for a survival
+    function under the envelope surv(t) <= envelope * normal_tail(t / scale).
 
+    Every k integrates over [0, T], envelope * normal_tail(T / scale) =
+    _TRUNC_EPS, split at peak unless it is 0, reading one memo of surv values.
+    Its error adds the envelope's exact moment beyond T, with U = T / scale:
+    envelope scale^k (E|eta|^k Q((k+1)/2, U^2/2) / 2 - U^k normal_tail(U)).
+    """
+    ks = tuple(dict.fromkeys(ks))
+    if any(k < 1 for k in ks):
+        raise ValueError(f"moment orders must be positive, got {ks}")
+    u = float(normal_tail_inverse(min(_TRUNC_EPS / envelope, 0.25)))
+    points = [peak] if peak else None
+    memo = {}
 
-def _tail_phi_integral(t: float) -> float:
-    # int_T^inf normal_tail(s) ds = phi(T) - T * normal_tail(T)
-    return math.exp(-0.5 * t * t) / _SQRT_2PI - t * float(normal_tail(t))
+    def cached(t):
+        s = memo.get(t)
+        if s is None:
+            s = memo[t] = surv(t)
+        return s
+
+    out = {}
+    for k in ks:
+        try:
+            value, err = _quad(lambda t: k * t ** (k - 1) * cached(t), 0.0, scale * u, cfg, points=points)
+            q = float(gammaincc((k + 1) / 2, 0.5 * u * u))
+            err += envelope * scale**k * (0.5 * gaussian_abs_moment(k) * q - u**k * float(normal_tail(u)))
+        except OverflowError as exc:
+            raise ValueError(f"moment of order {k} is out of double-precision range") from exc
+        out[k] = (value, err)
+    return out
 
 
 def max_abs_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
     """E[(max |eta_i|)^k] = int_0^inf k t^(k-1) (1 - F_n(t)) dt, with error bound."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if k < 1:
-        raise ValueError(f"moment order must be positive, got {k}")
-    t_hi = _trunc_point(2 * n)
 
-    def integrand(t):
+    def surv(t):
         r = float(normal_tail(t))
-        surv = 1.0 if r >= 0.5 else -math.expm1(n * math.log1p(-2.0 * r))
-        return k * t ** (k - 1) * surv
+        return 1.0 if r >= 0.5 else -math.expm1(n * math.log1p(-2.0 * r))
 
-    peak = solve_t_n(n) if n > 1 else None
-    value, err = _quad(integrand, 0.0, t_hi, cfg, points=[peak] if peak else None)
-    # tail: 1 - F_n <= 2n normal_tail(t), and t^(k-1) grows polynomially
-    tail = 2 * n * k * t_hi ** (k - 1) * float(normal_tail(t_hi)) * 2.0
-    return value, err + tail
+    # 1 - F_n <= 2n normal_tail(t)
+    return _survival_moments(surv, (k,), 2 * n, cfg, peak=solve_t_n(n))[k]
 
 
 def expected_max_abs(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueResult:
@@ -170,16 +187,14 @@ def expected_max(m: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueRe
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    t_hi = _trunc_point(m)
 
     def pos_part(t):
         r = float(normal_tail(t))
         return -math.expm1(m * math.log1p(-r))
 
-    pos, err_pos = _quad(pos_part, 0.0, t_hi, cfg, points=[solve_t_n(m)] if m > 1 else None)
+    pos, err_pos = _survival_moments(pos_part, (1,), m, cfg, peak=solve_t_n(m))[1]
     neg, err_neg = _neg_part(m, cfg)
-    tail = m * _tail_phi_integral(t_hi)
-    return ExtremeValueResult(n=m, kind="max", value=pos - neg, abs_error_bound=err_pos + err_neg + tail)
+    return ExtremeValueResult(n=m, kind="max", value=pos - neg, abs_error_bound=err_pos + err_neg)
 
 
 def expected_max_gap(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueResult:
@@ -193,7 +208,6 @@ def expected_max_gap(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeVal
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    t_hi = _trunc_point(2 * n)
 
     def diff(t):
         r = float(normal_tail(t))
@@ -208,12 +222,10 @@ def expected_max_gap(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeVal
             return math.exp(a + delta) - math.exp(a)
         return math.exp(a) * math.expm1(delta)
 
-    value, err = _quad(diff, 0.0, t_hi, cfg, points=[solve_t_n(n)] if n > 1 else None)
+    # |G_n - F_n| <= 1 - F_n <= 2n normal_tail(t)
+    value, err = _survival_moments(diff, (1,), 2 * n, cfg, peak=solve_t_n(n))[1]
     neg, err_neg = _neg_part(2 * n, cfg)
-    return ExtremeValueResult(
-        n=n, kind="gap", value=value + neg,
-        abs_error_bound=err + err_neg + 2 * n * _tail_phi_integral(t_hi),
-    )
+    return ExtremeValueResult(n=n, kind="gap", value=value + neg, abs_error_bound=err + err_neg)
 
 
 def comparison_report(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ComparisonReport:

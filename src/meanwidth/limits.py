@@ -36,10 +36,7 @@ EULER_GAMMA = 0.5772156649015329
 class CltConstants:
     """Constants of the bivariate CLT behind the cube width limit."""
 
-    mu: float = math.sqrt(2.0 / math.pi)  # E|eta|
-    sigma2: float = (math.pi - 2.0) / math.pi  # Var|eta|
-    v2: float = 2.0  # Var(eta^2)
-    r: float = 1.0 / math.sqrt(math.pi - 2.0)  # Corr(|eta|, eta^2)
+    # Var|eta| - (E|eta|)^2 / 2 = (pi - 2)/pi - 1/pi
     limit_var: float = (math.pi - 3.0) / math.pi
 
 

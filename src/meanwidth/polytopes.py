@@ -24,7 +24,7 @@ from .extremes import (
     QuadratureConfig,
     _SQRT_2PI,
     _quad,
-    _trunc_point,
+    _survival_moments,
     expected_max,
     expected_max_abs,
     max_abs_moment,
@@ -145,31 +145,15 @@ def range_moments(n: int, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int,
     """E[(max eta_i - min eta_i)^k] with error bound for each k, by nested
     quadrature of the range CDF.  The outer quadratures of every k sample the
     same nodes, so each range-CDF value is computed once per call."""
-    ks = tuple(dict.fromkeys(ks))
     if n < 2:
         raise ValueError(f"range needs n >= 2, got {n}")
-    if any(k < 1 for k in ks):
-        raise ValueError(f"moment orders must be positive, got {ks}")
-    # range > t forces max > t/2 or -min > t/2, so the survival function is
-    # bounded by 2n normal_tail(t/2)
-    t_hi = 2.0 * _trunc_point(2 * n)
     inner_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
     outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
-    points = [2.0 * solve_t_n(n)]
-    survival = {}
-
-    def surv(t):
-        s = survival.get(t)
-        if s is None:
-            s = survival[t] = 1.0 - range_cdf(n, t, inner_cfg)
-        return s
-
-    out = {}
-    for k in ks:
-        value, err = _quad(lambda t: k * t ** (k - 1) * surv(t), 0.0, t_hi, outer_cfg, points=points)
-        tail = 2 * n * k * t_hi ** (k - 1) * float(normal_tail(t_hi / 2.0)) * 4.0
-        out[k] = (value, err + tail)
-    return out
+    # range > t forces max > t/2 or -min > t/2, so the survival function is
+    # bounded by 2n normal_tail(t/2)
+    return _survival_moments(
+        lambda t: 1.0 - range_cdf(n, t, inner_cfg), ks, 2 * n, outer_cfg, scale=2.0, peak=2.0 * solve_t_n(n)
+    )
 
 
 def width_moments(p: RegularPolytope, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int, MomentEstimate]:
@@ -189,14 +173,11 @@ def width_moments(p: RegularPolytope, ks, cfg: QuadratureConfig = DEFAULT_QUAD) 
         moments = range_moments(p.n, ks, cfg)
     out = {}
     for k, (moment, err) in moments.items():
-        sk = scale**k
-        out[k] = MomentEstimate(
-            polytope=p,
-            k=k,
-            value=_per_norm_moment(sk * moment, p.ambient_dim, k),
-            route="quadrature",
-            error=_per_norm_moment(sk * err, p.ambient_dim, k),
-        )
+        value = _per_norm_moment(scale**k * moment, p.ambient_dim, k)
+        error = _per_norm_moment(scale**k * err, p.ambient_dim, k)
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise ValueError(f"{p.kind.value} moment n={p.n}, k={k} is out of double-precision range")
+        out[k] = MomentEstimate(polytope=p, k=k, value=value, route="quadrature", error=error)
     return out
 
 

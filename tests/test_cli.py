@@ -102,6 +102,15 @@ class TestUsageErrors:
         assert out == ""
         assert "double-precision" in err
 
+    def test_out_of_range_quadrature_moment_maps_to_usage(self, capsys):
+        # (max |eta_i|)^320 and its tail moment exceed double precision
+        code, out, err = run_cli(
+            capsys, ["moments", "--family", "cross", "--n", "3", "--k", "320", "--route", "quadrature"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "double-precision" in err
+
 
 class TestNumericalFailure:
     def test_quadrature_nonconvergence_exits_4(self, capsys):

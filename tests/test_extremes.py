@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize
@@ -104,10 +105,24 @@ class TestMaxAbsMoment:
         value, err = max_abs_moment(1, k)
         assert abs(value - gaussian_abs_moment(k)) <= err
 
+    @pytest.mark.parametrize("n, k", [(3, 40), (3, 80), (3, 100), (50, 60)])
+    def test_large_order_error_is_an_honest_bound(self, n, k):
+        # at large k most of the moment lies beyond the cut-off, so the error
+        # must carry the dropped tail in full
+        with mpmath.workdps(30):
+            surv = lambda t: -mpmath.expm1(n * mpmath.log1p(-mpmath.erfc(t / mpmath.sqrt(2))))
+            exact = mpmath.quad(lambda t: k * t ** (k - 1) * surv(t), [0, 4, 8, 12, 16, 24, mpmath.inf])
+        value, err = max_abs_moment(n, k)
+        assert abs(value - float(exact)) <= err
+
     @pytest.mark.parametrize("n", [1, 5])
     def test_subdivision_limit_raises(self, n):
         with pytest.raises(QuadratureError):
             max_abs_moment(n, 2, QuadratureConfig(limit=1))
+
+    def test_out_of_range_order_raises(self):
+        with pytest.raises(ValueError, match="double-precision"):
+            max_abs_moment(3, 320)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_orders_below_one(self, k):

@@ -33,25 +33,29 @@ def _standardized_sample(kind, n, samples, seed):
     return np.sort(standardize_simplex(w, n))
 
 
+# the bivariate CLT behind the cube limit: E|eta|, Var|eta|, Var(eta^2) and
+# Corr(|eta|, eta^2) of a standard normal eta
+MU = math.sqrt(2.0 / math.pi)
+SIGMA2 = (math.pi - 2.0) / math.pi
+V2 = 2.0
+R = 1.0 / math.sqrt(math.pi - 2.0)
+
+
 class TestCltConstants:
     def test_exact_values(self):
         c = CLT_CONSTANTS
-        assert c.mu == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-15)
-        assert c.sigma2 == pytest.approx((math.pi - 2.0) / math.pi, abs=1e-15)
-        assert c.v2 == 2.0
-        assert c.r == pytest.approx(1.0 / math.sqrt(math.pi - 2.0), abs=1e-15)
         assert c.limit_var == pytest.approx((math.pi - 3.0) / math.pi, abs=1e-15)
         # limit_var = sigma2 - mu^2 / 2: the projection correction
-        assert c.limit_var == pytest.approx(c.sigma2 - c.mu**2 / 2.0, abs=1e-14)
+        assert c.limit_var == pytest.approx(SIGMA2 - MU**2 / 2.0, abs=1e-14)
 
     def test_monte_carlo_moments(self):
         g = np.random.default_rng(4).standard_normal(2_000_000)
         a = np.abs(g)
-        assert a.mean() == pytest.approx(CLT_CONSTANTS.mu, abs=3e-3)
-        assert a.var() == pytest.approx(CLT_CONSTANTS.sigma2, abs=3e-3)
-        assert (g * g).var() == pytest.approx(CLT_CONSTANTS.v2, abs=1e-2)
+        assert a.mean() == pytest.approx(MU, abs=3e-3)
+        assert a.var() == pytest.approx(SIGMA2, abs=3e-3)
+        assert (g * g).var() == pytest.approx(V2, abs=1e-2)
         corr = np.corrcoef(a, g * g)[0, 1]
-        assert corr == pytest.approx(CLT_CONSTANTS.r, abs=3e-3)
+        assert corr == pytest.approx(R, abs=3e-3)
 
 
 class TestStandardizers:

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 from scipy import integrate
 
@@ -161,7 +162,8 @@ class TestRangeEngine:
 
 def per_k_range_moment(n, k, cfg=DEFAULT_QUAD):
     """The nested quadrature of one k on its own, range CDF recomputed at
-    every outer node: the oracle of range_moments' shared survival values."""
+    every outer node: the oracle of range_moments' shared survival values.
+    Returns the value, QUADPACK's error estimate and the cut-off T."""
     t_hi = 2.0 * float(normal_tail_inverse(min(_TRUNC_EPS / (2 * n), 0.25)))
     inner_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
 
@@ -170,8 +172,15 @@ def per_k_range_moment(n, k, cfg=DEFAULT_QUAD):
 
     outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
     value, err = _quad(integrand, 0.0, t_hi, outer_cfg, points=[2.0 * solve_t_n(n)])
-    tail = 2 * n * k * t_hi ** (k - 1) * float(normal_tail(t_hi / 2.0)) * 4.0
-    return value, err + tail
+    return value, err, t_hi
+
+
+def envelope_tail(n, k, t_hi):
+    # what the cut-off can drop: the range survival is at most 2n normal_tail(t/2)
+    value, _ = integrate.quad(
+        lambda t: 2 * n * k * t ** (k - 1) * float(normal_tail(t / 2.0)), t_hi, math.inf, epsabs=0.0, epsrel=1e-13
+    )
+    return value
 
 
 class TestRangeMoments:
@@ -181,9 +190,9 @@ class TestRangeMoments:
         assert list(shared) == [1, 2, 3, 4]
         for k in (1, 2, 3, 4):
             value, err = shared[k]
-            oracle_value, oracle_err = per_k_range_moment(n, k)
+            oracle_value, oracle_err, t_hi = per_k_range_moment(n, k)
             assert value.hex() == oracle_value.hex()
-            assert err.hex() == oracle_err.hex()
+            assert err == pytest.approx(oracle_err + envelope_tail(n, k, t_hi), rel=1e-10)
 
     def test_n2_error_is_an_honest_bound(self):
         # the n = 2 range is |eta_1 - eta_2| = sqrt(2) |eta|
@@ -192,6 +201,21 @@ class TestRangeMoments:
             value, err = moments[k]
             exact = 2.0 ** (k / 2) * gaussian_abs_moment(k)
             assert abs(value - exact) <= err, k
+
+    def test_n3_error_is_an_honest_bound(self):
+        # the n = 3 range density 6 int phi(x) phi(x+d) (Phi(x+d) - Phi(x)) dx
+        # reduces, with y = x + d/2 and E Phi(Y + a) = Phi(a sqrt(2/3)) for
+        # Y ~ N(0, 1/2), to (3/sqrt(pi)) exp(-d^2/4) erf(d/sqrt(12))
+        moments = range_moments(3, (1, 2, 3, 4))
+        with mpmath.workdps(30):
+            density = lambda d: 3 / mpmath.sqrt(mpmath.pi) * mpmath.exp(-d * d / 4) * mpmath.erf(d / mpmath.sqrt(12))
+            exact = {k: float(mpmath.quad(lambda d: d**k * density(d), [0, 4, 8, 16, mpmath.inf])) for k in range(1, 5)}
+        # R = (|eta_1 - eta_2| + |eta_2 - eta_3| + |eta_3 - eta_1|) / 2
+        assert exact[1] == pytest.approx(3.0 / math.sqrt(math.pi), rel=1e-15)
+        assert exact[2] == pytest.approx(2.0 + 3.0 * math.sqrt(3.0) / math.pi, rel=1e-15)
+        for k in (1, 2, 3, 4):
+            value, err = moments[k]
+            assert abs(value - exact[k]) <= err, k
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 57, 221, 2000])
     def test_mean_range_is_twice_the_expected_max(self, n):
