@@ -17,6 +17,10 @@ import numpy as np
 from .extremes import IndefiniteMatrixError
 from .polytopes import MomentEstimate, PolytopeKind, RegularPolytope
 
+# bytes of each of width_samples' two row-block buffers (normals, scratch);
+# budgets from 256 KiB to 4 MiB draw equally fast, and larger ones raise RSS
+_BLOCK_BYTES = 1 << 20
+
 __all__ = [
     "McConfig",
     "chunk_rng",
@@ -32,7 +36,8 @@ __all__ = [
 class McConfig:
     seed: int
     samples: int
-    # keep chunk buffers modest: a chunk materializes chunk_size x dim doubles
+    # rows per PCG64 substream; width_samples draws a chunk in row blocks of
+    # _BLOCK_BYTES, while sample_correlated_max holds chunk_size x dim doubles
     chunk_size: int = 8_192
 
     def __post_init__(self):
@@ -79,18 +84,43 @@ def width_samples(p: RegularPolytope, rng: np.random.Generator, count: int) -> n
     S_{n-1}: (max eta - min eta) / |eta|.  T_{n-1}: the same range of the
     centered coordinates, scaled by sqrt(n/(n-1)) and normalized by the
     centered norm (the direction is uniform inside the hyperplane).
+
+    The count x n normals are drawn in row blocks of at most _BLOCK_BYTES,
+    in turn from rng, so working memory is two blocks (or two rows, if a row
+    is wider) whatever count and n are.  A block draw continues the same
+    stream and every width is a reduction of its own row, so the widths are
+    bit-identical to drawing and reducing the whole count x n array at once.
     """
     n = p.n
-    g = rng.standard_normal((count, n))
-    if p.kind is PolytopeKind.CUBE:
-        return np.abs(g).sum(axis=1) / np.linalg.norm(g, axis=1)
-    if p.kind is PolytopeKind.CROSS:
-        return 2.0 * np.abs(g).max(axis=1) / np.linalg.norm(g, axis=1)
-    rng_vals = g.max(axis=1) - g.min(axis=1)
-    if p.kind is PolytopeKind.SIMPLEX_S:
-        return rng_vals / np.linalg.norm(g, axis=1)
-    centered = g - g.mean(axis=1, keepdims=True)
-    return math.sqrt(n / (n - 1)) * rng_vals / np.linalg.norm(centered, axis=1)
+    rows = max(1, min(count, _BLOCK_BYTES // (8 * n)))
+    g_buf = np.empty((rows, n))
+    tmp_buf = np.empty((rows, n))
+    norm_buf = np.empty(rows)
+    out = np.empty(count)
+    for start in range(0, count, rows):
+        w = out[start : start + rows]
+        g, tmp, norm = g_buf[: len(w)], tmp_buf[: len(w)], norm_buf[: len(w)]
+        rng.standard_normal(out=g)
+        if p.kind is PolytopeKind.CUBE:
+            np.add.reduce(np.abs(g, out=tmp), axis=1, out=w)
+        elif p.kind is PolytopeKind.CROSS:
+            np.maximum.reduce(np.abs(g, out=tmp), axis=1, out=w)
+            np.multiply(w, 2.0, out=w)
+        else:
+            np.maximum.reduce(g, axis=1, out=w)
+            np.subtract(w, np.minimum.reduce(g, axis=1, out=norm), out=w)
+        if p.kind is PolytopeKind.SIMPLEX_T:
+            np.multiply(w, math.sqrt(n / (n - 1)), out=w)
+            # g - g.mean(axis=1, keepdims=True), into the spare block
+            np.divide(np.add.reduce(g, axis=1, out=norm), n, out=norm)
+            np.subtract(g, norm[:, None], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+        else:
+            np.multiply(g, g, out=tmp)
+        # np.linalg.norm(x, axis=1) is exactly sqrt(add.reduce(x * x, axis=1))
+        np.sqrt(np.add.reduce(tmp, axis=1, out=norm), out=norm)
+        np.divide(w, norm, out=w)
+    return out
 
 
 def _mean_stderr(sums, count: int) -> tuple[float, float]:

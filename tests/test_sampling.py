@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import meanwidth
+from meanwidth import sampling
 from meanwidth.extremes import IndefiniteMatrixError, NumericalError, expected_max
 from meanwidth.polytopes import PolytopeKind, RegularPolytope
 from meanwidth.sampling import (
@@ -62,6 +68,95 @@ class TestWidthSupports:
         w = width_samples(RegularPolytope(kind, n), np.random.default_rng(5), 20_000)
         assert w.min() > lo
         assert w.max() <= hi + 1e-12
+
+
+def whole_chunk_widths(p, rng, count):
+    """The one-shot reference: draw the count x n normals at once and reduce."""
+    n = p.n
+    g = rng.standard_normal((count, n))
+    if p.kind is PolytopeKind.CUBE:
+        return np.abs(g).sum(axis=1) / np.linalg.norm(g, axis=1)
+    if p.kind is PolytopeKind.CROSS:
+        return 2.0 * np.abs(g).max(axis=1) / np.linalg.norm(g, axis=1)
+    rng_vals = g.max(axis=1) - g.min(axis=1)
+    if p.kind is PolytopeKind.SIMPLEX_S:
+        return rng_vals / np.linalg.norm(g, axis=1)
+    centered = g - g.mean(axis=1, keepdims=True)
+    return math.sqrt(n / (n - 1)) * rng_vals / np.linalg.norm(centered, axis=1)
+
+
+class TestRowBlocks:
+    FAMILIES = [
+        (PolytopeKind.CUBE, (1, 10, 129)),
+        (PolytopeKind.CROSS, (1, 10, 129)),
+        (PolytopeKind.SIMPLEX_S, (2, 10, 129)),
+        (PolytopeKind.SIMPLEX_T, (2, 10, 129)),
+    ]
+
+    @pytest.mark.parametrize("rows", [3, 1])
+    @pytest.mark.parametrize("kind,ns", FAMILIES)
+    def test_blocks_match_the_whole_chunk_bit_for_bit(self, monkeypatch, kind, ns, rows):
+        for n in ns:
+            # rows = 1 puts the budget below one row, which still draws a row per block
+            monkeypatch.setattr(sampling, "_BLOCK_BYTES", 3 * 8 * n if rows == 3 else 8 * n - 1)
+            p = RegularPolytope(kind, n)
+            for count in (2, 7, 3000):
+                got = width_samples(p, chunk_rng(4, count), count)
+                assert np.array_equal(got, whole_chunk_widths(p, chunk_rng(4, count), count)), (n, count)
+
+
+class TestGoldenValues:
+    # (value, error) for k = 1, 2, as the whole-chunk kernel printed them
+    GOLDEN = {
+        (PolytopeKind.CUBE, 1000): (
+            (25.237192858155204, 0.0014938676864065781),
+            (636.9605339413691, 0.07537399647296755),
+        ),
+        (PolytopeKind.CROSS, 10): (
+            (1.2195131724165678, 0.0012786507529321844),
+            (1.519909697709254, 0.003254036147646092),
+        ),
+        (PolytopeKind.SIMPLEX_S, 50): (
+            (0.6396278276616949, 0.0004743176800361256),
+            (0.41362307817385435, 0.0006245743896749551),
+        ),
+        (PolytopeKind.SIMPLEX_T, 2000): (
+            (0.15367415789526337, 7.30316651200901e-05),
+            (0.023722413953398486, 2.2921083105122423e-05),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind,n", list(GOLDEN))
+    def test_seeded_moments_keep_their_bits(self, kind, n):
+        cfg = McConfig(seed=8, samples=20_000, chunk_size=3_000)
+        est = estimate_moments(RegularPolytope(kind, n), (1, 2), cfg, threads=2)
+        for k, (value, error) in zip((1, 2), self.GOLDEN[(kind, n)]):
+            assert (est[k].value, est[k].error) == (value, error)
+
+
+class TestBoundedMemory:
+    def test_wide_rows_keep_peak_rss_flat(self):
+        # simplex-t n = 5000: a whole 8192-row chunk is 328 MB, plus its
+        # centered copy, on each of the two threads
+        script = textwrap.dedent(
+            """
+            import resource
+            from meanwidth.polytopes import PolytopeKind, RegularPolytope
+            from meanwidth.sampling import McConfig, estimate_moments
+
+            p = RegularPolytope(PolytopeKind.SIMPLEX_T, 5000)
+            estimate_moments(p, (1,), McConfig(seed=1, samples=2))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            estimate_moments(p, (1, 2), McConfig(seed=1, samples=16_384), threads=2)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(meanwidth.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        before, after = (int(line) for line in proc.stdout.split())
+        assert (after - before) * 1024 < 64e6, (before, after)  # ru_maxrss is in KiB on Linux
 
 
 class TestDeterminism:
