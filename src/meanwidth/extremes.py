@@ -11,13 +11,14 @@ inequalities
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
 from scipy.special import gammaincc
 
-from .special import gaussian_abs_moment, normal_tail, normal_tail_inverse
+from .special import _EPS, gaussian_abs_moment, normal_tail, normal_tail_inverse
 
 __all__ = [
     "QuadratureConfig",
@@ -82,18 +83,109 @@ class ComparisonReport:
     slack: float
 
 
+# QUADPACK's qk21 (Piessens et al. 1983): the Kronrod nodes x_1 > ... > x_11 = 0
+# on [-1, 1], their weights, and the weights of the embedded 10-point Gauss
+# rule, whose nodes are x_2, x_4, ..., x_10.
+_GK21_NODES = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_GK21_KRONROD = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525980025, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GK21_GAUSS = (
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338, 0.0,
+)
+
+
+def _mirrored(half, sign):
+    # the 21 entries from -1 to 1, given those of x_1, ..., x_11
+    return np.array([sign * v for v in half[:10]] + list(half[::-1]))
+
+
+_X21 = _mirrored(_GK21_NODES, -1.0)
+_WK21 = _mirrored(_GK21_KRONROD, 1.0)
+_WG21 = _mirrored(_GK21_GAUSS, 1.0)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _gk21(f, intervals, owners):
+    """qk21 on each interval (a, b): its Kronrod value and QUADPACK's error
+    estimate, from one call f(nodes, owners) on the nodes of all of them.
+    Row sums, not BLAS, so each interval's bits do not depend on the others."""
+    centers = np.array([0.5 * (a + b) for a, b in intervals])
+    halves = [0.5 * (b - a) for a, b in intervals]
+    fv = f(centers[:, None] + np.array(halves)[:, None] * _X21, np.array(owners))
+    resk = (fv * _WK21).sum(axis=1)
+    resg = (fv * _WG21).sum(axis=1)
+    resabs = (np.abs(fv) * _WK21).sum(axis=1)
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) * _WK21).sum(axis=1)
+    out = []
+    for k, g, res_abs, res_asc, h in zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist(), halves):
+        err, res_abs, res_asc = abs(k - g) * h, res_abs * h, res_asc * h
+        if res_asc != 0.0 and err != 0.0:
+            err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+        if res_abs > _TINY / (50.0 * _EPS):
+            err = max(50.0 * _EPS * res_abs, err)
+        out.append((k * h, err))
+    return out
+
+
+def _quad_batch(f, edge_lists, cfg: QuadratureConfig):
+    """The package's one adaptive quadrature, QUADPACK's QAG with the 21-point
+    Gauss-Kronrod rule and no extrapolation, for several integrals side by
+    side.  Integral i starts from the intervals between its edge_lists[i];
+    each round bisects the interval with the largest error estimate of every
+    integral whose estimates sum to more than max(epsabs, epsrel |value|).
+    f(nodes, owners) maps a 2-D array of nodes elementwise to integrand
+    values, row r belonging to integral owners[r].  Raises QuadratureError
+    when an integral needs more than cfg.limit intervals.  Returns
+    [(value, error estimate)] in the order of edge_lists; each equals what
+    the integral gets on its own."""
+    heaps = [[] for _ in edge_lists]
+    results = [None] * len(edge_lists)
+    pending = [(i, a, b) for i, edges in enumerate(edge_lists) for a, b in zip(edges, edges[1:])]
+    while pending:
+        evaluated = _gk21(f, [(a, b) for _, a, b in pending], [i for i, _, _ in pending])
+        for (i, a, b), (v, e) in zip(pending, evaluated):
+            # a max-heap on the error estimate
+            heapq.heappush(heaps[i], (-e, a, b, v))
+        active = dict.fromkeys(i for i, _, _ in pending)
+        pending = []
+        for i in active:
+            heap = heaps[i]
+            value = math.fsum([item[3] for item in heap])
+            err = math.fsum([-item[0] for item in heap])
+            if err <= max(cfg.epsabs, cfg.epsrel * abs(value)):
+                results[i] = (value, err)
+                continue
+            if len(heap) >= cfg.limit:
+                raise QuadratureError(
+                    f"quadrature did not converge: error estimate {err:.3g} after limit={cfg.limit} subintervals"
+                )
+            _, a, b, _ = heapq.heappop(heap)
+            mid = 0.5 * (a + b)
+            pending += [(i, a, mid), (i, mid, b)]
+    return results
+
+
 def _quad(f, lo, hi, cfg: QuadratureConfig, points=None):
-    """The package's one adaptive quadrature: scipy's quad under cfg, raising
-    QuadratureError instead of warning when it does not converge."""
+    """_quad_batch of one integral of f(nodes) over [lo, hi], split at points."""
     if points is not None and len(points) >= cfg.limit:
         raise QuadratureError(f"{len(points)} break points need more than limit={cfg.limit} subintervals")
-    value, err, info, *rest = integrate.quad(
-        f, lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit,
-        points=points, full_output=True,
-    )
-    if rest:
-        raise QuadratureError(f"quadrature did not converge: {rest[0]}")
-    return value, err
+    edges = [lo, *sorted(points or ()), hi]
+    return _quad_batch(lambda x, owners: f(x), [edges], cfg)[0]
 
 
 def u_sequence(n: int) -> float:
@@ -114,7 +206,8 @@ def solve_t_n(n: int) -> float:
 
 def _survival_moments(surv, ks, envelope: float, cfg: QuadratureConfig, peak: float, scale: float = 1.0):
     """{k: (int_0^inf k t^(k-1) surv(t) dt, error bound)} for a survival
-    function under the envelope surv(t) <= envelope * normal_tail(t / scale).
+    function under the envelope surv(t) <= envelope * normal_tail(t / scale),
+    surv mapping an array of t elementwise.
 
     Every k integrates over [0, T], envelope * normal_tail(T / scale) =
     _TRUNC_EPS, split at peak unless it is 0, reading one memo of surv values.
@@ -126,21 +219,26 @@ def _survival_moments(surv, ks, envelope: float, cfg: QuadratureConfig, peak: fl
         raise ValueError(f"moment orders must be positive, got {ks}")
     u = float(normal_tail_inverse(min(_TRUNC_EPS / envelope, 0.25)))
     points = [peak] if peak else None
+    # _quad evaluates the initial intervals in one call and then both halves
+    # of each bisected interval in one call, so the orders k that bisect an
+    # interval ask for the same node array; key its surv values by its bytes
     memo = {}
 
     def cached(t):
-        s = memo.get(t)
+        key = t.tobytes()
+        s = memo.get(key)
         if s is None:
-            s = memo[t] = surv(t)
+            s = memo[key] = surv(t)
         return s
 
     out = {}
     for k in ks:
         try:
-            value, err = _quad(lambda t: k * t ** (k - 1) * cached(t), 0.0, scale * u, cfg, points=points)
+            with np.errstate(over="raise"):
+                value, err = _quad(lambda t: k * t ** (k - 1) * cached(t), 0.0, scale * u, cfg, points=points)
             q = float(gammaincc((k + 1) / 2, 0.5 * u * u))
             err += envelope * scale**k * (0.5 * gaussian_abs_moment(k) * q - u**k * float(normal_tail(u)))
-        except OverflowError as exc:
+        except (OverflowError, FloatingPointError) as exc:
             raise ValueError(f"moment of order {k} is out of double-precision range") from exc
         out[k] = (value, err)
     return out
@@ -152,8 +250,9 @@ def max_abs_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tupl
         raise ValueError(f"n must be positive, got {n}")
 
     def surv(t):
-        r = float(normal_tail(t))
-        return 1.0 if r >= 0.5 else -math.expm1(n * math.log1p(-2.0 * r))
+        # t >= 0, so 2 normal_tail(t) <= 1; at t = 0, log1p(-1) = -inf gives surv = 1
+        with np.errstate(divide="ignore"):
+            return -np.expm1(n * np.log1p(-2.0 * normal_tail(t)))
 
     # 1 - F_n <= 2n normal_tail(t)
     return _survival_moments(surv, (k,), 2 * n, cfg, peak=solve_t_n(n))[k]
@@ -168,10 +267,9 @@ def expected_max_abs(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeVal
 def _neg_part(m: int, cfg: QuadratureConfig) -> tuple[float, float]:
     # int_0^inf normal_tail(t)^m dt with its error bound.  The integrand is
     # <= 2^-m for t >= 0 and decays super-exponentially; truncate where the
-    # log-integrand drops below -45.
+    # log-integrand drops below -45, before normal_tail(t) could underflow to 0.
     def integrand(t):
-        r = float(normal_tail(t))
-        return math.exp(m * math.log(r)) if r > 0 else 0.0
+        return np.exp(m * np.log(normal_tail(t)))
 
     t_neg = float(normal_tail_inverse(min(math.exp(-45.0 / m), 0.25)))
     value, err = _quad(integrand, 0.0, t_neg, cfg)
@@ -189,8 +287,7 @@ def expected_max(m: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueRe
         raise ValueError(f"m must be positive, got {m}")
 
     def pos_part(t):
-        r = float(normal_tail(t))
-        return -math.expm1(m * math.log1p(-r))
+        return -np.expm1(m * np.log1p(-normal_tail(t)))
 
     pos, err_pos = _survival_moments(pos_part, (1,), m, cfg, peak=solve_t_n(m))[1]
     neg, err_neg = _neg_part(m, cfg)
@@ -210,17 +307,19 @@ def expected_max_gap(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeVal
         raise ValueError(f"n must be positive, got {n}")
 
     def diff(t):
-        r = float(normal_tail(t))
-        one_minus_2r = -math.expm1(math.log(2.0) + math.log(r)) if r > 0 else 1.0
-        if one_minus_2r <= 0.0:
-            # F_n vanishes here; the difference is G_n itself.
-            return math.exp(2 * n * math.log1p(-r))
-        a = n * math.log1p(-2.0 * r)
-        delta = n * math.log1p(r * r / one_minus_2r)
-        if delta > 30.0:
-            # F_n is negligible next to G_n; no cancellation to protect
-            return math.exp(a + delta) - math.exp(a)
-        return math.exp(a) * math.expm1(delta)
+        # t in [0, T] keeps r = normal_tail(t) in (0, 1/2]; at t = 0, 1 - 2r = 0
+        # makes a = -inf and delta = inf, which the last line masks
+        r = normal_tail(t)
+        one_minus_2r = -np.expm1(math.log(2.0) + np.log(r))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = n * np.log1p(-2.0 * r)
+            delta = n * np.log1p(r * r / one_minus_2r)
+            # past delta = 30, F_n is negligible next to G_n: no cancellation to protect
+            out = np.where(
+                delta > 30.0, np.exp(a + delta) - np.exp(a), np.exp(a) * np.expm1(np.minimum(delta, 30.0))
+            )
+        # where 2r = 1, F_n vanishes: the difference is G_n itself
+        return np.where(one_minus_2r > 0.0, out, np.exp(2 * n * np.log1p(-r)))
 
     # |G_n - F_n| <= 1 - F_n <= 2n normal_tail(t)
     value, err = _survival_moments(diff, (1,), 2 * n, cfg, peak=solve_t_n(n))[1]

@@ -19,18 +19,20 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .extremes import (
     DEFAULT_QUAD,
     QuadratureConfig,
     _SQRT_2PI,
-    _quad,
+    _quad_batch,
     _survival_moments,
     expected_max,
     expected_max_abs,
     max_abs_moment,
     solve_t_n,
 )
-from .special import gaussian_abs_moment, log_gamma_ratio, normal_tail
+from .special import _EPS, _log_gamma_ratio_rounding, gaussian_abs_moment, log_gamma_ratio, normal_tail
 
 __all__ = [
     "PolytopeKind",
@@ -87,10 +89,19 @@ def v1_from_mean_width(dim: int, mean_width: float) -> float:
     return math.exp(0.5 * math.log(math.pi) + log_gamma_ratio((dim + 1) / 2, dim / 2)) * mean_width
 
 
-def _abs_sum_moment(n: int, k: int) -> float:
-    # E[(|eta_1| + ... + |eta_n|)^k]: the cumulants of a sum of n iid terms
-    # are n times those of |eta|; moments <-> cumulants by the recursion
-    # m_j = sum_{i=1..j} C(j-1, i-1) kappa_i m_{j-i}.
+def _abs_sum_moment(n: int, k: int) -> tuple[float, float]:
+    """E[(|eta_1| + ... + |eta_n|)^k] and a bound on its error.
+
+    The value: the cumulants of a sum of n iid terms are n times those of
+    |eta|; moments <-> cumulants by the recursion
+    m_j = sum_{i=1..j} C(j-1, i-1) kappa_i m_{j-i}.  The cumulants cancel, so
+    the error is bounded a posteriori, by the distance to a second route that
+    adds only positive terms: binary powering of the moment sequence of |eta|
+    under (x * y)_j = sum_i C(j, i) x_i y_{j-i}.  With each m_j good to
+    relative d_j, that route's k-th entry is good to relative
+    k (max_j d_j / j + 2 eps L) after L sequential convolutions, since each
+    adds at most (j + 3) eps / 2 <= 2 j eps to entry j.
+    """
     m = [gaussian_abs_moment(j) for j in range(k + 1)]
     kappa = [0.0] * (k + 1)
     for j in range(1, k + 1):
@@ -98,7 +109,23 @@ def _abs_sum_moment(n: int, k: int) -> float:
     s = [1.0] + [0.0] * k
     for j in range(1, k + 1):
         s[j] = sum(math.comb(j - 1, i - 1) * n * kappa[i] * s[j - i] for i in range(1, j + 1))
-    return s[k]
+
+    def convolve(x, y):
+        return [math.fsum(math.comb(j, i) * x[i] * y[j - i] for i in range(j + 1)) for j in range(k + 1)]
+
+    power, total, e = m, None, n
+    while True:
+        if e & 1:
+            total = power if total is None else convolve(total, power)
+        e >>= 1
+        if not e:
+            break
+        power = convolve(power, power)
+    # E|eta|^j = exp(j/2 log 2 + gammaln((j+1)/2) - log(pi)/2): each term of
+    # the exponent rounds at a few ulp of its size, and exp adds 1 ulp
+    d = max((5.0 + j + 3.0 * abs(math.lgamma((j + 1) / 2)) + abs(math.log(m[j]))) / j for j in range(1, k + 1))
+    rel = k * _EPS * (d + 4.0 * n.bit_length())
+    return s[k], abs(s[k] - total[k]) + rel * total[k]
 
 
 def _per_norm_moment(x: float, d: int, k: int) -> float:
@@ -109,58 +136,106 @@ def _per_norm_moment(x: float, d: int, k: int) -> float:
     return x * math.exp(-0.5 * k * math.log(2.0) + log_gamma_ratio(d / 2, (d + k) / 2))
 
 
+def _per_norm_rounding(d: int, k: int) -> float:
+    """A bound on the relative rounding error of _per_norm_moment's factor, in
+    units of eps: k/2 products and a division for even k; for odd k, the
+    exponent's absolute rounding, then exp and the product."""
+    if k % 2 == 0:
+        return k / 2 + 1.0
+    y = -0.5 * k * math.log(2.0) + log_gamma_ratio(d / 2, (d + k) / 2)
+    return 3.0 + k + abs(y) + _log_gamma_ratio_rounding(d / 2, (d + k) / 2)
+
+
 def width_moment_cube(n: int, k: int) -> MomentEstimate:
     """Closed-form E[W_{Q_n}^k] = Gamma(n/2) / (2^(k/2) Gamma((n+k)/2)) E[(sum |eta_i|)^k]."""
     p = RegularPolytope(PolytopeKind.CUBE, n)
     if k < 1:
         raise ValueError(f"moment order must be positive, got {k}")
     try:
-        moment = _abs_sum_moment(n, k)
+        moment, moment_err = _abs_sum_moment(n, k)
     except OverflowError:
-        moment = math.inf
+        moment = moment_err = math.inf
     value = _per_norm_moment(moment, n, k)
-    if not math.isfinite(value):
+    error = _per_norm_moment(moment_err, n, k) + _EPS * _per_norm_rounding(n, k) * abs(value)
+    if not (math.isfinite(value) and math.isfinite(error)):
         raise ValueError(f"cube moment n={n}, k={k} is out of double-precision range")
-    return MomentEstimate(polytope=p, k=k, value=value, route="closed_form", error=8.0 * abs(value) * 2.2e-16)
+    return MomentEstimate(polytope=p, k=k, value=value, route="closed_form", error=error)
 
 
 def range_cdf(n: int, t: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
     """P[max eta_i - min eta_i <= t] = n int phi(x) (Phi(x+t) - Phi(x))^(n-1) dx."""
     if n < 2:
         raise ValueError(f"range needs n >= 2, got {n}")
-    if t <= 0:
-        return 0.0
+    return _range_batch(n, [t], cfg)[0] if t > 0 else 0.0
 
-    def integrand(x):
-        diff = float(normal_tail(x)) - float(normal_tail(x + t))
-        if diff <= 0.0:
-            return 0.0
-        return math.exp(-0.5 * x * x) / _SQRT_2PI * diff ** (n - 1)
 
-    value, _ = _quad(integrand, -t - 9.0, 9.0, cfg)
-    return min(n * value, 1.0)
+def _range_batch(n: int, ts, cfg: QuadratureConfig, survival: bool = False) -> list[float]:
+    """P[max eta_i - min eta_i <= t], or with survival=True P[... > t], at
+    every t > 0 of ts: one batch of quadratures, each value the one its t
+    gets on its own.
+
+    With a = normal_tail(x) and b = normal_tail(x + t), the CDF is
+    n int phi(x) (a - b)^(n-1) dx, and since n int phi a^(n-1) = 1 the
+    survival is n int phi(x) (a^(n-1) - (a - b)^(n-1)) dx, its bracket
+    evaluated as -a^(n-1) expm1((n-1) log1p(-b/a)): no 1 - CDF cancellation,
+    so a small survival keeps its relative accuracy."""
+    ts = np.asarray(ts, dtype=float)
+
+    def integrand(x, owners):
+        a = normal_tail(x)
+        b = normal_tail(x + ts[owners][:, None])
+        if survival:
+            # a >= normal_tail(9) > 0 on the domain; b = a only as t -> 0,
+            # where log1p(-1) = -inf gives the exact bracket a^(n-1)
+            with np.errstate(divide="ignore"):
+                bracket = -(a ** (n - 1)) * np.expm1((n - 1) * np.log1p(-b / a))
+        else:
+            bracket = np.maximum(a - b, 0.0) ** (n - 1)
+        return np.exp(-0.5 * x * x) / _SQRT_2PI * bracket
+
+    values = _quad_batch(integrand, [(-t - 9.0, 9.0) for t in ts.tolist()], cfg)
+    return [n * value if survival else min(n * value, 1.0) for value, _ in values]
 
 
 def range_moments(n: int, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int, tuple[float, float]]:
     """E[(max eta_i - min eta_i)^k] with error bound for each k, by nested
-    quadrature of the range CDF.  The outer quadratures of every k sample the
-    same nodes, so each range-CDF value is computed once per call."""
+    quadrature of the range survival function S(t).
+
+    Up to the break point 2 t_n (about the median range), S = 1 - range_cdf;
+    past it, where S is small and the high moments take their weight, S is
+    computed directly, to a relative inner tolerance.  The error adds what
+    the inner tolerances allow: |dS| <= n epsabs + epsrel below the break
+    point, epsrel S past it, so n epsabs + epsrel times its k-th power plus
+    epsrel times the moment.  The outer quadratures of every k sample the
+    same nodes, so each survival value is computed once per call, and the
+    inner quadratures of one outer call's nodes run as one batch."""
     if n < 2:
         raise ValueError(f"range needs n >= 2, got {n}")
-    inner_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
+    cdf_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
+    tail_cfg = replace(cfg, epsabs=0.0)
     outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
+    peak = 2.0 * solve_t_n(n)
+
+    def surv(t):
+        # outer nodes lie inside (0, T), so every t > 0
+        out = np.empty_like(t)
+        body = t <= peak
+        out[body] = 1.0 - np.array(_range_batch(n, t[body], cdf_cfg))
+        out[~body] = _range_batch(n, t[~body], tail_cfg, survival=True)
+        return out
+
     # range > t forces max > t/2 or -min > t/2, so the survival function is
     # bounded by 2n normal_tail(t/2)
-    return _survival_moments(
-        lambda t: 1.0 - range_cdf(n, t, inner_cfg), ks, 2 * n, outer_cfg, scale=2.0, peak=2.0 * solve_t_n(n)
-    )
+    moments = _survival_moments(surv, ks, 2 * n, outer_cfg, scale=2.0, peak=peak)
+    inner = n * cdf_cfg.epsabs + cdf_cfg.epsrel
+    return {k: (v, e + inner * peak**k + tail_cfg.epsrel * abs(v)) for k, (v, e) in moments.items()}
 
 
 def width_moments(p: RegularPolytope, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int, MomentEstimate]:
     """E[W^k] = E[X^k] / E|g|^k for several k: the cube's closed form, or
     quadrature of E[(max |eta_i|)^k] (crosspolytope, X = 2 max |eta_i|) or of
     E[range^k] (simplices, X = range, scaled by sqrt(n/(n-1)) for T_{n-1}),
-    every k from one set of range-CDF values."""
+    every k from one set of range survival values."""
     ks = tuple(dict.fromkeys(ks))
     if p.kind is PolytopeKind.CUBE:
         return {k: width_moment_cube(p.n, k) for k in ks}

@@ -19,6 +19,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
+# log_gamma_ratio takes the Stirling difference once both arguments reach this
+_STIRLING_MIN = 20.0
 
 
 def normal_tail(t):
@@ -58,7 +61,7 @@ def log_gamma_ratio(a: float, b: float) -> float:
         raise ValueError(f"gamma ratio needs positive arguments, got a={a}, b={b}")
     if a == b:
         return 0.0
-    if min(a, b) < 20.0:
+    if min(a, b) < _STIRLING_MIN:
         # small arguments: gammaln values are O(10), no cancellation to fear
         return float(sp.gammaln(a) - sp.gammaln(b))
     d = b - a
@@ -70,6 +73,19 @@ def log_gamma_ratio(a: float, b: float) -> float:
         - _stirling_correction(b)
     )
     return value
+
+
+def _log_gamma_ratio_rounding(a: float, b: float) -> float:
+    """A bound on the absolute rounding error of log_gamma_ratio(a, b), in
+    units of eps: each term's own rounding and that of the sums."""
+    if a == b:
+        return 0.0
+    if min(a, b) < _STIRLING_MIN:
+        # gammaln is good to 2.5 ulp of max(|gammaln|, 1) (relative above
+        # magnitude 1, absolute below), and the difference rounds once more
+        return 3.0 * (max(abs(math.lgamma(a)), 1.0) + max(abs(math.lgamma(b)), 1.0))
+    d = b - a
+    return 5.0 * abs((a - 0.5) * math.log1p(d / a)) + 4.0 * abs(d * math.log(b)) + 2.0 * abs(d) + 1.0
 
 
 def gaussian_abs_moment(k: int) -> float:

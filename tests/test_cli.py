@@ -116,7 +116,7 @@ class TestNumericalFailure:
     def test_quadrature_nonconvergence_exits_4(self, capsys):
         code, out, err = run_cli(
             capsys,
-            ["moments", "--family", "simplex-s", "--n", "2", "--k", "12", "--route", "quadrature",
+            ["moments", "--family", "simplex-s", "--n", "1000000000", "--k", "1", "--route", "quadrature",
              "--threads", "1"],
         )
         assert code == EXIT_NUMERICAL

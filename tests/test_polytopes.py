@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -17,6 +18,7 @@ from meanwidth.extremes import (
 from meanwidth.polytopes import (
     PolytopeKind,
     RegularPolytope,
+    _range_batch,
     range_cdf,
     range_moments,
     sudakov_v1,
@@ -81,7 +83,29 @@ class TestV1FromMeanWidth:
         assert v1_from_mean_width(3, w) == pytest.approx(2.0 * w, rel=1e-13)
 
 
+def cube_moment_mp(n, k):
+    """E[W_{Q_n}^k] in 50-digit arithmetic, by the same cumulant recursion."""
+    with mpmath.workdps(50):
+        m = [2 ** mpmath.mpf(j / 2) * mpmath.gamma(mpmath.mpf(j + 1) / 2) / mpmath.sqrt(mpmath.pi) for j in range(k + 1)]
+        kappa = [mpmath.mpf(0)] * (k + 1)
+        for j in range(1, k + 1):
+            kappa[j] = m[j] - sum(math.comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j))
+        s = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+        for j in range(1, k + 1):
+            s[j] = sum(math.comb(j - 1, i - 1) * n * kappa[i] * s[j - i] for i in range(1, j + 1))
+        return s[k] * mpmath.gamma(mpmath.mpf(n) / 2) / (2 ** mpmath.mpf(k / 2) * mpmath.gamma(mpmath.mpf(n + k) / 2))
+
+
 class TestCubeMoments:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 10, 12])
+    def test_error_is_an_honest_bound(self, k):
+        # 8 eps |v| fell short by up to 5.9x here (n = 35, k = 7), through the
+        # gammaln difference of the odd-k prefactor and the cumulant recursion
+        for n in range(1, 60):
+            est = width_moment_cube(n, k)
+            with mpmath.workdps(50):
+                assert abs(mpmath.mpf(est.value) - cube_moment_mp(n, k)) <= est.error, n
+
     def test_n1_constant_width(self):
         for k in (1, 2, 3, 4):
             assert abs(width_moment_cube(1, k).value - 1.0) <= 4 * 2.2e-16
@@ -150,10 +174,11 @@ class TestRangeEngine:
         assert value == pytest.approx(2.0, abs=1e-9)
 
     def test_nonconvergence_raises(self):
-        # the exact value is 2^6 * 11!! = 665280, but the outer quadrature
-        # runs out of subdivisions before reaching its tolerance
+        # at n = 1e9, a^(n-1) magnifies the last-bit rounding of the normal
+        # tail a by 1e9, so no inner survival quadrature reaches its relative
+        # tolerance before running out of subdivisions
         with pytest.raises(QuadratureError):
-            range_moments(2, (12,))
+            range_moments(10**9, (1,))
 
     def test_cdf_subdivision_limit_raises(self):
         with pytest.raises(QuadratureError):
@@ -161,18 +186,29 @@ class TestRangeEngine:
 
 
 def per_k_range_moment(n, k, cfg=DEFAULT_QUAD):
-    """The nested quadrature of one k on its own, range CDF recomputed at
-    every outer node: the oracle of range_moments' shared survival values.
-    Returns the value, QUADPACK's error estimate and the cut-off T."""
+    """The nested quadrature of one k on its own, the range survival
+    recomputed at every outer node by a batch of one: the oracle of
+    range_moments' shared, batched survival values.  Returns the value,
+    QUADPACK's error estimate, the cut-off T and the inner tolerances'
+    allowance (n epsabs + epsrel) peak^k + epsrel value."""
     t_hi = 2.0 * float(normal_tail_inverse(min(_TRUNC_EPS / (2 * n), 0.25)))
-    inner_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
+    peak = 2.0 * solve_t_n(n)
+    cdf_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
+    tail_cfg = replace(cfg, epsabs=0.0)
+
+    def survival(x):
+        if x <= peak:
+            return 1.0 - _range_batch(n, [x], cdf_cfg)[0]
+        return _range_batch(n, [x], tail_cfg, survival=True)[0]
 
     def integrand(t):
-        return k * t ** (k - 1) * (1.0 - range_cdf(n, t, inner_cfg))
+        surv = np.array([survival(x) for x in t.ravel().tolist()]).reshape(t.shape)
+        return k * t ** (k - 1) * surv
 
     outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
-    value, err = _quad(integrand, 0.0, t_hi, outer_cfg, points=[2.0 * solve_t_n(n)])
-    return value, err, t_hi
+    value, err = _quad(integrand, 0.0, t_hi, outer_cfg, points=[peak])
+    inner = (n * 1e-13 + cfg.epsrel) * peak**k + cfg.epsrel * value
+    return value, err, t_hi, inner
 
 
 def envelope_tail(n, k, t_hi):
@@ -190,9 +226,9 @@ class TestRangeMoments:
         assert list(shared) == [1, 2, 3, 4]
         for k in (1, 2, 3, 4):
             value, err = shared[k]
-            oracle_value, oracle_err, t_hi = per_k_range_moment(n, k)
+            oracle_value, oracle_err, t_hi, inner = per_k_range_moment(n, k)
             assert value.hex() == oracle_value.hex()
-            assert err == pytest.approx(oracle_err + envelope_tail(n, k, t_hi), rel=1e-10)
+            assert err == pytest.approx(oracle_err + envelope_tail(n, k, t_hi) + inner, rel=1e-10)
 
     def test_n2_error_is_an_honest_bound(self):
         # the n = 2 range is |eta_1 - eta_2| = sqrt(2) |eta|
@@ -201,6 +237,25 @@ class TestRangeMoments:
             value, err = moments[k]
             exact = 2.0 ** (k / 2) * gaussian_abs_moment(k)
             assert abs(value - exact) <= err, k
+
+    def test_n2_high_orders_converge_within_the_error_bound(self):
+        # the survival is computed without the 1 - CDF cancellation, so the
+        # orders whose weight lies in the far tail converge too
+        moments = range_moments(2, range(8, 13))
+        for k in range(8, 13):
+            value, err = moments[k]
+            exact = 2.0 ** (k / 2) * gaussian_abs_moment(k)
+            assert abs(value - exact) <= err, k
+        # k = 12: 2^6 * 11!! = 665280
+        assert moments[12][0] == pytest.approx(665280.0, rel=1e-13)
+
+    def test_survival_and_cdf_add_to_one(self):
+        inner = replace(DEFAULT_QUAD, epsabs=0.0)
+        for n in (2, 5, 221):
+            ts = [0.3, 1.0, 2.5, 4.0, 6.0]
+            for t, surv in zip(ts, _range_batch(n, ts, inner, survival=True)):
+                assert surv + range_cdf(n, t) == pytest.approx(1.0, abs=1e-13)
+            assert _range_batch(n, ts, DEFAULT_QUAD) == [range_cdf(n, t) for t in ts]
 
     def test_n3_error_is_an_honest_bound(self):
         # the n = 3 range density 6 int phi(x) phi(x+d) (Phi(x+d) - Phi(x)) dx

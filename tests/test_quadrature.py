@@ -1,0 +1,150 @@
+"""The package's adaptive Gauss-Kronrod rule against scipy's QUADPACK, which
+the tests keep as the independent route, and the import path it frees."""
+
+import json
+import math
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from scipy import integrate
+
+from meanwidth import extremes, polytopes
+from meanwidth.extremes import (
+    DEFAULT_QUAD,
+    QuadratureConfig,
+    QuadratureError,
+    _gk21,
+    _quad,
+    _quad_batch,
+    expected_max,
+    expected_max_gap,
+    max_abs_moment,
+)
+from meanwidth.polytopes import range_moments
+
+EPS = np.finfo(float).eps
+
+
+def _gauss_kronrod(f, a, b):
+    value, err = _gk21(lambda x, owners: f(x), [(a, b)], [0])[0]
+    return value, err
+
+
+class TestRule:
+    @pytest.mark.parametrize("j", range(0, 32))
+    def test_kronrod_is_exact_to_degree_31(self, j):
+        value, _ = _gauss_kronrod(lambda x: x**j, 0.0, 1.0)
+        assert value == pytest.approx(1.0 / (j + 1), rel=8 * EPS)
+
+    @pytest.mark.parametrize("j", range(0, 20))
+    def test_gauss_agrees_to_degree_19(self, j):
+        # K21 - G10 vanishes, so the estimate sits on its 50 eps resabs floor
+        value, err = _gauss_kronrod(lambda x: x**j, 0.0, 1.0)
+        assert err == pytest.approx(50 * EPS * value, rel=1e-6)
+
+    def test_gauss_misses_degree_20(self):
+        value, err = _gauss_kronrod(lambda x: x**20, 0.0, 1.0)
+        assert err > 10 * 50 * EPS * value
+
+    def test_limit_one_raises(self):
+        with pytest.raises(QuadratureError, match="did not converge"):
+            _quad(lambda x: np.exp(-x * x), 0.0, 10.0, QuadratureConfig(limit=1))
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_break_points_at_the_limit_raise(self, limit):
+        with pytest.raises(QuadratureError):
+            _quad(lambda x: np.exp(-x * x), 0.0, 10.0, QuadratureConfig(limit=limit), points=[1.0, 2.0][:limit])
+
+    def test_smooth_integral_matches_scipy(self):
+        value, err = _quad(lambda x: np.exp(-x * x), 0.0, 10.0, DEFAULT_QUAD)
+        assert abs(value - math.sqrt(math.pi) / 2 * math.erf(10.0)) <= err
+        assert err <= 1e-12
+
+    def test_a_batch_equals_each_integral_on_its_own(self):
+        def f(x, owners):
+            return np.exp(-np.array([0.5, 3.0, 40.0])[owners][:, None] * x * x)
+
+        edges = [[0.0, 10.0], [0.0, 0.1, 10.0], [-5.0, 0.0, 5.0]]
+        batch = _quad_batch(f, edges, DEFAULT_QUAD)
+        for i, e in enumerate(edges):
+            alone = _quad_batch(lambda x, owners: f(x, np.full_like(owners, i)), [e], DEFAULT_QUAD)[0]
+            assert [v.hex() for v in batch[i]] == [v.hex() for v in alone]
+
+
+def _capture(monkeypatch, module, name):
+    """Record every call of module.name, passing it through."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _scipy(f, lo, hi, cfg, points=None):
+    def scalar(t):
+        return float(f(np.array([[t]]))[0, 0])
+
+    return integrate.quad(scalar, lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit, points=points)
+
+
+class TestIntegrandsAgainstScipy:
+    """Every integrand family through _quad and through scipy.integrate.quad:
+    the two values lie within the sum of both error estimates."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda: max_abs_moment(7, 3), id="max-abs-survival"),
+            pytest.param(lambda: max_abs_moment(1, 2), id="max-abs-survival-n1"),
+            pytest.param(lambda: expected_max(50), id="B_m-positive-part-and-neg-part"),
+            pytest.param(lambda: expected_max_gap(40), id="gap-and-neg-part"),
+        ],
+    )
+    def test_single_integrals(self, monkeypatch, run):
+        calls = _capture(monkeypatch, extremes, "_quad")
+        run()
+        assert calls
+        for (f, lo, hi, cfg), kwargs, (value, err) in calls:
+            oracle, oracle_err = _scipy(f, lo, hi, cfg, kwargs.get("points"))
+            assert abs(value - oracle) <= err + oracle_err
+
+    def test_range_cdf_and_survival_integrands(self, monkeypatch):
+        calls = _capture(monkeypatch, polytopes, "_quad_batch")
+        range_moments(5, (1,))
+        # the first outer call's nodes below the break point (CDF), then past it (survival)
+        for (f, edge_lists, cfg), _, results in calls[:2]:
+            for i in (0, len(edge_lists) // 2, len(edge_lists) - 1):
+                lo, hi = edge_lists[i]
+                oracle, oracle_err = integrate.quad(
+                    lambda x: float(f(np.array([[x]]), np.array([i]))[0, 0]),
+                    lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit,
+                )
+                value, err = results[i]
+                assert abs(value - oracle) <= err + oracle_err
+
+    def test_integrands_raise_no_warning_at_the_interval_ends(self, monkeypatch):
+        # t = 0 makes 2 normal_tail(t) = 1 and the gap's 1 - 2r vanish
+        calls = _capture(monkeypatch, extremes, "_quad")
+        for n in (1, 4):
+            max_abs_moment(n, 2)
+            expected_max(n)
+            expected_max_gap(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (f, lo, hi, _), _, _ in calls:
+                assert np.all(np.isfinite(f(np.array([[lo, hi, 0.5 * (lo + hi)]]))))
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = "import json, sys, meanwidth.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    loaded = {m.split(".")[1] for m in json.loads(out) if m.startswith("scipy.")}
+    assert not loaded & {"integrate", "optimize", "sparse", "linalg"}, loaded
