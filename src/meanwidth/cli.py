@@ -171,7 +171,7 @@ def cmd_limits(args) -> int:
     family = PolytopeKind(args.family)
     p = RegularPolytope(family, args.n)
     cfg = McConfig(seed=args.seed, samples=args.samples)
-    widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg))
+    widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, args.threads))
     if family is PolytopeKind.CUBE:
         std = standardize_cube(widths, args.n)
     elif family is PolytopeKind.CROSS:
@@ -198,7 +198,7 @@ def cmd_limits(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = McConfig(seed=args.seed, samples=args.samples)
-    result = optimize_configuration(args.n, args.restarts, cfg)
+    result = optimize_configuration(args.n, args.restarts, cfg, threads=args.threads)
     fingerprint = gram_fingerprint_distance(result.best_gram, regular_simplex_gram(args.n))
     rows = [
         {

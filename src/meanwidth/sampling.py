@@ -4,11 +4,14 @@ Reproducibility contract: an McConfig (seed, samples, chunk_size) fully
 determines every estimate, bit for bit, regardless of how many worker
 threads evaluate the chunks.  Each chunk owns a private PCG64 substream
 spawned from the seed, and chunk results are reduced in chunk-index order.
+The worker threads belong to one process-wide pool, reused across calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,9 +63,25 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, chunk_index)))
 
 
-def _map_chunks(fn, cfg: McConfig, threads: int = 1):
+@functools.lru_cache(maxsize=1)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide worker pool.  Reusing its threads reuses their malloc
+    arenas, so repeated draws do not grow the process; asking for another
+    thread count drops the old pool, whose idle workers exit once it is
+    collected."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
+# a forked child inherits the pool but none of its threads: submitting to it
+# would wait forever, so the child starts a pool of its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map_chunks(fn, cfg: McConfig, threads: int):
     """Apply fn(chunk_rng(seed, i), count) to every chunk i; results in chunk
-    order.  Every chunked draw of the library goes through here."""
+    order.  Every chunked draw of the library goes through here, and each
+    caller states its thread count."""
     if cfg.samples < 2:
         raise ValueError(f"Monte Carlo needs at least 2 samples for a standard error, got {cfg.samples}")
 
@@ -72,9 +91,9 @@ def _map_chunks(fn, cfg: McConfig, threads: int = 1):
     plan = list(cfg.chunks())
     if threads <= 1 or len(plan) <= 1:
         return [run(i, c) for i, c in plan]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run, i, c) for i, c in plan]
-        return [f.result() for f in futures]
+    pool = _pool(threads)
+    futures = [pool.submit(run, i, c) for i, c in plan]
+    return [f.result() for f in futures]
 
 
 def width_samples(p: RegularPolytope, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -126,8 +145,11 @@ def width_samples(p: RegularPolytope, rng: np.random.Generator, count: int) -> n
 def _mean_stderr(sums, count: int) -> tuple[float, float]:
     """Mean and standard error from per-chunk (sum, sum of squares) pairs,
     reduced in chunk order."""
-    s = math.fsum(c[0] for c in sums)
-    s2 = math.fsum(c[1] for c in sums)
+    try:
+        s = math.fsum(c[0] for c in sums)
+        s2 = math.fsum(c[1] for c in sums)
+    except OverflowError:  # finite chunk sums whose total leaves double range
+        return math.inf, math.inf
     mean = s / count
     var = max(s2 / count - mean * mean, 0.0) * (count / (count - 1))
     return mean, math.sqrt(var / count)
@@ -135,9 +157,11 @@ def _mean_stderr(sums, count: int) -> tuple[float, float]:
 
 def _moment_sums(values: np.ndarray, ks: tuple[int, ...]) -> dict[int, tuple[float, float]]:
     out = {}
-    for k in ks:
-        wk = values if k == 1 else values**k
-        out[k] = (float(wk.sum()), float((wk * wk).sum()))
+    # an overflow shows as inf here and is refused by estimate_moments
+    with np.errstate(over="ignore"):
+        for k in ks:
+            wk = values if k == 1 else values**k
+            out[k] = (float(wk.sum()), float((wk * wk).sum()))
     return out
 
 
@@ -153,6 +177,8 @@ def estimate_moments(
     out = {}
     for k in ks:
         mean, stderr = _mean_stderr([c[k] for c in per_chunk], cfg.samples)
+        if not (math.isfinite(mean) and math.isfinite(stderr)):
+            raise ValueError(f"{p.kind.value} Monte Carlo moment n={p.n}, k={k} is out of double-precision range")
         out[k] = MomentEstimate(polytope=p, k=k, value=mean, route="monte_carlo", error=stderr)
     return out
 

@@ -7,6 +7,7 @@ are not asymptotic guarantees.
 """
 
 import math
+import os
 import subprocess
 import sys
 
@@ -39,7 +40,7 @@ from meanwidth.polytopes import (
     width_moment,
     width_moment_cube,
 )
-from meanwidth.sampling import McConfig, chunk_rng, estimate_moments, width_samples
+from meanwidth.sampling import McConfig, _map_chunks, estimate_moments, width_samples
 
 
 def verdict(index: int, title: str, ok: bool, detail: str = "") -> None:
@@ -50,9 +51,10 @@ def verdict(index: int, title: str, ok: bool, detail: str = "") -> None:
 
 
 def _widths(kind: PolytopeKind, n: int, samples: int, seed: int) -> np.ndarray:
+    """The seeded width sample, its chunks drawn on every core (same bits)."""
     p = RegularPolytope(kind, n)
     cfg = McConfig(seed=seed, samples=samples)
-    return np.concatenate([width_samples(p, chunk_rng(cfg.seed, i), c) for i, c in cfg.chunks()])
+    return np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, os.cpu_count() or 1))
 
 
 def test_criterion_01_cube_moment_formulas():

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from meanwidth import cli
 from meanwidth.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from meanwidth.extremes import IndefiniteMatrixError, NumericalError, QuadratureError
 from meanwidth.polytopes import PolytopeKind, RegularPolytope, width_moment, width_moment_cube
+from meanwidth.sampling import width_samples
 
 
 def run_cli(capsys, argv):
@@ -106,6 +108,19 @@ class TestUsageErrors:
         # (max |eta_i|)^320 and its tail moment exceed double precision
         code, out, err = run_cli(
             capsys, ["moments", "--family", "cross", "--n", "3", "--k", "320", "--route", "quadrature"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "double-precision" in err
+
+    @pytest.mark.parametrize("k", ["120", "250"])
+    def test_out_of_range_monte_carlo_moment_maps_to_usage(self, capsys, k):
+        # at k = 120 the mean fits a double but its square does not; at
+        # k = 250 the mean overflows too
+        code, out, err = run_cli(
+            capsys,
+            ["moments", "--family", "cube", "--n", "1000", "--k", k, "--route", "mc", "--samples", "1000",
+             "--seed", "1"],
         )
         assert code == EXIT_USAGE
         assert out == ""
@@ -244,6 +259,26 @@ class TestLimitsOutput:
         row = rows[0]
         assert row["law"] == "normal"
         assert float(row["ks_distance"]) < 0.1
+
+    def test_threads_draw_the_widths_in_parallel(self, capsys, monkeypatch):
+        argv = ["limits", "--family", "cross", "--n", "20", "--samples", "32768", "--seed", "3"]
+        _, serial, _ = run_cli(capsys, argv + ["--threads", "1"])
+        # four chunks meet in pairs at the barrier, which only two workers
+        # drawing at once can pass
+        barrier = threading.Barrier(2, timeout=10)
+        idents = set()
+
+        def recording(p, rng, count):
+            idents.add(threading.get_ident())
+            barrier.wait()
+            return width_samples(p, rng, count)
+
+        monkeypatch.setattr(cli, "width_samples", recording)
+        code, threaded, _ = run_cli(capsys, argv + ["--threads", "2"])
+        assert code == EXIT_OK
+        assert len(idents) >= 2
+        assert threading.get_ident() not in idents
+        assert threaded == serial
 
 
 class TestSearchOutput:

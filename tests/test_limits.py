@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,16 +17,14 @@ from meanwidth.limits import (
     standardize_simplex,
 )
 from meanwidth.polytopes import PolytopeKind, RegularPolytope
-from meanwidth.sampling import McConfig, chunk_rng, width_samples
+from meanwidth.sampling import McConfig, _map_chunks, width_samples
 
 
 def _standardized_sample(kind, n, samples, seed):
     p = RegularPolytope(kind, n)
     cfg = McConfig(seed=seed, samples=samples)
-    parts = []
-    for i, count in cfg.chunks():
-        parts.append(width_samples(p, chunk_rng(cfg.seed, i), count))
-    w = np.concatenate(parts)
+    # the chunks drawn on every core: the same bits as one thread
+    w = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, os.cpu_count() or 1))
     if kind is PolytopeKind.CUBE:
         return np.sort(standardize_cube(w, n))
     if kind is PolytopeKind.CROSS:

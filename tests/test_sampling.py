@@ -1,14 +1,21 @@
+import contextlib
+import io
 import math
 import os
+import signal
+import struct
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meanwidth
-from meanwidth import sampling
+from meanwidth import cli, sampling
+from meanwidth.conjecture import _common_normals, interpolation_emax_curve, optimize_configuration
 from meanwidth.extremes import IndefiniteMatrixError, NumericalError, expected_max
 from meanwidth.polytopes import PolytopeKind, RegularPolytope
 from meanwidth.sampling import (
@@ -183,6 +190,134 @@ class TestDeterminism:
         assert sample_correlated_max(gram, cfg, threads=1) == sample_correlated_max(
             gram, cfg, threads=4
         )
+
+
+class TestMomentOverflow:
+    @pytest.mark.parametrize("n,k,samples", [
+        # E[W^120] ~ 3e168 fits a double, but its second moment does not
+        (1000, 120, 1000),
+        # the mean overflows as well
+        (1000, 250, 1000),
+        # every chunk's sum of W^326 fits a double, but their total does not
+        (100, 163, 200_000),
+    ])
+    def test_out_of_range_moment_raises(self, n, k, samples):
+        p = RegularPolytope(PolytopeKind.CUBE, n)
+        with pytest.raises(ValueError, match="double-precision"):
+            estimate_moments(p, (1, k), McConfig(seed=1, samples=samples), threads=2)
+
+
+class TestWorkerPool:
+    def test_thread_count_is_required(self):
+        with pytest.raises(TypeError):
+            sampling._map_chunks(lambda rng, count: count, McConfig(seed=1, samples=4))
+
+    def test_successive_calls_reuse_the_workers(self):
+        cfg = McConfig(seed=1, samples=8, chunk_size=1)
+        # chunks meet in pairs, so each call runs on two workers at once
+        barrier = threading.Barrier(2, timeout=10)
+
+        def workers():
+            # Thread objects, not idents: a new thread may get a dead one's ident
+            seen = set()
+
+            def fn(rng, count):
+                seen.add(threading.current_thread())
+                barrier.wait()
+                return count
+
+            assert sampling._map_chunks(fn, cfg, 2) == [1] * 8
+            return seen
+
+        first = workers()
+        assert len(first) == 2
+        assert threading.current_thread() not in first
+        assert workers() == first
+
+    def test_concurrent_callers_with_different_thread_counts(self):
+        # callers swap the pool between 2 and 3 threads under each other
+        cfg = McConfig(seed=3, samples=600, chunk_size=7)
+        expected = sampling._map_chunks(lambda rng, c: rng.standard_normal(c).sum(), cfg, 1)
+        failures = []
+
+        def caller(threads):
+            for _ in range(20):
+                try:
+                    got = sampling._map_chunks(lambda rng, c: rng.standard_normal(c).sum(), cfg, threads)
+                except Exception as exc:  # a thread's exception would not fail the test
+                    failures.append(exc)
+                    return
+                if got != expected:
+                    failures.append(threads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(2 + i % 2,)) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert failures == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_on_a_pool_of_its_own(self):
+        gram = np.eye(3)
+        cfg = McConfig(seed=5, samples=40_000, chunk_size=6_000)
+        parent = sample_correlated_max(gram, cfg, threads=2)  # leaves a live pool behind
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report its draw, or be killed by the alarm
+            code = 1
+            try:
+                os.close(read_end)
+                signal.alarm(10)
+                os.write(write_end, struct.pack("dd", *sample_correlated_max(gram, cfg, threads=2)))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as fh:
+            data = fh.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert struct.unpack("dd", data) == parent
+
+
+def _limits_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+class TestExtremeSampleCounts:
+    """Every threaded draw gives the bytes of threads = 1, for sample counts
+    below one chunk, on a ragged last chunk and across several chunks."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data(), chunk_size=st.integers(1, 40), threads=st.sampled_from([1, 2, 3]))
+    def test_threads_keep_the_bits(self, data, chunk_size, threads):
+        samples = data.draw(st.integers(2, 3 * chunk_size), label="samples")
+        kind = data.draw(st.sampled_from(list(PolytopeKind)), label="kind")
+        cfg = McConfig(seed=21, samples=samples, chunk_size=chunk_size)
+
+        argv = ["limits", "--family", kind.value, "--n", "5", "--samples", str(samples), "--seed", "21"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "McConfig", lambda **kw: McConfig(**kw, chunk_size=chunk_size))
+            serial = _limits_stdout(argv + ["--threads", "1"])
+            assert _limits_stdout(argv + ["--threads", str(threads)]) == serial
+
+        assert _common_normals(4, cfg, threads).tobytes() == _common_normals(4, cfg, 1).tobytes()
+        grid = [0.0, 0.5, 1.0]
+        assert interpolation_emax_curve(2, grid, cfg, threads) == interpolation_emax_curve(2, grid, cfg)
+        a = optimize_configuration(3, 1, cfg, iterations=5, threads=threads)
+        b = optimize_configuration(3, 1, cfg, iterations=5)
+        assert (a.best_value, a.best_stderr) == (b.best_value, b.best_stderr)
+        assert a.best_gram.matrix.tobytes() == b.best_gram.matrix.tobytes()
 
 
 class TestCrossDegenerate:
