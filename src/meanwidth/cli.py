@@ -198,7 +198,7 @@ def cmd_limits(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = McConfig(seed=args.seed, samples=args.samples)
-    result = optimize_configuration(args.n, args.restarts, cfg, threads=args.threads)
+    result = optimize_configuration(args.n, args.restarts, cfg)
     fingerprint = gram_fingerprint_distance(result.best_gram, regular_simplex_gram(args.n))
     rows = [
         {

@@ -132,10 +132,10 @@ def gram_fingerprint_distance(a: GramConfiguration, b: GramConfiguration) -> flo
     return float(max(np.max(np.abs(off_a - off_b)), np.max(np.abs(eig_a - eig_b))))
 
 
-def _common_normals(n: int, cfg: McConfig, threads: int) -> np.ndarray:
-    """The common-random-numbers batch, one draw per column, chunks in order."""
-    chunks = _map_chunks(lambda rng, c: rng.standard_normal((c, n)).T.copy(), cfg, threads)
-    return np.concatenate(chunks, axis=1)
+def _common_normals(n: int, cfg: McConfig) -> np.ndarray:
+    """The common-random-numbers batch, one draw per column, chunks in order.
+    Drawn serially: the batch is a few milliseconds of the search."""
+    return np.concatenate(_map_chunks(lambda rng, c: rng.standard_normal((c, n)).T.copy(), cfg, 1), axis=1)
 
 
 def _first_argmax(scores: np.ndarray) -> np.ndarray:
@@ -149,16 +149,14 @@ def _first_argmax(scores: np.ndarray) -> np.ndarray:
     return winners.astype(np.intp)
 
 
-def optimize_configuration(n: int, restarts: int, cfg: McConfig, iterations: int = 400,
-                           threads: int = 1) -> SearchResult:
+def optimize_configuration(n: int, restarts: int, cfg: McConfig, iterations: int = 400) -> SearchResult:
     """Maximize E max <eta, y_i> over n unit vectors y_1..y_n in R^n.
 
     Projected stochastic subgradient ascent on the common-random-numbers
     objective: for each draw z the subgradient places z on the argmax row
     (lowest index on ties), rows are renormalized to the sphere after every
     step, step size 0.5/sqrt(iter).  The CRN batch is shared by all restarts
-    so restart objectives are directly comparable.  Only the batch draw
-    uses the threads; the restarts run in turn.
+    so restart objectives are directly comparable.
     """
     if n < 2:
         raise ValueError(f"search needs n >= 2, got {n}")
@@ -167,7 +165,7 @@ def optimize_configuration(n: int, restarts: int, cfg: McConfig, iterations: int
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
 
-    zt = _common_normals(n, cfg, threads)
+    zt = _common_normals(n, cfg)
 
     def project(points):
         norms = np.linalg.norm(points, axis=1, keepdims=True)
@@ -221,8 +219,7 @@ def interpolation_covariance(n: int, t: float) -> np.ndarray:
     return cov
 
 
-def interpolation_emax_curve(n: int, t_grid, cfg: McConfig,
-                             threads: int = 1) -> list[tuple[float, float, float]]:
+def interpolation_emax_curve(n: int, t_grid, cfg: McConfig) -> list[tuple[float, float, float]]:
     """Common-random-numbers estimate of phi(t) = E max xi(t) on a t grid.
 
     Returns (t, mean, stderr) per node; every node reuses the same seeded
@@ -231,4 +228,4 @@ def interpolation_emax_curve(n: int, t_grid, cfg: McConfig,
     t_grid = [float(t) for t in t_grid]
     if any(t1 > t2 for t1, t2 in zip(t_grid, t_grid[1:])):
         raise ValueError("t grid must be sorted ascending")
-    return [(t, *sample_correlated_max(interpolation_covariance(n, t), cfg, threads)) for t in t_grid]
+    return [(t, *sample_correlated_max(interpolation_covariance(n, t), cfg)) for t in t_grid]
