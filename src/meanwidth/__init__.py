@@ -4,7 +4,6 @@ from .extremes import (
     ComparisonReport,
     ExtremeValueResult,
     NumericalError,
-    QuadratureConfig,
     QuadratureError,
     comparison_report,
     expected_max,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extremes import DEFAULT_QUAD, QuadratureConfig, _SQRT_2PI, expected_max
+from .extremes import _SQRT_2PI, expected_max
 from .polytopes import PolytopeKind, RegularPolytope, sudakov_v1
 from .sampling import McConfig, _map_chunks, sample_correlated_max, symmetric_sqrt
 
@@ -101,18 +101,17 @@ def random_unit_diagonal_gram(n: int, rng: np.random.Generator) -> GramConfigura
 
 
 @functools.lru_cache(maxsize=64)
-def _simplex_bound(n: int, quad: QuadratureConfig) -> float:
-    """sqrt(n/(n-1)) E max(eta_1..eta_n): one quadrature per (n, quad), since
-    bound checks repeat the same few n."""
-    return math.sqrt(n / (n - 1)) * expected_max(n, quad).value
+def _simplex_bound(n: int) -> float:
+    """sqrt(n/(n-1)) E max(eta_1..eta_n): one quadrature per n, since bound
+    checks repeat the same few n."""
+    return math.sqrt(n / (n - 1)) * expected_max(n).value
 
 
-def conjecture_bound_check(g: GramConfiguration, cfg: McConfig,
-                           quad: QuadratureConfig = DEFAULT_QUAD, threads: int = 1) -> BoundCheck:
+def conjecture_bound_check(g: GramConfiguration, cfg: McConfig, threads: int = 1) -> BoundCheck:
     """Compare E max under g against the sqrt(n/(n-1)) * E max(iid) bound."""
     n = g.n
     estimate, stderr = sample_correlated_max(g.matrix, cfg, threads)
-    bound = _simplex_bound(n, quad)
+    bound = _simplex_bound(n)
     ok = estimate <= bound + 4.0 * stderr
     near_regular = np.linalg.norm(g.matrix - regular_simplex_gram(n).matrix) < 1e-9
     return BoundCheck(n=n, estimate=estimate, stderr=stderr, bound=bound, ok=bool(ok),

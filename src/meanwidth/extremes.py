@@ -21,7 +21,6 @@ from scipy.special import gammaincc
 from .special import _EPS, gaussian_abs_moment, normal_tail, normal_tail_inverse
 
 __all__ = [
-    "QuadratureConfig",
     "NumericalError",
     "QuadratureError",
     "IndefiniteMatrixError",
@@ -29,7 +28,7 @@ __all__ = [
     "ComparisonReport",
     "u_sequence",
     "solve_t_n",
-    "max_abs_moment",
+    "max_abs_moments",
     "expected_max_abs",
     "expected_max",
     "expected_max_gap",
@@ -54,13 +53,15 @@ class IndefiniteMatrixError(NumericalError, ValueError):
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
+class _QuadratureConfig:
     epsabs: float = 1e-12
     epsrel: float = 1e-12
     limit: int = 200
 
 
-DEFAULT_QUAD = QuadratureConfig()
+_DEFAULT_QUAD = _QuadratureConfig()
+# the gap A_n - B_2n, about B_2n / (8 n log n), needs a relative tolerance alone
+_GAP_QUAD = _QuadratureConfig(epsabs=0.0)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def _gk21(f, intervals, owners):
     return out
 
 
-def _quad_batch(f, edge_lists, cfg: QuadratureConfig):
+def _quad_batch(f, edge_lists, cfg: _QuadratureConfig):
     """The package's one adaptive quadrature, QUADPACK's QAG with the 21-point
     Gauss-Kronrod rule and no extrapolation, for several integrals side by
     side.  Integral i starts from the intervals between its edge_lists[i];
@@ -180,7 +181,7 @@ def _quad_batch(f, edge_lists, cfg: QuadratureConfig):
     return results
 
 
-def _quad(f, lo, hi, cfg: QuadratureConfig, points=None):
+def _quad(f, lo, hi, cfg: _QuadratureConfig, points=None):
     """_quad_batch of one integral of f(nodes) over [lo, hi], split at points."""
     if points is not None and len(points) >= cfg.limit:
         raise QuadratureError(f"{len(points)} break points need more than limit={cfg.limit} subintervals")
@@ -204,7 +205,7 @@ def solve_t_n(n: int) -> float:
     return abs(float(normal_tail_inverse(1.0 / (2.0 * n))))
 
 
-def _survival_moments(surv, ks, envelope: float, cfg: QuadratureConfig, peak: float, scale: float = 1.0):
+def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: float, scale: float = 1.0):
     """{k: (int_0^inf k t^(k-1) surv(t) dt, error bound)} for a survival
     function under the envelope surv(t) <= envelope * normal_tail(t / scale),
     surv mapping an array of t elementwise.
@@ -244,8 +245,9 @@ def _survival_moments(surv, ks, envelope: float, cfg: QuadratureConfig, peak: fl
     return out
 
 
-def max_abs_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
-    """E[(max |eta_i|)^k] = int_0^inf k t^(k-1) (1 - F_n(t)) dt, with error bound."""
+def max_abs_moments(n: int, ks) -> dict[int, tuple[float, float]]:
+    """{k: (E[(max |eta_i|)^k], error bound)} for each k, as
+    int_0^inf k t^(k-1) (1 - F_n(t)) dt, every k from one memo of 1 - F_n values."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
 
@@ -255,16 +257,16 @@ def max_abs_moment(n: int, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> tupl
             return -np.expm1(n * np.log1p(-2.0 * normal_tail(t)))
 
     # 1 - F_n <= 2n normal_tail(t)
-    return _survival_moments(surv, (k,), 2 * n, cfg, peak=solve_t_n(n))[k]
+    return _survival_moments(surv, ks, 2 * n, _DEFAULT_QUAD, peak=solve_t_n(n))
 
 
-def expected_max_abs(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueResult:
-    """A_n = E max(|eta_1|, ..., |eta_n|), the k = 1 case of max_abs_moment."""
-    value, err = max_abs_moment(n, 1, cfg)
+def expected_max_abs(n: int) -> ExtremeValueResult:
+    """A_n = E max(|eta_1|, ..., |eta_n|), the k = 1 case of max_abs_moments."""
+    value, err = max_abs_moments(n, (1,))[1]
     return ExtremeValueResult(n=n, kind="max_abs", value=value, abs_error_bound=err)
 
 
-def _neg_part(m: int, cfg: QuadratureConfig) -> tuple[float, float]:
+def _neg_part(m: int, cfg: _QuadratureConfig) -> tuple[float, float]:
     # int_0^inf normal_tail(t)^m dt with its error bound.  The integrand is
     # <= 2^-m for t >= 0 and decays super-exponentially; truncate where the
     # log-integrand drops below -45, before normal_tail(t) could underflow to 0.
@@ -276,7 +278,7 @@ def _neg_part(m: int, cfg: QuadratureConfig) -> tuple[float, float]:
     return value, err + math.exp(-45.0)
 
 
-def expected_max(m: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueResult:
+def expected_max(m: int) -> ExtremeValueResult:
     """B_m = E max(eta_1, ..., eta_m).
 
     Split over the positive and negative parts:
@@ -289,12 +291,12 @@ def expected_max(m: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueRe
     def pos_part(t):
         return -np.expm1(m * np.log1p(-normal_tail(t)))
 
-    pos, err_pos = _survival_moments(pos_part, (1,), m, cfg, peak=solve_t_n(m))[1]
-    neg, err_neg = _neg_part(m, cfg)
+    pos, err_pos = _survival_moments(pos_part, (1,), m, _DEFAULT_QUAD, peak=solve_t_n(m))[1]
+    neg, err_neg = _neg_part(m, _DEFAULT_QUAD)
     return ExtremeValueResult(n=m, kind="max", value=pos - neg, abs_error_bound=err_pos + err_neg)
 
 
-def expected_max_gap(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeValueResult:
+def expected_max_gap(n: int) -> ExtremeValueResult:
     """The difference A_n - B_{2n}, computed without cancellation.
 
     A_n - B_{2n} = int_0^inf (G_n(t) - F_n(t)) dt + int_0^inf normal_tail(t)^{2n} dt
@@ -322,20 +324,20 @@ def expected_max_gap(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ExtremeVal
         return np.where(one_minus_2r > 0.0, out, np.exp(2 * n * np.log1p(-r)))
 
     # |G_n - F_n| <= 1 - F_n <= 2n normal_tail(t)
-    value, err = _survival_moments(diff, (1,), 2 * n, cfg, peak=solve_t_n(n))[1]
-    neg, err_neg = _neg_part(2 * n, cfg)
+    value, err = _survival_moments(diff, (1,), 2 * n, _GAP_QUAD, peak=solve_t_n(n))[1]
+    neg, err_neg = _neg_part(2 * n, _GAP_QUAD)
     return ExtremeValueResult(n=n, kind="gap", value=value + neg, abs_error_bound=err + err_neg)
 
 
-def comparison_report(n: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> ComparisonReport:
+def comparison_report(n: int) -> ComparisonReport:
     """Both comparison inequalities plus the normalized gap 8 n log n (a_n / b_2n - 1).
 
     b_2n is recovered as a_n minus the cancellation-free gap so that the
     normalized gap keeps full relative accuracy even at n = 1e5, where
     a_n / b_2n - 1 is of order 1e-7.
     """
-    a = expected_max_abs(n, cfg)
-    gap = expected_max_gap(n, cfg)
+    a = expected_max_abs(n)
+    gap = expected_max_gap(n)
     b_val = a.value - gap.value
     slack = a.abs_error_bound + gap.abs_error_bound
     ratio = a.value / b_val

@@ -17,20 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .extremes import (
-    DEFAULT_QUAD,
-    QuadratureConfig,
-    _SQRT_2PI,
-    _quad_batch,
-    _survival_moments,
-    expected_max,
-    expected_max_abs,
-    max_abs_moment,
-    solve_t_n,
+    _DEFAULT_QUAD, _SQRT_2PI, _QuadratureConfig, _quad_batch, _survival_moments,
+    expected_max, expected_max_abs, max_abs_moments, solve_t_n,
 )
 from .special import _EPS, _log_gamma_ratio_rounding, gaussian_abs_moment, log_gamma_ratio, normal_tail
 
@@ -46,6 +39,11 @@ __all__ = [
     "range_moments",
     "sudakov_v1",
 ]
+
+# range_moments' inner quadratures of 1 - range_cdf and of the direct survival, and its outer one
+_CDF_QUAD = _QuadratureConfig(epsabs=1e-13)
+_TAIL_QUAD = _QuadratureConfig(epsabs=0.0)
+_OUTER_QUAD = _QuadratureConfig(epsrel=1e-11)
 
 class PolytopeKind(str, enum.Enum):
     CUBE = "cube"
@@ -89,8 +87,8 @@ def v1_from_mean_width(dim: int, mean_width: float) -> float:
     return math.exp(0.5 * math.log(math.pi) + log_gamma_ratio((dim + 1) / 2, dim / 2)) * mean_width
 
 
-def _abs_sum_moment(n: int, k: int) -> tuple[float, float]:
-    """E[(|eta_1| + ... + |eta_n|)^k] and a bound on its error.
+def _abs_sum_moments(n: int, ks) -> dict[int, tuple[float, float]]:
+    """{k: (E[(|eta_1| + ... + |eta_n|)^k], error bound)} for each k, in one pass.
 
     The value: the cumulants of a sum of n iid terms are n times those of
     |eta|; moments <-> cumulants by the recursion
@@ -99,19 +97,21 @@ def _abs_sum_moment(n: int, k: int) -> tuple[float, float]:
     adds only positive terms: binary powering of the moment sequence of |eta|
     under (x * y)_j = sum_i C(j, i) x_i y_{j-i}.  With each m_j good to
     relative d_j, that route's k-th entry is good to relative
-    k (max_j d_j / j + 2 eps L) after L sequential convolutions, since each
-    adds at most (j + 3) eps / 2 <= 2 j eps to entry j.
+    k (max_{j<=k} d_j / j + 2 eps L) after L sequential convolutions, since
+    each adds at most (j + 3) eps / 2 <= 2 j eps to entry j.  Entry j of
+    either route reads entries up to j only: each k gets its own bits.
     """
-    m = [gaussian_abs_moment(j) for j in range(k + 1)]
-    kappa = [0.0] * (k + 1)
-    for j in range(1, k + 1):
+    top = max(ks, default=0)
+    m = [gaussian_abs_moment(j) for j in range(top + 1)]
+    kappa = [0.0] * (top + 1)
+    for j in range(1, top + 1):
         kappa[j] = m[j] - sum(math.comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j))
-    s = [1.0] + [0.0] * k
-    for j in range(1, k + 1):
+    s = [1.0] + [0.0] * top
+    for j in range(1, top + 1):
         s[j] = sum(math.comb(j - 1, i - 1) * n * kappa[i] * s[j - i] for i in range(1, j + 1))
 
     def convolve(x, y):
-        return [math.fsum(math.comb(j, i) * x[i] * y[j - i] for i in range(j + 1)) for j in range(k + 1)]
+        return [math.fsum(math.comb(j, i) * x[i] * y[j - i] for i in range(j + 1)) for j in range(top + 1)]
 
     power, total, e = m, None, n
     while True:
@@ -121,11 +121,14 @@ def _abs_sum_moment(n: int, k: int) -> tuple[float, float]:
         if not e:
             break
         power = convolve(power, power)
-    # E|eta|^j = exp(j/2 log 2 + gammaln((j+1)/2) - log(pi)/2): each term of
-    # the exponent rounds at a few ulp of its size, and exp adds 1 ulp
-    d = max((5.0 + j + 3.0 * abs(math.lgamma((j + 1) / 2)) + abs(math.log(m[j]))) / j for j in range(1, k + 1))
-    rel = k * _EPS * (d + 4.0 * n.bit_length())
-    return s[k], abs(s[k] - total[k]) + rel * total[k]
+    out, d = {}, 0.0
+    for j in range(1, top + 1):
+        # E|eta|^j = exp(j/2 log 2 + gammaln((j+1)/2) - log(pi)/2): each term
+        # of the exponent rounds at a few ulp of its size, and exp adds 1 ulp
+        d = max(d, (5.0 + j + 3.0 * abs(math.lgamma((j + 1) / 2)) + abs(math.log(m[j]))) / j)
+        rel = j * _EPS * (d + 4.0 * n.bit_length())
+        out[j] = (s[j], abs(s[j] - total[j]) + rel * total[j])
+    return {k: out[k] for k in ks}
 
 
 def _per_norm_moment(x: float, d: int, k: int) -> float:
@@ -148,28 +151,17 @@ def _per_norm_rounding(d: int, k: int) -> float:
 
 def width_moment_cube(n: int, k: int) -> MomentEstimate:
     """Closed-form E[W_{Q_n}^k] = Gamma(n/2) / (2^(k/2) Gamma((n+k)/2)) E[(sum |eta_i|)^k]."""
-    p = RegularPolytope(PolytopeKind.CUBE, n)
-    if k < 1:
-        raise ValueError(f"moment order must be positive, got {k}")
-    try:
-        moment, moment_err = _abs_sum_moment(n, k)
-    except OverflowError:
-        moment = moment_err = math.inf
-    value = _per_norm_moment(moment, n, k)
-    error = _per_norm_moment(moment_err, n, k) + _EPS * _per_norm_rounding(n, k) * abs(value)
-    if not (math.isfinite(value) and math.isfinite(error)):
-        raise ValueError(f"cube moment n={n}, k={k} is out of double-precision range")
-    return MomentEstimate(polytope=p, k=k, value=value, route="closed_form", error=error)
+    return width_moments(RegularPolytope(PolytopeKind.CUBE, n), (k,))[k]
 
 
-def range_cdf(n: int, t: float, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def range_cdf(n: int, t: float) -> float:
     """P[max eta_i - min eta_i <= t] = n int phi(x) (Phi(x+t) - Phi(x))^(n-1) dx."""
     if n < 2:
         raise ValueError(f"range needs n >= 2, got {n}")
-    return _range_batch(n, [t], cfg)[0] if t > 0 else 0.0
+    return _range_batch(n, [t], _DEFAULT_QUAD)[0] if t > 0 else 0.0
 
 
-def _range_batch(n: int, ts, cfg: QuadratureConfig, survival: bool = False) -> list[float]:
+def _range_batch(n: int, ts, cfg: _QuadratureConfig, survival: bool = False) -> list[float]:
     """P[max eta_i - min eta_i <= t], or with survival=True P[... > t], at
     every t > 0 of ts: one batch of quadratures, each value the one its t
     gets on its own.
@@ -197,7 +189,7 @@ def _range_batch(n: int, ts, cfg: QuadratureConfig, survival: bool = False) -> l
     return [n * value if survival else min(n * value, 1.0) for value, _ in values]
 
 
-def range_moments(n: int, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int, tuple[float, float]]:
+def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     """E[(max eta_i - min eta_i)^k] with error bound for each k, by nested
     quadrature of the range survival function S(t).
 
@@ -211,56 +203,62 @@ def range_moments(n: int, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int,
     inner quadratures of one outer call's nodes run as one batch."""
     if n < 2:
         raise ValueError(f"range needs n >= 2, got {n}")
-    cdf_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
-    tail_cfg = replace(cfg, epsabs=0.0)
-    outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
     peak = 2.0 * solve_t_n(n)
 
     def surv(t):
         # outer nodes lie inside (0, T), so every t > 0
         out = np.empty_like(t)
         body = t <= peak
-        out[body] = 1.0 - np.array(_range_batch(n, t[body], cdf_cfg))
-        out[~body] = _range_batch(n, t[~body], tail_cfg, survival=True)
+        out[body] = 1.0 - np.array(_range_batch(n, t[body], _CDF_QUAD))
+        out[~body] = _range_batch(n, t[~body], _TAIL_QUAD, survival=True)
         return out
 
     # range > t forces max > t/2 or -min > t/2, so the survival function is
     # bounded by 2n normal_tail(t/2)
-    moments = _survival_moments(surv, ks, 2 * n, outer_cfg, scale=2.0, peak=peak)
-    inner = n * cdf_cfg.epsabs + cdf_cfg.epsrel
-    return {k: (v, e + inner * peak**k + tail_cfg.epsrel * abs(v)) for k, (v, e) in moments.items()}
+    moments = _survival_moments(surv, ks, 2 * n, _OUTER_QUAD, scale=2.0, peak=peak)
+    inner = n * _CDF_QUAD.epsabs + _CDF_QUAD.epsrel
+    return {k: (v, e + inner * peak**k + _TAIL_QUAD.epsrel * abs(v)) for k, (v, e) in moments.items()}
 
 
-def width_moments(p: RegularPolytope, ks, cfg: QuadratureConfig = DEFAULT_QUAD) -> dict[int, MomentEstimate]:
-    """E[W^k] = E[X^k] / E|g|^k for several k: the cube's closed form, or
-    quadrature of E[(max |eta_i|)^k] (crosspolytope, X = 2 max |eta_i|) or of
-    E[range^k] (simplices, X = range, scaled by sqrt(n/(n-1)) for T_{n-1}),
-    every k from one set of range survival values."""
+def width_moments(p: RegularPolytope, ks) -> dict[int, MomentEstimate]:
+    """E[W^k] = E[X^k] / E|g|^k for several k, every k of E[X^k] from one
+    computation: the cube's closed form (X = sum |eta_i|), or quadrature of
+    E[(max |eta_i|)^k] (crosspolytope, X = 2 max |eta_i|) or of E[range^k]
+    (simplices, X = range, scaled by sqrt(n/(n-1)) for T_{n-1}).  The error
+    adds the rounding of the scaling to that of E[X^k]."""
     ks = tuple(dict.fromkeys(ks))
-    if p.kind is PolytopeKind.CUBE:
-        return {k: width_moment_cube(p.n, k) for k in ks}
     if any(k < 1 for k in ks):
         raise ValueError(f"moment orders must be positive, got {ks}")
-    if p.kind is PolytopeKind.CROSS:
-        scale, moments = 2.0, {k: max_abs_moment(p.n, k, cfg) for k in ks}
+    # scale and its relative rounding in eps: sqrt(n/(n-1)) adds its eps/2 to half the quotient's
+    scale, scale_eps, route = 1.0, 0.0, "quadrature"
+    if p.kind is PolytopeKind.CUBE:
+        try:
+            route, moments = "closed_form", _abs_sum_moments(p.n, ks)
+        except OverflowError as exc:
+            raise ValueError(f"cube moment n={p.n}, k={max(ks)} is out of double-precision range") from exc
+    elif p.kind is PolytopeKind.CROSS:
+        scale, moments = 2.0, max_abs_moments(p.n, ks)
     else:
-        scale = math.sqrt(p.n / (p.n - 1)) if p.kind is PolytopeKind.SIMPLEX_T else 1.0
-        moments = range_moments(p.n, ks, cfg)
-    out = {}
+        moments = range_moments(p.n, ks)
+        if p.kind is PolytopeKind.SIMPLEX_T:
+            scale, scale_eps = math.sqrt(p.n / (p.n - 1)), 0.75
+    d, out = p.ambient_dim, {}
     for k, (moment, err) in moments.items():
-        value = _per_norm_moment(scale**k * moment, p.ambient_dim, k)
-        error = _per_norm_moment(scale**k * err, p.ambient_dim, k)
+        value = _per_norm_moment(scale**k * moment, d, k)
+        # scale**k: k times scale's rounding and pow's 1 eps; the product 0.5 eps
+        rounding = _per_norm_rounding(d, k) + (k * scale_eps + 1.5 if scale_eps else 0.0)
+        error = _per_norm_moment(scale**k * err, d, k) + _EPS * rounding * abs(value)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise ValueError(f"{p.kind.value} moment n={p.n}, k={k} is out of double-precision range")
-        out[k] = MomentEstimate(polytope=p, k=k, value=value, route="quadrature", error=error)
+        out[k] = MomentEstimate(polytope=p, k=k, value=value, route=route, error=error)
     return out
 
 
-def width_moment(p: RegularPolytope, k: int, cfg: QuadratureConfig = DEFAULT_QUAD) -> MomentEstimate:
-    return width_moments(p, (k,), cfg)[k]
+def width_moment(p: RegularPolytope, k: int) -> MomentEstimate:
+    return width_moments(p, (k,))[k]
 
 
-def sudakov_v1(p: RegularPolytope, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
+def sudakov_v1(p: RegularPolytope) -> float:
     """First intrinsic volume via the Gaussian supremum representation.
 
     Cube: exactly n.  T_{n-1}: sqrt(2 pi) sqrt(n/(n-1)) E max(eta_1..eta_n).
@@ -269,7 +267,7 @@ def sudakov_v1(p: RegularPolytope, cfg: QuadratureConfig = DEFAULT_QUAD) -> floa
     if p.kind is PolytopeKind.CUBE:
         return float(p.n)
     if p.kind is PolytopeKind.SIMPLEX_T:
-        return _SQRT_2PI * math.sqrt(p.n / (p.n - 1)) * expected_max(p.n, cfg).value
+        return _SQRT_2PI * math.sqrt(p.n / (p.n - 1)) * expected_max(p.n).value
     if p.kind is PolytopeKind.SIMPLEX_S:
-        return math.sqrt((p.n - 1) / p.n) * sudakov_v1(RegularPolytope(PolytopeKind.SIMPLEX_T, p.n), cfg)
-    return _SQRT_2PI * expected_max_abs(p.n, cfg).value
+        return math.sqrt((p.n - 1) / p.n) * sudakov_v1(RegularPolytope(PolytopeKind.SIMPLEX_T, p.n))
+    return _SQRT_2PI * expected_max_abs(p.n).value

@@ -31,10 +31,6 @@ def normal_tail(t):
     (relative error ~1e-15) far into the tail where the naive 1 - CDF form
     would cancel catastrophically.
     """
-    if isinstance(t, float):
-        # quadrature integrands call this on Python floats; np.asarray would
-        # cost most of the call, and the ufunc returns the same float64 bits
-        return 0.5 * sp.erfc(t / _SQRT2)
     return 0.5 * sp.erfc(np.asarray(t, dtype=float) / _SQRT2)
 
 

@@ -3,7 +3,9 @@ import inspect
 import pytest
 
 import meanwidth
-from meanwidth import conjecture, extremes, limits, polytopes, sampling, special
+from meanwidth import cli, conjecture, extremes, limits, polytopes, sampling, special
+
+MODULES = [special, extremes, polytopes, sampling, limits, conjecture]
 
 
 def _own_functions_and_classes(module):
@@ -16,8 +18,7 @@ def _own_functions_and_classes(module):
     }
 
 
-@pytest.mark.parametrize("module", [special, extremes, polytopes, sampling, limits, conjecture],
-                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_all_lists_exactly_the_public_functions_and_classes(module):
     assert len(set(module.__all__)) == len(module.__all__)
     exported = {name: getattr(module, name) for name in module.__all__}
@@ -28,3 +29,19 @@ def test_all_lists_exactly_the_public_functions_and_classes(module):
 def test_package_exports_both_quadrature_moment_entry_points():
     assert meanwidth.width_moment is polytopes.width_moment
     assert meanwidth.width_moments is polytopes.width_moments
+
+
+@pytest.mark.parametrize("module", [*MODULES, cli], ids=lambda m: m.__name__)
+def test_no_public_function_takes_a_quadrature_config(module):
+    # the quadrature tolerances are fixed per quantity inside the package
+    for name, fn in vars(module).items():
+        if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+            continue
+        for param in inspect.signature(fn).parameters.values():
+            assert param.name not in ("cfg", "quad") or param.annotation == "McConfig", (name, param)
+            assert "Quadrature" not in str(param.annotation), (name, param)
+
+
+def test_the_quadrature_config_type_is_not_exported():
+    assert not any("QuadratureConfig" in name for m in [meanwidth, *MODULES] for name in getattr(m, "__all__", ()))
+    assert not any("QuadratureConfig" in name for name in vars(meanwidth))

@@ -17,7 +17,6 @@ from meanwidth.conjecture import (
 from meanwidth.extremes import (
     IndefiniteMatrixError,
     NumericalError,
-    QuadratureConfig,
     expected_max,
     expected_max_abs,
 )
@@ -113,12 +112,12 @@ class TestBoundCheck:
         assert check.estimate < check.bound
 
     def test_bound_is_the_quadrature_value_on_every_call(self):
-        # the bound is memoized per (n, quad): a repeat call and another
-        # quadrature config must still give their own exact expression
+        # the bound is memoized per n: a repeat call must still give the
+        # exact expression
         g, cfg = regular_simplex_gram(4), McConfig(seed=1, samples=10)
-        for quad in (QuadratureConfig(), QuadratureConfig(epsrel=1e-6), QuadratureConfig()):
-            bound = conjecture_bound_check(g, cfg, quad).bound
-            assert bound == math.sqrt(4 / 3) * expected_max(4, quad).value
+        for _ in range(2):
+            bound = conjecture_bound_check(g, cfg).bound
+            assert bound == math.sqrt(4 / 3) * expected_max(4).value
 
     def test_random_grams_all_pass(self):
         rng = np.random.default_rng(123)

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from meanwidth import extremes
 from meanwidth.extremes import (
-    QuadratureConfig,
     QuadratureError,
+    _QuadratureConfig,
     comparison_report,
     expected_max,
     expected_max_abs,
-    max_abs_moment,
+    expected_max_gap,
+    max_abs_moments,
     solve_t_n,
     u_sequence,
 )
@@ -91,18 +93,18 @@ class TestExpectedMaxAbs:
 class TestMaxAbsMoment:
     def test_first_moment_is_expected_max_abs(self):
         for n in (1, 7, 1000):
-            assert max_abs_moment(n, 1)[0] == expected_max_abs(n).value
+            assert max_abs_moments(n, (1,))[1][0] == expected_max_abs(n).value
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_n1_half_normal_moments(self, k):
         # max |eta_1| = |eta_1|: E|eta|^k = 1, 2 sqrt(2/pi), 3
         exact = {2: 1.0, 3: 2.0 * math.sqrt(2.0 / math.pi), 4: 3.0}[k]
-        value, err = max_abs_moment(1, k)
+        value, err = max_abs_moments(1, (k,))[k]
         assert abs(value - exact) <= err
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_n1_error_is_an_honest_bound(self, k):
-        value, err = max_abs_moment(1, k)
+        value, err = max_abs_moments(1, (k,))[k]
         assert abs(value - gaussian_abs_moment(k)) <= err
 
     @pytest.mark.parametrize("n, k", [(3, 40), (3, 80), (3, 100), (50, 60)])
@@ -112,23 +114,32 @@ class TestMaxAbsMoment:
         with mpmath.workdps(30):
             surv = lambda t: -mpmath.expm1(n * mpmath.log1p(-mpmath.erfc(t / mpmath.sqrt(2))))
             exact = mpmath.quad(lambda t: k * t ** (k - 1) * surv(t), [0, 4, 8, 12, 16, 24, mpmath.inf])
-        value, err = max_abs_moment(n, k)
+        value, err = max_abs_moments(n, (k,))[k]
         assert abs(value - float(exact)) <= err
 
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_several_orders_equal_each_order_alone_bit_for_bit(self, n):
+        shared = max_abs_moments(n, (4, 1, 2, 4, 3))
+        assert list(shared) == [4, 1, 2, 3]
+        for k, (value, err) in shared.items():
+            alone_value, alone_err = max_abs_moments(n, (k,))[k]
+            assert (value.hex(), err.hex()) == (alone_value.hex(), alone_err.hex())
+
     @pytest.mark.parametrize("n", [1, 5])
-    def test_subdivision_limit_raises(self, n):
+    def test_subdivision_limit_raises(self, monkeypatch, n):
+        monkeypatch.setattr(extremes, "_DEFAULT_QUAD", _QuadratureConfig(limit=1))
         with pytest.raises(QuadratureError):
-            max_abs_moment(n, 2, QuadratureConfig(limit=1))
+            max_abs_moments(n, (2,))
 
     def test_out_of_range_order_raises(self):
         with pytest.raises(ValueError, match="double-precision"):
-            max_abs_moment(3, 320)
+            max_abs_moments(3, (320,))
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_orders_below_one(self, k):
         # E[X^0] is 1, not the integral's 0, and k < 0 has an unbounded integrand
         with pytest.raises(ValueError):
-            max_abs_moment(3, k)
+            max_abs_moments(3, (k,))
 
 
 class TestExpectedMax:
@@ -209,6 +220,29 @@ class TestComparison:
         assert all(g > 0 for g in gaps)
         dists = [abs(g - 1.0) for g in gaps]
         assert all(a > b for a, b in zip(dists, dists[1:]))
+
+
+class TestGap:
+    @pytest.mark.parametrize("n", [10**3, 10**7, 10**9, 10**12])
+    def test_matches_mpmath_within_its_error(self, n):
+        # the gap is about B_2n / (8 n log n): 3.5e-14 at n = 1e12, where an
+        # absolute tolerance of 1e-12 had left it 3.3 % low
+        with mpmath.workdps(40):
+            tail = lambda t: mpmath.erfc(t / mpmath.sqrt(2)) / 2
+            # G_2n(t) - F_n(t) = (1 - r)^(2n) - (1 - 2r)^n with r = normal_tail(t)
+            diff = lambda t: mpmath.exp(2 * n * mpmath.log1p(-tail(t))) - mpmath.exp(n * mpmath.log1p(-2 * tail(t)))
+            t_n = solve_t_n(n)
+            points = [0] + [t_n + d for d in (-4, -2, -1, 0, 1, 2, 4, 10) if t_n + d > 0] + [mpmath.inf]
+            exact = mpmath.quad(diff, points) + mpmath.quad(lambda t: tail(t) ** (2 * n), [0, 1, mpmath.inf])
+            exact = float(exact)
+        gap = expected_max_gap(n)
+        assert abs(gap.value - exact) <= gap.abs_error_bound
+        assert gap.value == pytest.approx(exact, rel=1e-14)
+
+    def test_extremes_at_1e12_prints_the_true_normalized_gap(self):
+        # 8 n log n (A_n / B_2n - 1) = 1.0640 at n = 1e12, where the absolute
+        # tolerance had printed 1.0286
+        assert comparison_report(10**12).gap_normalized == pytest.approx(1.0640241509998, rel=1e-12)
 
 
 class TestUpperBound:

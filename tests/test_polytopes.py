@@ -1,15 +1,15 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+from meanwidth import polytopes
 from meanwidth.extremes import (
-    DEFAULT_QUAD,
-    QuadratureConfig,
     QuadratureError,
+    _DEFAULT_QUAD,
+    _QuadratureConfig,
     _TRUNC_EPS,
     _quad,
     expected_max,
@@ -18,6 +18,7 @@ from meanwidth.extremes import (
 from meanwidth.polytopes import (
     PolytopeKind,
     RegularPolytope,
+    _abs_sum_moments,
     _range_batch,
     range_cdf,
     range_moments,
@@ -141,6 +142,14 @@ class TestCubeMoments:
         )
         assert width_moment_cube(2, k).value == pytest.approx(2.0 / math.pi * oracle, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 35, 1000, 10**7])
+    def test_several_orders_equal_each_order_alone_bit_for_bit(self, n):
+        shared = _abs_sum_moments(n, (7, 1, 12, 2, 5))
+        assert list(shared) == [7, 1, 12, 2, 5]
+        for k, (value, err) in shared.items():
+            alone_value, alone_err = _abs_sum_moments(n, (k,))[k]
+            assert (value.hex(), err.hex()) == (alone_value.hex(), alone_err.hex())
+
     @pytest.mark.parametrize("n, k", [(10**7, 60), (10**7, 61), (1, 400)])
     def test_rejects_values_out_of_double_range(self, n, k):
         with pytest.raises(ValueError):
@@ -180,12 +189,13 @@ class TestRangeEngine:
         with pytest.raises(QuadratureError):
             range_moments(10**9, (1,))
 
-    def test_cdf_subdivision_limit_raises(self):
+    def test_cdf_subdivision_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(polytopes, "_DEFAULT_QUAD", _QuadratureConfig(limit=1))
         with pytest.raises(QuadratureError):
-            range_cdf(5, 1.0, QuadratureConfig(limit=1))
+            range_cdf(5, 1.0)
 
 
-def per_k_range_moment(n, k, cfg=DEFAULT_QUAD):
+def per_k_range_moment(n, k):
     """The nested quadrature of one k on its own, the range survival
     recomputed at every outer node by a batch of one: the oracle of
     range_moments' shared, batched survival values.  Returns the value,
@@ -193,8 +203,8 @@ def per_k_range_moment(n, k, cfg=DEFAULT_QUAD):
     allowance (n epsabs + epsrel) peak^k + epsrel value."""
     t_hi = 2.0 * float(normal_tail_inverse(min(_TRUNC_EPS / (2 * n), 0.25)))
     peak = 2.0 * solve_t_n(n)
-    cdf_cfg = replace(cfg, epsabs=min(cfg.epsabs, 1e-13))
-    tail_cfg = replace(cfg, epsabs=0.0)
+    cdf_cfg = _QuadratureConfig(epsabs=1e-13)
+    tail_cfg = _QuadratureConfig(epsabs=0.0)
 
     def survival(x):
         if x <= peak:
@@ -205,9 +215,8 @@ def per_k_range_moment(n, k, cfg=DEFAULT_QUAD):
         surv = np.array([survival(x) for x in t.ravel().tolist()]).reshape(t.shape)
         return k * t ** (k - 1) * surv
 
-    outer_cfg = replace(cfg, epsrel=max(cfg.epsrel, 1e-11))
-    value, err = _quad(integrand, 0.0, t_hi, outer_cfg, points=[peak])
-    inner = (n * 1e-13 + cfg.epsrel) * peak**k + cfg.epsrel * value
+    value, err = _quad(integrand, 0.0, t_hi, _QuadratureConfig(epsrel=1e-11), points=[peak])
+    inner = (n * 1e-13 + 1e-12) * peak**k + 1e-12 * value
     return value, err, t_hi, inner
 
 
@@ -250,12 +259,12 @@ class TestRangeMoments:
         assert moments[12][0] == pytest.approx(665280.0, rel=1e-13)
 
     def test_survival_and_cdf_add_to_one(self):
-        inner = replace(DEFAULT_QUAD, epsabs=0.0)
+        inner = _QuadratureConfig(epsabs=0.0)
         for n in (2, 5, 221):
             ts = [0.3, 1.0, 2.5, 4.0, 6.0]
             for t, surv in zip(ts, _range_batch(n, ts, inner, survival=True)):
                 assert surv + range_cdf(n, t) == pytest.approx(1.0, abs=1e-13)
-            assert _range_batch(n, ts, DEFAULT_QUAD) == [range_cdf(n, t) for t in ts]
+            assert _range_batch(n, ts, _DEFAULT_QUAD) == [range_cdf(n, t) for t in ts]
 
     def test_n3_error_is_an_honest_bound(self):
         # the n = 3 range density 6 int phi(x) phi(x+d) (Phi(x+d) - Phi(x)) dx
@@ -302,6 +311,47 @@ class TestWidthMoments:
     def test_rejects_nonpositive_order(self, kind):
         with pytest.raises(ValueError):
             width_moments(RegularPolytope(kind, 3), (1, 0))
+
+    @pytest.mark.parametrize(
+        "kind, n, exact",
+        [
+            # Q_1 is a unit segment and C_1 a segment of length 2: constant widths
+            (PolytopeKind.CUBE, 1, lambda k: 1.0),
+            (PolytopeKind.CROSS, 1, lambda k: 2.0**k),
+            # T_1 is a segment of length 2 on a line: constant width 2
+            (PolytopeKind.SIMPLEX_T, 2, lambda k: 2.0**k),
+            # S_1 = [e_1, e_2]: W = |<g, e_1 - e_2>| / |g|, E[W^k] = E|eta|^k / Gamma(1 + k/2)
+            (PolytopeKind.SIMPLEX_S, 2, lambda k: gaussian_abs_moment(k) / math.gamma(1 + k / 2)),
+        ],
+        ids=lambda v: v.value if isinstance(v, PolytopeKind) else None,
+    )
+    def test_exact_oracles_within_the_error(self, kind, n, exact):
+        # at cross n = 1 the cut-off drops exactly the envelope's mass, so
+        # the k = 12 error is nearly all used: the bound is tight, not loose
+        ests = width_moments(RegularPolytope(kind, n), range(1, 13))
+        for k in range(1, 13):
+            assert abs(ests[k].value - exact(k)) <= ests[k].error, k
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            (PolytopeKind.CUBE, "_abs_sum_moments"),
+            (PolytopeKind.CROSS, "max_abs_moments"),
+            (PolytopeKind.SIMPLEX_S, "range_moments"),
+            (PolytopeKind.SIMPLEX_T, "range_moments"),
+        ],
+    )
+    def test_one_moment_computation_per_call(self, monkeypatch, kind, name):
+        calls = []
+        real = getattr(polytopes, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(polytopes, name, counted)
+        width_moments(RegularPolytope(kind, 5), (1, 2, 3, 4))
+        assert calls == [(5, (1, 2, 3, 4))]
 
 
 class TestSimplexMoments:

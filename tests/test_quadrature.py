@@ -13,15 +13,15 @@ from scipy import integrate
 
 from meanwidth import extremes, polytopes
 from meanwidth.extremes import (
-    DEFAULT_QUAD,
-    QuadratureConfig,
     QuadratureError,
+    _DEFAULT_QUAD,
+    _QuadratureConfig,
     _gk21,
     _quad,
     _quad_batch,
     expected_max,
     expected_max_gap,
-    max_abs_moment,
+    max_abs_moments,
 )
 from meanwidth.polytopes import range_moments
 
@@ -51,15 +51,15 @@ class TestRule:
 
     def test_limit_one_raises(self):
         with pytest.raises(QuadratureError, match="did not converge"):
-            _quad(lambda x: np.exp(-x * x), 0.0, 10.0, QuadratureConfig(limit=1))
+            _quad(lambda x: np.exp(-x * x), 0.0, 10.0, _QuadratureConfig(limit=1))
 
     @pytest.mark.parametrize("limit", [1, 2])
     def test_break_points_at_the_limit_raise(self, limit):
         with pytest.raises(QuadratureError):
-            _quad(lambda x: np.exp(-x * x), 0.0, 10.0, QuadratureConfig(limit=limit), points=[1.0, 2.0][:limit])
+            _quad(lambda x: np.exp(-x * x), 0.0, 10.0, _QuadratureConfig(limit=limit), points=[1.0, 2.0][:limit])
 
     def test_smooth_integral_matches_scipy(self):
-        value, err = _quad(lambda x: np.exp(-x * x), 0.0, 10.0, DEFAULT_QUAD)
+        value, err = _quad(lambda x: np.exp(-x * x), 0.0, 10.0, _DEFAULT_QUAD)
         assert abs(value - math.sqrt(math.pi) / 2 * math.erf(10.0)) <= err
         assert err <= 1e-12
 
@@ -68,9 +68,9 @@ class TestRule:
             return np.exp(-np.array([0.5, 3.0, 40.0])[owners][:, None] * x * x)
 
         edges = [[0.0, 10.0], [0.0, 0.1, 10.0], [-5.0, 0.0, 5.0]]
-        batch = _quad_batch(f, edges, DEFAULT_QUAD)
+        batch = _quad_batch(f, edges, _DEFAULT_QUAD)
         for i, e in enumerate(edges):
-            alone = _quad_batch(lambda x, owners: f(x, np.full_like(owners, i)), [e], DEFAULT_QUAD)[0]
+            alone = _quad_batch(lambda x, owners: f(x, np.full_like(owners, i)), [e], _DEFAULT_QUAD)[0]
             assert [v.hex() for v in batch[i]] == [v.hex() for v in alone]
 
 
@@ -102,8 +102,8 @@ class TestIntegrandsAgainstScipy:
     @pytest.mark.parametrize(
         "run",
         [
-            pytest.param(lambda: max_abs_moment(7, 3), id="max-abs-survival"),
-            pytest.param(lambda: max_abs_moment(1, 2), id="max-abs-survival-n1"),
+            pytest.param(lambda: max_abs_moments(7, (3,)), id="max-abs-survival"),
+            pytest.param(lambda: max_abs_moments(1, (2,)), id="max-abs-survival-n1"),
             pytest.param(lambda: expected_max(50), id="B_m-positive-part-and-neg-part"),
             pytest.param(lambda: expected_max_gap(40), id="gap-and-neg-part"),
         ],
@@ -134,7 +134,7 @@ class TestIntegrandsAgainstScipy:
         # t = 0 makes 2 normal_tail(t) = 1 and the gap's 1 - 2r vanish
         calls = _capture(monkeypatch, extremes, "_quad")
         for n in (1, 4):
-            max_abs_moment(n, 2)
+            max_abs_moments(n, (2,))
             expected_max(n)
             expected_max_gap(n)
         with warnings.catch_warnings():

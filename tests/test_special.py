@@ -54,7 +54,7 @@ class TestNormalTail:
 
 
 def array_route_tail(t):
-    # normal_tail through np.asarray for every input: the scalar fast path's oracle
+    # normal_tail's expression through np.asarray, written out: the oracle of every input type
     return 0.5 * sp.erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
