@@ -36,6 +36,7 @@ from .polytopes import (
     width_moments,
 )
 from .sampling import McConfig, _map_chunks, estimate_moments, width_samples
+from .special import _scipy_special
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -171,6 +172,11 @@ def cmd_limits(args) -> int:
     family = PolytopeKind(args.family)
     p = RegularPolytope(family, args.n)
     cfg = McConfig(seed=args.seed, samples=args.samples)
+    law = FAMILY_LAWS[family]
+    if law in (LimitLaw.NORMAL_LIMIT_VAR, LimitLaw.GUMBEL_SUM):
+        # these CDFs need scipy.special: imported after the threaded draws, its
+        # objects raised the next run's peak RSS by 4 MB
+        _scipy_special()
     widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, args.threads))
     if family is PolytopeKind.CUBE:
         std = standardize_cube(widths, args.n)
@@ -178,7 +184,6 @@ def cmd_limits(args) -> int:
         std = standardize_cross(widths, args.n)
     else:
         std = standardize_simplex(widths, args.n)
-    law = FAMILY_LAWS[family]
     std = np.sort(std)
     ks = ks_statistic(std, law)
     rows = [

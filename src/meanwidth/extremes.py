@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
-from .special import _EPS, gaussian_abs_moment, normal_tail, normal_tail_inverse
+from .special import (
+    _EPS, _gaussian_abs_moment_rounding, _scipy_special, gaussian_abs_moment, normal_tail, normal_tail_inverse,
+)
 
 __all__ = [
     "NumericalError",
@@ -38,6 +39,10 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # survival-function mass cut off beyond each quadrature's upper limit
 _TRUNC_EPS = 1e-16
+# scipy's gammaincc((k + 1) / 2, x) is good to this many eps relative at the
+# cut-offs x = U^2 / 2 that _survival_moments passes it (worst seen: 256 eps at
+# k = 75, x = 61); pinned by a test
+_GAMMAINCC_EPS = 512.0
 
 
 class NumericalError(Exception):
@@ -67,7 +72,6 @@ _GAP_QUAD = _QuadratureConfig(epsabs=0.0)
 @dataclass(frozen=True)
 class ExtremeValueResult:
     n: int
-    kind: str  # "max" or "max_abs"
     value: float
     abs_error_bound: float
 
@@ -213,7 +217,8 @@ def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: f
     Every k integrates over [0, T], envelope * normal_tail(T / scale) =
     _TRUNC_EPS, split at peak unless it is 0, reading one memo of surv values.
     Its error adds the envelope's exact moment beyond T, with U = T / scale:
-    envelope scale^k (E|eta|^k Q((k+1)/2, U^2/2) / 2 - U^k normal_tail(U)).
+    envelope scale^k (E|eta|^k Q((k+1)/2, U^2/2) / 2 - U^k normal_tail(U)),
+    and that term's own rounding: at large k the tail is almost the whole error.
     """
     ks = tuple(dict.fromkeys(ks))
     if any(k < 1 for k in ks):
@@ -233,12 +238,23 @@ def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: f
         return s
 
     out = {}
+    gammaincc = _scipy_special().gammaincc
     for k in ks:
         try:
             with np.errstate(over="raise"):
                 value, err = _quad(lambda t: k * t ** (k - 1) * cached(t), 0.0, scale * u, cfg, points=points)
-            q = float(gammaincc((k + 1) / 2, 0.5 * u * u))
-            err += envelope * scale**k * (0.5 * gaussian_abs_moment(k) * q - u**k * float(normal_tail(u)))
+            head = 0.5 * gaussian_abs_moment(k) * float(gammaincc((k + 1) / 2, 0.5 * u * u))
+            foot = u**k * float(normal_tail(u))
+            # rounding in eps.  head: E|eta|^k's, gammaincc's, the 0.5 x of its
+            # argument x (Q's hazard is at most 1 for a >= 1) and the product's.
+            # foot: u^2 from normal_tail's argument u / sqrt(2), U^2 / 4 from
+            # erfc's exp(-z^2) and 8 for its rational part, pow and the product
+            slack = (
+                (_gaussian_abs_moment_rounding(k) + _GAMMAINCC_EPS + 0.25 * u * u + 1.0) * head
+                + (1.25 * u * u + 8.0) * foot
+                + 2.0 * abs(head - foot)
+            )
+            err += envelope * scale**k * (head - foot + _EPS * slack)
         except (OverflowError, FloatingPointError) as exc:
             raise ValueError(f"moment of order {k} is out of double-precision range") from exc
         out[k] = (value, err)
@@ -263,7 +279,7 @@ def max_abs_moments(n: int, ks) -> dict[int, tuple[float, float]]:
 def expected_max_abs(n: int) -> ExtremeValueResult:
     """A_n = E max(|eta_1|, ..., |eta_n|), the k = 1 case of max_abs_moments."""
     value, err = max_abs_moments(n, (1,))[1]
-    return ExtremeValueResult(n=n, kind="max_abs", value=value, abs_error_bound=err)
+    return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
 
 
 def _neg_part(m: int, cfg: _QuadratureConfig) -> tuple[float, float]:
@@ -293,7 +309,7 @@ def expected_max(m: int) -> ExtremeValueResult:
 
     pos, err_pos = _survival_moments(pos_part, (1,), m, _DEFAULT_QUAD, peak=solve_t_n(m))[1]
     neg, err_neg = _neg_part(m, _DEFAULT_QUAD)
-    return ExtremeValueResult(n=m, kind="max", value=pos - neg, abs_error_bound=err_pos + err_neg)
+    return ExtremeValueResult(n=m, value=pos - neg, abs_error_bound=err_pos + err_neg)
 
 
 def expected_max_gap(n: int) -> ExtremeValueResult:
@@ -326,7 +342,7 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
     # |G_n - F_n| <= 1 - F_n <= 2n normal_tail(t)
     value, err = _survival_moments(diff, (1,), 2 * n, _GAP_QUAD, peak=solve_t_n(n))[1]
     neg, err_neg = _neg_part(2 * n, _GAP_QUAD)
-    return ExtremeValueResult(n=n, kind="gap", value=value + neg, abs_error_bound=err + err_neg)
+    return ExtremeValueResult(n=n, value=value + neg, abs_error_bound=err + err_neg)
 
 
 def comparison_report(n: int) -> ComparisonReport:

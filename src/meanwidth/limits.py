@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .extremes import u_sequence
+from .special import _scipy_special
 
 __all__ = [
     "CltConstants",
@@ -82,7 +82,7 @@ def gumbel_sum_density(x):
     # the density is 0 at both ends.
     out = np.zeros_like(z)
     ok = (z > 0.0) & (z < 690.0)
-    out[ok] = 2.0 * np.exp(-x[ok]) * sp.k0(z[ok])
+    out[ok] = 2.0 * np.exp(-x[ok]) * _scipy_special().k0(z[ok])
     return out if out.ndim else float(out)
 
 
@@ -95,7 +95,7 @@ def limit_cdf(law: LimitLaw, x):
     elif law is LimitLaw.TWO_GUMBEL:
         out = np.exp(-np.exp(-arr / 2.0))
     elif law is LimitLaw.NORMAL_LIMIT_VAR:
-        out = sp.ndtr(arr / math.sqrt(CLT_CONSTANTS.limit_var))
+        out = _scipy_special().ndtr(arr / math.sqrt(CLT_CONSTANTS.limit_var))
     else:
         # P[G1 + G2 <= x] = z K1(z) with z = 2 exp(-x/2), since
         # d/dz [z K1(z)] = -z K0(z).  Below z = 1e-300 (where K1(z) ~ 1/z
@@ -103,7 +103,7 @@ def limit_cdf(law: LimitLaw, x):
         z = 2.0 * np.exp(-arr / 2.0)
         out = np.where(z < 1e-300, 1.0, 0.0)
         ok = (z >= 1e-300) & (z < 690.0)
-        out[ok] = z[ok] * sp.k1(z[ok])
+        out[ok] = z[ok] * _scipy_special().k1(z[ok])
     return out if out.ndim else float(out)
 
 

@@ -25,7 +25,9 @@ from .extremes import (
     _DEFAULT_QUAD, _SQRT_2PI, _QuadratureConfig, _quad_batch, _survival_moments,
     expected_max, expected_max_abs, max_abs_moments, solve_t_n,
 )
-from .special import _EPS, _log_gamma_ratio_rounding, gaussian_abs_moment, log_gamma_ratio, normal_tail
+from .special import (
+    _EPS, _gaussian_abs_moment_rounding, _log_gamma_ratio_rounding, gaussian_abs_moment, log_gamma_ratio, normal_tail,
+)
 
 __all__ = [
     "PolytopeKind",
@@ -123,9 +125,7 @@ def _abs_sum_moments(n: int, ks) -> dict[int, tuple[float, float]]:
         power = convolve(power, power)
     out, d = {}, 0.0
     for j in range(1, top + 1):
-        # E|eta|^j = exp(j/2 log 2 + gammaln((j+1)/2) - log(pi)/2): each term
-        # of the exponent rounds at a few ulp of its size, and exp adds 1 ulp
-        d = max(d, (5.0 + j + 3.0 * abs(math.lgamma((j + 1) / 2)) + abs(math.log(m[j]))) / j)
+        d = max(d, _gaussian_abs_moment_rounding(j) / j)
         rel = j * _EPS * (d + 4.0 * n.bit_length())
         out[j] = (s[j], abs(s[j] - total[j]) + rel * total[j])
     return {k: out[k] for k in ks}

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -7,6 +8,8 @@ from scipy import integrate, optimize
 
 from meanwidth import extremes
 from meanwidth.extremes import (
+    _GAMMAINCC_EPS,
+    _TRUNC_EPS,
     QuadratureError,
     _QuadratureConfig,
     comparison_report,
@@ -18,7 +21,7 @@ from meanwidth.extremes import (
     u_sequence,
 )
 from meanwidth.sampling import McConfig
-from meanwidth.special import gaussian_abs_moment, normal_tail
+from meanwidth.special import _EPS, _scipy_special, gaussian_abs_moment, normal_tail, normal_tail_inverse
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 EULER_GAMMA = 0.5772156649015329
@@ -26,6 +29,13 @@ EULER_GAMMA = 0.5772156649015329
 
 def _phi(x):
     return math.exp(-0.5 * x * x) / SQRT_2PI
+
+
+@functools.cache
+def _max_abs_survival_mp(n, t):
+    # P[max |eta_i| > t]; cached because mpmath's quadrature nodes depend on
+    # the interval only, so every order k reuses them
+    return -mpmath.expm1(n * mpmath.log1p(-mpmath.erfc(t / mpmath.sqrt(2))))
 
 
 class TestUSequence:
@@ -107,15 +117,36 @@ class TestMaxAbsMoment:
         value, err = max_abs_moments(1, (k,))[k]
         assert abs(value - gaussian_abs_moment(k)) <= err
 
-    @pytest.mark.parametrize("n, k", [(3, 40), (3, 80), (3, 100), (50, 60)])
+    @pytest.mark.parametrize(
+        "n, k",
+        [(3, 40), (3, 80), (3, 100), (50, 60)] + [(n, k) for n in (1, 2, 3, 5) for k in (81, 88, 102, 151, 158)],
+    )
     def test_large_order_error_is_an_honest_bound(self, n, k):
         # at large k most of the moment lies beyond the cut-off, so the error
-        # must carry the dropped tail in full
+        # must carry the dropped tail in full, with its rounding: at n = 1 the
+        # envelope is the survival itself and leaves the bound no other slack
         with mpmath.workdps(30):
-            surv = lambda t: -mpmath.expm1(n * mpmath.log1p(-mpmath.erfc(t / mpmath.sqrt(2))))
-            exact = mpmath.quad(lambda t: k * t ** (k - 1) * surv(t), [0, 4, 8, 12, 16, 24, mpmath.inf])
-        value, err = max_abs_moments(n, (k,))[k]
-        assert abs(value - float(exact)) <= err
+            if n == 1:
+                exact = 2 ** (mpmath.mpf(k) / 2) * mpmath.gamma(mpmath.mpf(k + 1) / 2) / mpmath.sqrt(mpmath.pi)
+            else:
+                integrand = lambda t: k * t ** (k - 1) * _max_abs_survival_mp(n, t)
+                exact = mpmath.quad(integrand, [0, 4, 8, 12, 16, 24, mpmath.inf])
+            value, err = max_abs_moments(n, (k,))[k]
+            assert abs(mpmath.mpf(value) - exact) <= err
+
+    def test_gammaincc_is_within_its_assumed_error(self):
+        # the tail bound takes scipy's gammaincc to be good to _GAMMAINCC_EPS
+        # eps relative at a = (k + 1) / 2, x = U^2 / 2 for every cut-off U
+        # (envelopes 1 to 2e12) and every order whose moment fits in a double
+        gammaincc = _scipy_special().gammaincc
+        with mpmath.workdps(35):
+            for envelope in [1.0] + [2.0 * 10.0**j for j in range(13)]:
+                u = float(normal_tail_inverse(min(_TRUNC_EPS / envelope, 0.25)))
+                x = 0.5 * u * u
+                for k in range(1, 341):
+                    q = float(gammaincc((k + 1) / 2, x))
+                    exact = mpmath.gammainc(mpmath.mpf(k + 1) / 2, x, mpmath.inf, regularized=True)
+                    assert abs(q - exact) <= _GAMMAINCC_EPS * _EPS * exact, (envelope, k)
 
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_several_orders_equal_each_order_alone_bit_for_bit(self, n):

@@ -1,5 +1,6 @@
 """The package's adaptive Gauss-Kronrod rule against scipy's QUADPACK, which
-the tests keep as the independent route, and the import path it frees."""
+the tests keep as the independent route, and the import path it frees: no
+scipy on the CLI's import, and scipy.special only once a quadrature runs."""
 
 import json
 import math
@@ -24,6 +25,7 @@ from meanwidth.extremes import (
     max_abs_moments,
 )
 from meanwidth.polytopes import range_moments
+from meanwidth.special import normal_tail
 
 EPS = np.finfo(float).eps
 
@@ -143,8 +145,54 @@ class TestIntegrandsAgainstScipy:
                 assert np.all(np.isfinite(f(np.array([[lo, hi, 0.5 * (lo + hi)]]))))
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    code = "import json, sys, meanwidth.cli; print(json.dumps(sorted(sys.modules)))"
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    loaded = {m.split(".")[1] for m in json.loads(out) if m.startswith("scipy.")}
-    assert not loaded & {"integrate", "optimize", "sparse", "linalg"}, loaded
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def _modules_after_cli(argv) -> set[str]:
+    code = (
+        "import contextlib, io, meanwidth.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    try: meanwidth.cli.main({argv!r})\n"
+        "    except SystemExit: pass\n"
+    )
+    return _modules_after(code)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.special is imported on first use, so the CLI's import loads no scipy at all
+    loaded = sorted(m for m in _modules_after("import meanwidth.cli") if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, loaded
+
+
+_MC = ["--route", "mc", "--samples", "2000", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["moments", "--family", family, "--n", "5", "--k", "1,2", *_MC]
+          for family in ("cube", "simplex-s", "simplex-t", "cross")),
+        ["moments", "--family", "cube", "--n", "5", "--k", "1,3", "--route", "closed"],
+        ["limits", "--family", "cross", "--n", "20", "--samples", "2000", "--seed", "1"],
+        ["--help"],
+        ["moments", "--family", "bogus"],
+    ],
+    ids=" ".join,
+)
+def test_runs_without_quadrature_leave_out_scipy_special(argv):
+    assert "scipy.special" not in _modules_after_cli(argv)
+
+
+def test_quadrature_run_loads_scipy_special():
+    assert "scipy.special" in _modules_after_cli(["extremes", "--n", "3"])
+
+
+def test_normal_tail_keeps_scipy_erfc_bits():
+    from scipy import special as sp
+
+    t = np.linspace(-40.0, 40.0, 80_001)
+    assert normal_tail(t).tobytes() == (0.5 * sp.erfc(t / math.sqrt(2.0))).tobytes()

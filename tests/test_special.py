@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from meanwidth.special import (
+    _LGAMMA_ULPS,
     gaussian_abs_moment,
     log_gamma_ratio,
     normal_tail,
@@ -105,6 +107,19 @@ class TestLogGammaRatio:
 
     def test_large_arguments_finite(self):
         assert math.isfinite(math.exp(log_gamma_ratio(1e7 / 2, (1e7 + 4) / 2)))
+
+
+class TestLgamma:
+    def test_within_the_assumed_ulps(self):
+        # the package passes math.lgamma multiples of 1/2: (k + 1) / 2 for the
+        # moments of |eta|, d / 2 and (d + k) / 2 below the Stirling cut-off;
+        # the rounding bounds take it to be good to _LGAMMA_ULPS ulp of
+        # max(|lgamma|, 1).  The worst seen is 2.71 ulp, at 6.5.
+        with mpmath.workdps(40):
+            for x in [i / 2 for i in range(1, 1001)] + [i / 2 for i in range(1001, 200_001, 997)]:
+                exact = mpmath.loggamma(x)
+                ulp = math.ulp(max(abs(float(exact)), 1.0))
+                assert abs(math.lgamma(x) - exact) <= _LGAMMA_ULPS * ulp, x
 
 
 class TestGaussianAbsMoment:
