@@ -11,7 +11,7 @@ from .extremes import (
     solve_t_n,
     u_sequence,
 )
-from .limits import CLT_CONSTANTS, LimitLaw, ks_statistic, limit_cdf
+from .limits import LIMIT_VAR, LimitLaw, ks_statistic, limit_cdf
 from .polytopes import (
     MomentEstimate,
     PolytopeKind,

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import (
-    _EPS, _gaussian_abs_moment_rounding, _scipy_special, gaussian_abs_moment, normal_tail, normal_tail_inverse,
-)
+from .special import _EPS, normal_tail, normal_tail_inverse
 
 __all__ = [
     "NumericalError",
@@ -39,10 +37,6 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # survival-function mass cut off beyond each quadrature's upper limit
 _TRUNC_EPS = 1e-16
-# scipy's gammaincc((k + 1) / 2, x) is good to this many eps relative at the
-# cut-offs x = U^2 / 2 that _survival_moments passes it (worst seen: 256 eps at
-# k = 75, x = 61); pinned by a test
-_GAMMAINCC_EPS = 512.0
 
 
 class NumericalError(Exception):
@@ -212,18 +206,23 @@ def solve_t_n(n: int) -> float:
 def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: float, scale: float = 1.0):
     """{k: (int_0^inf k t^(k-1) surv(t) dt, error bound)} for a survival
     function under the envelope surv(t) <= envelope * normal_tail(t / scale),
-    surv mapping an array of t elementwise.
+    surv mapping an array of t elementwise.  The package's one rule for
+    where a quadrature stops and what its tail adds to the error.
 
     Every k integrates over [0, T], envelope * normal_tail(T / scale) =
-    _TRUNC_EPS, split at peak unless it is 0, reading one memo of surv values.
-    Its error adds the envelope's exact moment beyond T, with U = T / scale:
-    envelope scale^k (E|eta|^k Q((k+1)/2, U^2/2) / 2 - U^k normal_tail(U)),
-    and that term's own rounding: at large k the tail is almost the whole error.
+    _TRUNC_EPS (T / scale at least the upper quartile), split at peak unless
+    it is 0, reading one memo of surv values.  Its error adds a bound on the
+    envelope's moment beyond T.  With U = T / scale, normal_tail(s) <=
+    phi(s) / s bounds int_U^inf k s^(k-1) normal_tail(s) ds by k J_(k-2) for
+    k >= 2, where J_j = int_U^inf s^j phi(s) ds = U^(j-1) phi(U) + (j-1) J_(j-2),
+    J_0 = normal_tail(U) and J_1 = phi(U); for k = 1 the Mills ratio bound
+    gives phi(U) / (1 + U^2) <= phi(U) / U^2.
     """
     ks = tuple(dict.fromkeys(ks))
     if any(k < 1 for k in ks):
         raise ValueError(f"moment orders must be positive, got {ks}")
-    u = float(normal_tail_inverse(min(_TRUNC_EPS / envelope, 0.25)))
+    # min(_TRUNC_EPS / envelope, 0.25), also for an envelope that underflowed to 0
+    u = float(normal_tail_inverse(_TRUNC_EPS / max(envelope, 4.0 * _TRUNC_EPS)))
     points = [peak] if peak else None
     # _quad evaluates the initial intervals in one call and then both halves
     # of each bisected interval in one call, so the orders k that bisect an
@@ -237,24 +236,25 @@ def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: f
             s = memo[key] = surv(t)
         return s
 
+    # Every term of the bound is positive, so it rounds to about (k + U^2) eps
+    # relative: U^2 / 2 from phi(U)'s exp and normal_tail's erfc, a few eps per
+    # step of the recurrence.  The bound exceeds the exact tail by 0.3 % or
+    # more (about 1 / U^2, or 1 / k once the tail lies well past U), which
+    # covers that rounding; a test pins the margin.  A J_j past double range
+    # is inf, which the loop refuses.
+    phi = math.exp(-0.5 * u * u) / _SQRT_2PI
+    j_moments, term = [float(normal_tail(u)), phi], phi
+    for j in range(2, max(ks) - 1):
+        term *= u
+        j_moments.append(term + (j - 1) * j_moments[j - 2])
     out = {}
-    gammaincc = _scipy_special().gammaincc
     for k in ks:
         try:
             with np.errstate(over="raise"):
                 value, err = _quad(lambda t: k * t ** (k - 1) * cached(t), 0.0, scale * u, cfg, points=points)
-            head = 0.5 * gaussian_abs_moment(k) * float(gammaincc((k + 1) / 2, 0.5 * u * u))
-            foot = u**k * float(normal_tail(u))
-            # rounding in eps.  head: E|eta|^k's, gammaincc's, the 0.5 x of its
-            # argument x (Q's hazard is at most 1 for a >= 1) and the product's.
-            # foot: u^2 from normal_tail's argument u / sqrt(2), U^2 / 4 from
-            # erfc's exp(-z^2) and 8 for its rational part, pow and the product
-            slack = (
-                (_gaussian_abs_moment_rounding(k) + _GAMMAINCC_EPS + 0.25 * u * u + 1.0) * head
-                + (1.25 * u * u + 8.0) * foot
-                + 2.0 * abs(head - foot)
-            )
-            err += envelope * scale**k * (head - foot + _EPS * slack)
+            err += envelope * scale**k * (k * j_moments[k - 2] if k > 1 else phi / (u * u))
+            if not math.isfinite(err):
+                raise OverflowError
         except (OverflowError, FloatingPointError) as exc:
             raise ValueError(f"moment of order {k} is out of double-precision range") from exc
         out[k] = (value, err)
@@ -283,15 +283,9 @@ def expected_max_abs(n: int) -> ExtremeValueResult:
 
 
 def _neg_part(m: int, cfg: _QuadratureConfig) -> tuple[float, float]:
-    # int_0^inf normal_tail(t)^m dt with its error bound.  The integrand is
-    # <= 2^-m for t >= 0 and decays super-exponentially; truncate where the
-    # log-integrand drops below -45, before normal_tail(t) could underflow to 0.
-    def integrand(t):
-        return np.exp(m * np.log(normal_tail(t)))
-
-    t_neg = float(normal_tail_inverse(min(math.exp(-45.0 / m), 0.25)))
-    value, err = _quad(integrand, 0.0, t_neg, cfg)
-    return value, err + math.exp(-45.0)
+    # int_0^inf normal_tail(t)^m dt with its error bound; normal_tail(t) <= 1/2
+    # for t >= 0, so the integrand is at most 2^(1-m) normal_tail(t)
+    return _survival_moments(lambda t: normal_tail(t) ** m, (1,), 2.0 ** (1 - m), cfg, peak=0.0)[1]
 
 
 def expected_max(m: int) -> ExtremeValueResult:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +17,7 @@ from .extremes import u_sequence
 from .special import _scipy_special
 
 __all__ = [
-    "CltConstants",
-    "CLT_CONSTANTS",
+    "LIMIT_VAR",
     "LimitLaw",
     "standardize_cube",
     "standardize_simplex",
@@ -32,15 +30,9 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 
 
-@dataclass(frozen=True)
-class CltConstants:
-    """Constants of the bivariate CLT behind the cube width limit."""
-
-    # Var|eta| - (E|eta|)^2 / 2 = (pi - 2)/pi - 1/pi
-    limit_var: float = (math.pi - 3.0) / math.pi
-
-
-CLT_CONSTANTS = CltConstants()
+# variance of the cube width's normal limit, from the bivariate CLT behind it:
+# Var|eta| - (E|eta|)^2 / 2 = (pi - 2)/pi - 1/pi
+LIMIT_VAR = (math.pi - 3.0) / math.pi
 
 
 class LimitLaw(str, enum.Enum):
@@ -95,7 +87,7 @@ def limit_cdf(law: LimitLaw, x):
     elif law is LimitLaw.TWO_GUMBEL:
         out = np.exp(-np.exp(-arr / 2.0))
     elif law is LimitLaw.NORMAL_LIMIT_VAR:
-        out = _scipy_special().ndtr(arr / math.sqrt(CLT_CONSTANTS.limit_var))
+        out = _scipy_special().ndtr(arr / math.sqrt(LIMIT_VAR))
     else:
         # P[G1 + G2 <= x] = z K1(z) with z = 2 exp(-x/2), since
         # d/dz [z K1(z)] = -z K0(z).  Below z = 1e-300 (where K1(z) ~ 1/z

@@ -131,22 +131,19 @@ def _abs_sum_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     return {k: out[k] for k in ks}
 
 
-def _per_norm_moment(x: float, d: int, k: int) -> float:
-    """x / E|g|^k for g ~ N(0, I_d), where E|g|^k = 2^(k/2) Gamma((d+k)/2) / Gamma(d/2)."""
+def _per_norm(moment: float, err: float, d: int, k: int) -> tuple[float, float, float]:
+    """moment and err divided by E|g|^k for g ~ N(0, I_d), where E|g|^k =
+    2^(k/2) Gamma((d+k)/2) / Gamma(d/2), and a bound on the relative
+    rounding of that factor, in units of eps: k/2 products and a division
+    for even k; for odd k, the exponent's absolute rounding, then exp and the
+    product."""
     if k % 2 == 0:
         # E|g|^k is exactly d (d+2) ... (d+k-2) for even k
-        return x / math.prod(float(d + 2 * j) for j in range(k // 2))
-    return x * math.exp(-0.5 * k * math.log(2.0) + log_gamma_ratio(d / 2, (d + k) / 2))
-
-
-def _per_norm_rounding(d: int, k: int) -> float:
-    """A bound on the relative rounding error of _per_norm_moment's factor, in
-    units of eps: k/2 products and a division for even k; for odd k, the
-    exponent's absolute rounding, then exp and the product."""
-    if k % 2 == 0:
-        return k / 2 + 1.0
+        norm = math.prod(float(d + 2 * j) for j in range(k // 2))
+        return moment / norm, err / norm, k / 2 + 1.0
     y = -0.5 * k * math.log(2.0) + log_gamma_ratio(d / 2, (d + k) / 2)
-    return 3.0 + k + abs(y) + _log_gamma_ratio_rounding(d / 2, (d + k) / 2)
+    factor = math.exp(y)
+    return moment * factor, err * factor, 3.0 + k + abs(y) + _log_gamma_ratio_rounding(d / 2, (d + k) / 2)
 
 
 def width_moment_cube(n: int, k: int) -> MomentEstimate:
@@ -244,10 +241,10 @@ def width_moments(p: RegularPolytope, ks) -> dict[int, MomentEstimate]:
             scale, scale_eps = math.sqrt(p.n / (p.n - 1)), 0.75
     d, out = p.ambient_dim, {}
     for k, (moment, err) in moments.items():
-        value = _per_norm_moment(scale**k * moment, d, k)
+        value, error, rounding = _per_norm(scale**k * moment, scale**k * err, d, k)
         # scale**k: k times scale's rounding and pow's 1 eps; the product 0.5 eps
-        rounding = _per_norm_rounding(d, k) + (k * scale_eps + 1.5 if scale_eps else 0.0)
-        error = _per_norm_moment(scale**k * err, d, k) + _EPS * rounding * abs(value)
+        rounding += k * scale_eps + 1.5 if scale_eps else 0.0
+        error += _EPS * rounding * abs(value)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise ValueError(f"{p.kind.value} moment n={p.n}, k={k} is out of double-precision range")
         out[k] = MomentEstimate(polytope=p, k=k, value=value, route=route, error=error)

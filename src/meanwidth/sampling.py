@@ -208,7 +208,6 @@ def sample_correlated_max(gram: np.ndarray, cfg: McConfig, threads: int = 1) -> 
     n = root.shape[0]
 
     def work(rng, count):
-        m = (rng.standard_normal((count, n)) @ root).max(axis=1)
-        return float(m.sum()), float((m * m).sum())
+        return _moment_sums((rng.standard_normal((count, n)) @ root).max(axis=1), (1,))[1]
 
     return _mean_stderr(_map_chunks(work, cfg, threads), cfg.samples)

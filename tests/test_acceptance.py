@@ -24,7 +24,7 @@ from meanwidth.conjecture import (
 )
 from meanwidth.extremes import comparison_report, expected_max, expected_max_abs
 from meanwidth.limits import (
-    CLT_CONSTANTS,
+    LIMIT_VAR,
     EULER_GAMMA,
     LimitLaw,
     gumbel_sum_density,
@@ -139,7 +139,7 @@ def test_criterion_06_cube_central_limit():
     mean = float(std.mean())
     var = float(std.var(ddof=1))
     ks = ks_statistic(std, LimitLaw.NORMAL_LIMIT_VAR)
-    target = CLT_CONSTANTS.limit_var
+    target = LIMIT_VAR
     ok = abs(mean) <= 0.004 and abs(var - target) <= 0.1 * target and ks <= 0.02
     verdict(6, "cube width CLT at n=2000",
             ok, f"mean = {mean:.5f}, var = {var:.5f}, KS = {ks:.4f}")

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -8,10 +10,10 @@ from scipy import integrate, optimize
 
 from meanwidth import extremes
 from meanwidth.extremes import (
-    _GAMMAINCC_EPS,
     _TRUNC_EPS,
     QuadratureError,
     _QuadratureConfig,
+    _survival_moments,
     comparison_report,
     expected_max,
     expected_max_abs,
@@ -21,7 +23,7 @@ from meanwidth.extremes import (
     u_sequence,
 )
 from meanwidth.sampling import McConfig
-from meanwidth.special import _EPS, _scipy_special, gaussian_abs_moment, normal_tail, normal_tail_inverse
+from meanwidth.special import gaussian_abs_moment, normal_tail, normal_tail_inverse
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 EULER_GAMMA = 0.5772156649015329
@@ -134,19 +136,34 @@ class TestMaxAbsMoment:
             value, err = max_abs_moments(n, (k,))[k]
             assert abs(mpmath.mpf(value) - exact) <= err
 
-    def test_gammaincc_is_within_its_assumed_error(self):
-        # the tail bound takes scipy's gammaincc to be good to _GAMMAINCC_EPS
-        # eps relative at a = (k + 1) / 2, x = U^2 / 2 for every cut-off U
-        # (envelopes 1 to 2e12) and every order whose moment fits in a double
-        gammaincc = _scipy_special().gammaincc
-        with mpmath.workdps(35):
+    def test_tail_bound_is_within_5_percent_of_the_exact_tail(self):
+        # the error adds k J_(k-2) (phi(U) / U^2 at k = 1) for the envelope's
+        # tail past the cut-off U, int_U^inf k s^(k-1) normal_tail(s) ds, and
+        # leaves the bound's rounding to its margin over that tail: pin the
+        # margin at every cut-off (envelopes 1 to 2e12) and every order whose
+        # bound is finite.  A zero survival makes the error the tail bound alone.
+        def zero(t):
+            return np.zeros_like(t)
+
+        with mpmath.workdps(40):
             for envelope in [1.0] + [2.0 * 10.0**j for j in range(13)]:
                 u = float(normal_tail_inverse(min(_TRUNC_EPS / envelope, 0.25)))
-                x = 0.5 * u * u
-                for k in range(1, 341):
-                    q = float(gammaincc((k + 1) / 2, x))
-                    exact = mpmath.gammainc(mpmath.mpf(k + 1) / 2, x, mpmath.inf, regularized=True)
-                    assert abs(q - exact) <= _GAMMAINCC_EPS * _EPS * exact, (envelope, k)
+                U = mpmath.mpf(u)
+                foot = mpmath.erfc(U / mpmath.sqrt(2)) / 2
+                for k in itertools.count(1):
+                    # J_k - U^k normal_tail(U), J_k = int_U^inf s^k phi(s) ds
+                    j_k = 2 ** (mpmath.mpf(k) / 2) * mpmath.gammainc(mpmath.mpf(k + 1) / 2, U * U / 2) / (
+                        2 * mpmath.sqrt(mpmath.pi)
+                    )
+                    exact = envelope * (j_k - U**k * foot)
+                    try:
+                        bound = _survival_moments(zero, (k,), envelope, _QuadratureConfig(), peak=0.0)[k][1]
+                    except ValueError:
+                        # refused only once the bound leaves double range
+                        assert 1.05 * exact > sys.float_info.max, (envelope, k)
+                        break
+                    assert exact <= bound <= 1.05 * exact, (envelope, k)
+                assert k > 250
 
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_several_orders_equal_each_order_alone_bit_for_bit(self, n):
@@ -200,6 +217,20 @@ class TestExpectedMax:
     def test_m4_m5_closed_forms_within_the_error_bound(self, m, exact):
         res = expected_max(m)
         assert abs(res.value - exact) <= res.abs_error_bound
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 36, 52, 53, 54, 1075, 1076, 2000])
+    def test_against_mpmath_within_the_error_bound(self, m):
+        # the negative part's envelope 2^(1-m) reaches the cut-off's clamp at
+        # m = 53 and underflows to 0 at m = 1076
+        with mpmath.workdps(30):
+            def density(t):
+                return t * m * mpmath.npdf(t) * mpmath.ncdf(t) ** (m - 1)
+
+            exact = mpmath.quad(density, [-mpmath.inf, -8, -4, -2, 0, 1, 2, 2.5, 3, 3.5, 4, 5, 6, 8, 12, mpmath.inf])
+        res = expected_max(m)
+        assert abs(res.value - exact) <= res.abs_error_bound
+        if m == 1:
+            assert res.value == 0.0
 
     @pytest.mark.parametrize("n", [2, 5, 50])
     def test_monte_carlo_agreement(self, n):

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from meanwidth.limits import (
-    CLT_CONSTANTS,
+    LIMIT_VAR,
     EULER_GAMMA,
     LimitLaw,
     gumbel_sum_density,
@@ -42,10 +42,9 @@ R = 1.0 / math.sqrt(math.pi - 2.0)
 
 class TestCltConstants:
     def test_exact_values(self):
-        c = CLT_CONSTANTS
-        assert c.limit_var == pytest.approx((math.pi - 3.0) / math.pi, abs=1e-15)
-        # limit_var = sigma2 - mu^2 / 2: the projection correction
-        assert c.limit_var == pytest.approx(SIGMA2 - MU**2 / 2.0, abs=1e-14)
+        assert LIMIT_VAR == pytest.approx((math.pi - 3.0) / math.pi, abs=1e-15)
+        # LIMIT_VAR = sigma2 - mu^2 / 2: the projection correction
+        assert LIMIT_VAR == pytest.approx(SIGMA2 - MU**2 / 2.0, abs=1e-14)
 
     def test_monte_carlo_moments(self):
         g = np.random.default_rng(4).standard_normal(2_000_000)
@@ -97,7 +96,7 @@ class TestSimpleCdfs:
         )
 
     def test_normal_limit_var(self):
-        s = math.sqrt(CLT_CONSTANTS.limit_var)
+        s = math.sqrt(LIMIT_VAR)
         assert limit_cdf(LimitLaw.NORMAL_LIMIT_VAR, 0.0) == pytest.approx(0.5, abs=1e-14)
         assert limit_cdf(LimitLaw.NORMAL_LIMIT_VAR, 1.959964 * s) == pytest.approx(0.975, abs=1e-6)
 
