@@ -149,9 +149,11 @@ def _quad_batch(f, edge_lists, cfg: _QuadratureConfig):
     integral whose estimates sum to more than max(epsabs, epsrel |value|).
     f(nodes, owners) maps a 2-D array of nodes elementwise to integrand
     values, row r belonging to integral owners[r].  Raises QuadratureError
-    when an integral needs more than cfg.limit intervals.  Returns
-    [(value, error estimate)] in the order of edge_lists; each equals what
-    the integral gets on its own."""
+    when an integral starts from or needs more than cfg.limit intervals.
+    Returns [(value, error estimate)] in the order of edge_lists; each equals
+    what the integral gets on its own."""
+    if any(len(edges) - 1 > cfg.limit for edges in edge_lists):
+        raise QuadratureError(f"an integral starts from more than limit={cfg.limit} intervals")
     heaps = [[] for _ in edge_lists]
     results = [None] * len(edge_lists)
     pending = [(i, a, b) for i, edges in enumerate(edge_lists) for a, b in zip(edges, edges[1:])]
@@ -179,14 +181,6 @@ def _quad_batch(f, edge_lists, cfg: _QuadratureConfig):
     return results
 
 
-def _quad(f, lo, hi, cfg: _QuadratureConfig, points=None):
-    """_quad_batch of one integral of f(nodes) over [lo, hi], split at points."""
-    if points is not None and len(points) >= cfg.limit:
-        raise QuadratureError(f"{len(points)} break points need more than limit={cfg.limit} subintervals")
-    edges = [lo, *sorted(points or ()), hi]
-    return _quad_batch(lambda x, owners: f(x), [edges], cfg)[0]
-
-
 def u_sequence(n: int) -> float:
     """Centering sequence u_n = sqrt(2 log n) - (log log n / 2 + log(2 sqrt(pi))) / sqrt(2 log n)."""
     if n < 2:
@@ -211,7 +205,8 @@ def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: f
 
     Every k integrates over [0, T], envelope * normal_tail(T / scale) =
     _TRUNC_EPS (T / scale at least the upper quartile), split at peak unless
-    it is 0, reading one memo of surv values.  Its error adds a bound on the
+    it is 0, all in one _quad_batch that calls surv once per interval (a
+    memo keyed by its row of nodes).  Its error adds a bound on the
     envelope's moment beyond T.  With U = T / scale, normal_tail(s) <=
     phi(s) / s bounds int_U^inf k s^(k-1) normal_tail(s) ds by k J_(k-2) for
     k >= 2, where J_j = int_U^inf s^j phi(s) ds = U^(j-1) phi(U) + (j-1) J_(j-2),
@@ -223,18 +218,22 @@ def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: f
         raise ValueError(f"moment orders must be positive, got {ks}")
     # min(_TRUNC_EPS / envelope, 0.25), also for an envelope that underflowed to 0
     u = float(normal_tail_inverse(_TRUNC_EPS / max(envelope, 4.0 * _TRUNC_EPS)))
-    points = [peak] if peak else None
-    # _quad evaluates the initial intervals in one call and then both halves
-    # of each bisected interval in one call, so the orders k that bisect an
-    # interval ask for the same node array; key its surv values by its bytes
+    edges = [0.0, peak, scale * u] if peak else [0.0, scale * u]
     memo = {}
 
-    def cached(t):
-        key = t.tobytes()
-        s = memo.get(key)
-        if s is None:
-            s = memo[key] = surv(t)
-        return s
+    def integrand(t, owners):
+        keys = [row.tobytes() for row in t]
+        # each new row once, even when several orders bisect its interval
+        fresh = {key: r for r, key in enumerate(keys) if key not in memo}
+        if fresh:
+            memo.update(zip(fresh, surv(t[list(fresh.values())])))
+        s = np.array([memo[key] for key in keys])
+        out = np.empty_like(t)
+        for i in dict.fromkeys(owners.tolist()):
+            # an int exponent: numpy squares t at k = 3, where pow(t, 2.0) can differ
+            k, rows = ks[i], owners == i
+            out[rows] = k * t[rows] ** (k - 1) * s[rows]
+        return out
 
     # Every term of the bound is positive, so it rounds to about (k + U^2) eps
     # relative: U^2 / 2 from phi(U)'s exp and normal_tail's erfc, a few eps per
@@ -247,23 +246,23 @@ def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: f
     for j in range(2, max(ks) - 1):
         term *= u
         j_moments.append(term + (j - 1) * j_moments[j - 2])
-    out = {}
-    for k in ks:
-        try:
-            with np.errstate(over="raise"):
-                value, err = _quad(lambda t: k * t ** (k - 1) * cached(t), 0.0, scale * u, cfg, points=points)
+    out, k = {}, max(ks)  # the order named when the batch itself overflows
+    try:
+        with np.errstate(over="raise"):
+            results = _quad_batch(integrand, [edges] * len(ks), cfg)
+        for k, (value, err) in zip(ks, results):
             err += envelope * scale**k * (k * j_moments[k - 2] if k > 1 else phi / (u * u))
             if not math.isfinite(err):
                 raise OverflowError
-        except (OverflowError, FloatingPointError) as exc:
-            raise ValueError(f"moment of order {k} is out of double-precision range") from exc
-        out[k] = (value, err)
+            out[k] = (value, err)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(f"moment of order {k} is out of double-precision range") from exc
     return out
 
 
 def max_abs_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     """{k: (E[(max |eta_i|)^k], error bound)} for each k, as
-    int_0^inf k t^(k-1) (1 - F_n(t)) dt, every k from one memo of 1 - F_n values."""
+    int_0^inf k t^(k-1) (1 - F_n(t)) dt, every k in one batch, 1 - F_n once per interval."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
 
@@ -282,10 +281,10 @@ def expected_max_abs(n: int) -> ExtremeValueResult:
     return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
 
 
-def _neg_part(m: int, cfg: _QuadratureConfig) -> tuple[float, float]:
-    # int_0^inf normal_tail(t)^m dt with its error bound; normal_tail(t) <= 1/2
-    # for t >= 0, so the integrand is at most 2^(1-m) normal_tail(t)
-    return _survival_moments(lambda t: normal_tail(t) ** m, (1,), 2.0 ** (1 - m), cfg, peak=0.0)[1]
+def _neg_part(m: int) -> tuple[float, float]:
+    # int_0^inf normal_tail(t)^m dt and its error bound, to a relative tolerance alone;
+    # normal_tail(t) <= 1/2 for t >= 0, so the integrand is at most 2^(1-m) normal_tail(t)
+    return _survival_moments(lambda t: normal_tail(t) ** m, (1,), 2.0 ** (1 - m), _GAP_QUAD, peak=0.0)[1]
 
 
 def expected_max(m: int) -> ExtremeValueResult:
@@ -302,7 +301,7 @@ def expected_max(m: int) -> ExtremeValueResult:
         return -np.expm1(m * np.log1p(-normal_tail(t)))
 
     pos, err_pos = _survival_moments(pos_part, (1,), m, _DEFAULT_QUAD, peak=solve_t_n(m))[1]
-    neg, err_neg = _neg_part(m, _DEFAULT_QUAD)
+    neg, err_neg = _neg_part(m)
     return ExtremeValueResult(n=m, value=pos - neg, abs_error_bound=err_pos + err_neg)
 
 
@@ -335,7 +334,7 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
 
     # |G_n - F_n| <= 1 - F_n <= 2n normal_tail(t)
     value, err = _survival_moments(diff, (1,), 2 * n, _GAP_QUAD, peak=solve_t_n(n))[1]
-    neg, err_neg = _neg_part(2 * n, _GAP_QUAD)
+    neg, err_neg = _neg_part(2 * n)
     return ExtremeValueResult(n=n, value=value + neg, abs_error_bound=err + err_neg)
 
 

@@ -195,9 +195,9 @@ def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     computed directly, to a relative inner tolerance.  The error adds what
     the inner tolerances allow: |dS| <= n epsabs + epsrel below the break
     point, epsrel S past it, so n epsabs + epsrel times its k-th power plus
-    epsrel times the moment.  The outer quadratures of every k sample the
-    same nodes, so each survival value is computed once per call, and the
-    inner quadratures of one outer call's nodes run as one batch."""
+    epsrel times the moment.  The outer quadratures of every k run as one
+    batch that computes each interval's survival values once, and the inner
+    quadratures of one outer call's nodes run as one batch."""
     if n < 2:
         raise ValueError(f"range needs n >= 2, got {n}")
     peak = 2.0 * solve_t_n(n)

@@ -105,13 +105,16 @@ class TestUsageErrors:
         assert "double-precision" in err
 
     def test_out_of_range_quadrature_moment_maps_to_usage(self, capsys):
-        # (max |eta_i|)^320 and its tail moment exceed double precision
-        code, out, err = run_cli(
-            capsys, ["moments", "--family", "cross", "--n", "3", "--k", "320", "--route", "quadrature"]
-        )
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "double-precision" in err
+        # (max |eta_i|)^320 and its tail moment exceed double precision, also
+        # in one batch with an order that fits
+        for k in ["320", "1,320"]:
+            code, out, err = run_cli(
+                capsys, ["moments", "--family", "cross", "--n", "3", "--k", k, "--route", "quadrature"]
+            )
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "double-precision" in err
+            assert "320" in err
 
     @pytest.mark.parametrize("k", ["120", "250"])
     def test_out_of_range_monte_carlo_moment_maps_to_usage(self, capsys, k):

@@ -180,8 +180,10 @@ class TestMaxAbsMoment:
             max_abs_moments(n, (2,))
 
     def test_out_of_range_order_raises(self):
-        with pytest.raises(ValueError, match="double-precision"):
-            max_abs_moments(3, (320,))
+        # also in one batch with an order that fits; the message names 320
+        for ks in [(320,), (1, 320)]:
+            with pytest.raises(ValueError, match="order 320 is out of double-precision"):
+                max_abs_moments(3, ks)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_orders_below_one(self, k):
@@ -231,6 +233,12 @@ class TestExpectedMax:
         assert abs(res.value - exact) <= res.abs_error_bound
         if m == 1:
             assert res.value == 0.0
+
+    @pytest.mark.parametrize("m", [10, 36])
+    def test_negative_part_keeps_the_bound_tight(self, m):
+        # the negative part converges to a relative tolerance, so its error
+        # estimate stays far below a fixed 1e-12 on a part of about 1e-11
+        assert expected_max(m).abs_error_bound <= 3e-14
 
     @pytest.mark.parametrize("n", [2, 5, 50])
     def test_monte_carlo_agreement(self, n):

@@ -11,7 +11,7 @@ from meanwidth.extremes import (
     _DEFAULT_QUAD,
     _QuadratureConfig,
     _TRUNC_EPS,
-    _quad,
+    _quad_batch,
     expected_max,
     solve_t_n,
 )
@@ -215,7 +215,7 @@ def per_k_range_moment(n, k):
         surv = np.array([survival(x) for x in t.ravel().tolist()]).reshape(t.shape)
         return k * t ** (k - 1) * surv
 
-    value, err = _quad(integrand, 0.0, t_hi, _QuadratureConfig(epsrel=1e-11), points=[peak])
+    value, err = _quad_batch(lambda t, owners: integrand(t), [[0.0, peak, t_hi]], _QuadratureConfig(epsrel=1e-11))[0]
     inner = (n * 1e-13 + 1e-12) * peak**k + 1e-12 * value
     return value, err, t_hi, inner
 

@@ -18,7 +18,6 @@ from meanwidth.extremes import (
     _DEFAULT_QUAD,
     _QuadratureConfig,
     _gk21,
-    _quad,
     _quad_batch,
     expected_max,
     expected_max_gap,
@@ -28,6 +27,10 @@ from meanwidth.polytopes import range_moments
 from meanwidth.special import normal_tail
 
 EPS = np.finfo(float).eps
+
+
+def _one_integral(f, edges, cfg):
+    return _quad_batch(lambda x, owners: f(x), [edges], cfg)[0]
 
 
 def _gauss_kronrod(f, a, b):
@@ -53,15 +56,16 @@ class TestRule:
 
     def test_limit_one_raises(self):
         with pytest.raises(QuadratureError, match="did not converge"):
-            _quad(lambda x: np.exp(-x * x), 0.0, 10.0, _QuadratureConfig(limit=1))
+            _one_integral(lambda x: np.exp(-x * x), [0.0, 10.0], _QuadratureConfig(limit=1))
 
     @pytest.mark.parametrize("limit", [1, 2])
     def test_break_points_at_the_limit_raise(self, limit):
-        with pytest.raises(QuadratureError):
-            _quad(lambda x: np.exp(-x * x), 0.0, 10.0, _QuadratureConfig(limit=limit), points=[1.0, 2.0][:limit])
+        # refused before any evaluation: more starting intervals than the limit
+        with pytest.raises(QuadratureError, match="starts from more than"):
+            _one_integral(lambda x: np.exp(-x * x), [0.0, *[1.0, 2.0][:limit], 10.0], _QuadratureConfig(limit=limit))
 
     def test_smooth_integral_matches_scipy(self):
-        value, err = _quad(lambda x: np.exp(-x * x), 0.0, 10.0, _DEFAULT_QUAD)
+        value, err = _one_integral(lambda x: np.exp(-x * x), [0.0, 10.0], _DEFAULT_QUAD)
         assert abs(value - math.sqrt(math.pi) / 2 * math.erf(10.0)) <= err
         assert err <= 1e-12
 
@@ -90,15 +94,26 @@ def _capture(monkeypatch, module, name):
     return calls
 
 
-def _scipy(f, lo, hi, cfg, points=None):
+def _batch_integrals(calls):
+    """(integrand of integral i alone, its edges, cfg, its result) for every
+    integral of every recorded _quad_batch call."""
+    for (f, edge_lists, cfg), _, results in calls:
+        for i, (edges, result) in enumerate(zip(edge_lists, results)):
+            yield (lambda x, f=f, i=i: f(x, np.full(len(x), i))), edges, cfg, result
+
+
+def _scipy(f, edges, cfg):
     def scalar(t):
         return float(f(np.array([[t]]))[0, 0])
 
-    return integrate.quad(scalar, lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit, points=points)
+    lo, *points, hi = edges
+    return integrate.quad(
+        scalar, lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit, points=points or None
+    )
 
 
 class TestIntegrandsAgainstScipy:
-    """Every integrand family through _quad and through scipy.integrate.quad:
+    """Every integrand family through _quad_batch and through scipy.integrate.quad:
     the two values lie within the sum of both error estimates."""
 
     @pytest.mark.parametrize(
@@ -106,16 +121,17 @@ class TestIntegrandsAgainstScipy:
         [
             pytest.param(lambda: max_abs_moments(7, (3,)), id="max-abs-survival"),
             pytest.param(lambda: max_abs_moments(1, (2,)), id="max-abs-survival-n1"),
+            pytest.param(lambda: max_abs_moments(7, (1, 4)), id="max-abs-survival-two-orders"),
             pytest.param(lambda: expected_max(50), id="B_m-positive-part-and-neg-part"),
             pytest.param(lambda: expected_max_gap(40), id="gap-and-neg-part"),
         ],
     )
     def test_single_integrals(self, monkeypatch, run):
-        calls = _capture(monkeypatch, extremes, "_quad")
+        calls = _capture(monkeypatch, extremes, "_quad_batch")
         run()
         assert calls
-        for (f, lo, hi, cfg), kwargs, (value, err) in calls:
-            oracle, oracle_err = _scipy(f, lo, hi, cfg, kwargs.get("points"))
+        for f, edges, cfg, (value, err) in _batch_integrals(calls):
+            oracle, oracle_err = _scipy(f, edges, cfg)
             assert abs(value - oracle) <= err + oracle_err
 
     def test_range_cdf_and_survival_integrands(self, monkeypatch):
@@ -134,14 +150,14 @@ class TestIntegrandsAgainstScipy:
 
     def test_integrands_raise_no_warning_at_the_interval_ends(self, monkeypatch):
         # t = 0 makes 2 normal_tail(t) = 1 and the gap's 1 - 2r vanish
-        calls = _capture(monkeypatch, extremes, "_quad")
+        calls = _capture(monkeypatch, extremes, "_quad_batch")
         for n in (1, 4):
             max_abs_moments(n, (2,))
             expected_max(n)
             expected_max_gap(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for (f, lo, hi, _), _, _ in calls:
+            for f, (lo, *_, hi), _, _ in _batch_integrals(calls):
                 assert np.all(np.isfinite(f(np.array([[lo, hi, 0.5 * (lo + hi)]]))))
 
 
@@ -196,3 +212,37 @@ def test_normal_tail_keeps_scipy_erfc_bits():
 
     t = np.linspace(-40.0, 40.0, 80_001)
     assert normal_tail(t).tobytes() == (0.5 * sp.erfc(t / math.sqrt(2.0))).tobytes()
+
+
+class TestOneBatchPerSurvivalMoment:
+    """_survival_moments integrates every order k in one _quad_batch call and
+    computes the survival values of each interval once."""
+
+    def test_max_abs_moments_is_one_batch(self, monkeypatch):
+        calls = _capture(monkeypatch, extremes, "_quad_batch")
+        max_abs_moments(7, (1, 2, 3, 4))
+        assert len(calls) == 1
+        assert len(calls[0][0][1]) == 4
+
+    def test_range_moments_outer_quadrature_is_one_batch(self, monkeypatch):
+        # the inner range quadratures call polytopes' own binding of _quad_batch
+        calls = _capture(monkeypatch, extremes, "_quad_batch")
+        range_moments(57, (1, 2, 3, 4))
+        assert len(calls) == 1
+        assert len(calls[0][0][1]) == 4
+
+    def test_range_moments_passes_each_outer_row_once(self, monkeypatch):
+        rows = []
+        real = polytopes._survival_moments
+
+        def spy(surv, *args, **kwargs):
+            def recording(t):
+                rows.extend(row.tobytes() for row in t)
+                return surv(t)
+
+            return real(recording, *args, **kwargs)
+
+        monkeypatch.setattr(polytopes, "_survival_moments", spy)
+        range_moments(57, (1, 2, 3, 4))
+        assert rows
+        assert len(rows) == len(set(rows))
