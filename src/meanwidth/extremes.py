@@ -58,8 +58,9 @@ class _QuadratureConfig:
     limit: int = 200
 
 
+# max_abs_moments and range_cdf
 _DEFAULT_QUAD = _QuadratureConfig()
-# the gap A_n - B_2n, about B_2n / (8 n log n), needs a relative tolerance alone
+# B_m and the gap A_n - B_2n, about B_2n / (8 n log n), converge to a relative tolerance alone
 _GAP_QUAD = _QuadratureConfig(epsabs=0.0)
 
 
@@ -281,36 +282,34 @@ def expected_max_abs(n: int) -> ExtremeValueResult:
     return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
 
 
-def _neg_part(m: int) -> tuple[float, float]:
-    # int_0^inf normal_tail(t)^m dt and its error bound, to a relative tolerance alone;
-    # normal_tail(t) <= 1/2 for t >= 0, so the integrand is at most 2^(1-m) normal_tail(t)
-    return _survival_moments(lambda t: normal_tail(t) ** m, (1,), 2.0 ** (1 - m), _GAP_QUAD, peak=0.0)[1]
-
-
 def expected_max(m: int) -> ExtremeValueResult:
-    """B_m = E max(eta_1, ..., eta_m).
+    """B_m = E max(eta_1, ..., eta_m), one survival integral.
 
-    Split over the positive and negative parts:
-    int_0^inf (1 - G(t)) dt - int_0^inf normal_tail(t)^m dt, with the small
-    correction integral computed rather than dropped.
+    With G = Phi^m the CDF of the max, B_m = int_0^inf (1 - G) dt -
+    int_{-inf}^0 G dt, and int_{-inf}^0 Phi(t)^m dt = int_0^inf
+    normal_tail(t)^m dt, so B_m = int_0^inf (1 - Phi(t)^m - normal_tail(t)^m) dt,
+    its integrand -expm1(m log1p(-r)) - r^m with r = normal_tail(t).
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
 
-    def pos_part(t):
-        return -np.expm1(m * np.log1p(-normal_tail(t)))
+    def surv(t):
+        r = normal_tail(t)
+        return -np.expm1(m * np.log1p(-r)) - r**m
 
-    pos, err_pos = _survival_moments(pos_part, (1,), m, _DEFAULT_QUAD, peak=solve_t_n(m))[1]
-    neg, err_neg = _neg_part(m)
-    return ExtremeValueResult(n=m, value=pos - neg, abs_error_bound=err_pos + err_neg)
+    # 0 <= 1 - Phi^m - normal_tail^m <= 1 - Phi^m <= m normal_tail(t)
+    value, err = _survival_moments(surv, (1,), m, _GAP_QUAD, peak=solve_t_n(m))[1]
+    return ExtremeValueResult(n=m, value=value, abs_error_bound=err)
 
 
 def expected_max_gap(n: int) -> ExtremeValueResult:
-    """The difference A_n - B_{2n}, computed without cancellation.
+    """The difference A_n - B_{2n}, one survival integral computed without cancellation.
 
-    A_n - B_{2n} = int_0^inf (G_n(t) - F_n(t)) dt + int_0^inf normal_tail(t)^{2n} dt
-    where the first integrand is evaluated as exp(a) * expm1(b - a) with
-    a = n log(1 - 2r), b = 2n log(1 - r), b - a = n log1p(r^2 / (1 - 2r)).
+    With r = normal_tail(t), F_n = (1 - 2r)^n the CDF of max |eta_i| and
+    G_n = (1 - r)^(2n) that of the max of 2n, A_n - B_{2n} =
+    int_0^inf (G_n(t) - F_n(t) + r^(2n)) dt (the r^(2n) term is B_2n's part
+    below 0, as in expected_max).  G_n - F_n is evaluated as exp(a) * expm1(b - a)
+    with a = n log(1 - 2r), b = 2n log(1 - r), b - a = n log1p(r^2 / (1 - 2r)).
     The direct subtraction of two ~sqrt(2 log n)-sized quadratures would lose
     every significant digit of the O(1 / (n sqrt(log n))) gap.
     """
@@ -319,7 +318,7 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
 
     def diff(t):
         # t in [0, T] keeps r = normal_tail(t) in (0, 1/2]; at t = 0, 1 - 2r = 0
-        # makes a = -inf and delta = inf, which the last line masks
+        # makes a = -inf and delta = inf, which the np.where below masks
         r = normal_tail(t)
         one_minus_2r = -np.expm1(math.log(2.0) + np.log(r))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -330,12 +329,11 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
                 delta > 30.0, np.exp(a + delta) - np.exp(a), np.exp(a) * np.expm1(np.minimum(delta, 30.0))
             )
         # where 2r = 1, F_n vanishes: the difference is G_n itself
-        return np.where(one_minus_2r > 0.0, out, np.exp(2 * n * np.log1p(-r)))
+        return np.where(one_minus_2r > 0.0, out, np.exp(2 * n * np.log1p(-r))) + r ** (2 * n)
 
-    # |G_n - F_n| <= 1 - F_n <= 2n normal_tail(t)
+    # G_n - F_n >= 0 and G_n + r^(2n) <= 1, so 0 <= integrand <= 1 - F_n <= 2n normal_tail(t)
     value, err = _survival_moments(diff, (1,), 2 * n, _GAP_QUAD, peak=solve_t_n(n))[1]
-    neg, err_neg = _neg_part(2 * n)
-    return ExtremeValueResult(n=n, value=value + neg, abs_error_bound=err + err_neg)
+    return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
 
 
 def comparison_report(n: int) -> ComparisonReport:

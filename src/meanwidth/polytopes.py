@@ -92,25 +92,15 @@ def v1_from_mean_width(dim: int, mean_width: float) -> float:
 def _abs_sum_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     """{k: (E[(|eta_1| + ... + |eta_n|)^k], error bound)} for each k, in one pass.
 
-    The value: the cumulants of a sum of n iid terms are n times those of
-    |eta|; moments <-> cumulants by the recursion
-    m_j = sum_{i=1..j} C(j-1, i-1) kappa_i m_{j-i}.  The cumulants cancel, so
-    the error is bounded a posteriori, by the distance to a second route that
-    adds only positive terms: binary powering of the moment sequence of |eta|
-    under (x * y)_j = sum_i C(j, i) x_i y_{j-i}.  With each m_j good to
-    relative d_j, that route's k-th entry is good to relative
-    k (max_{j<=k} d_j / j + 2 eps L) after L sequential convolutions, since
-    each adds at most (j + 3) eps / 2 <= 2 j eps to entry j.  Entry j of
-    either route reads entries up to j only: each k gets its own bits.
+    Binary powering of the moment sequence of |eta| under the binomial
+    convolution (x * y)_j = sum_i C(j, i) x_i y_{j-i}, which adds only
+    positive terms.  With each m_j good to relative d_j, entry k is good to
+    relative k (max_{j<=k} d_j / j + 2 eps L) after L <= 2 bit_length(n)
+    sequential convolutions, since each adds at most (j + 3) eps / 2 <= 2 j eps
+    to entry j.  Entry j reads entries up to j only: each k gets its own bits.
     """
     top = max(ks, default=0)
     m = [gaussian_abs_moment(j) for j in range(top + 1)]
-    kappa = [0.0] * (top + 1)
-    for j in range(1, top + 1):
-        kappa[j] = m[j] - sum(math.comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j))
-    s = [1.0] + [0.0] * top
-    for j in range(1, top + 1):
-        s[j] = sum(math.comb(j - 1, i - 1) * n * kappa[i] * s[j - i] for i in range(1, j + 1))
 
     def convolve(x, y):
         return [math.fsum(math.comb(j, i) * x[i] * y[j - i] for i in range(j + 1)) for j in range(top + 1)]
@@ -126,24 +116,28 @@ def _abs_sum_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     out, d = {}, 0.0
     for j in range(1, top + 1):
         d = max(d, _gaussian_abs_moment_rounding(j) / j)
-        rel = j * _EPS * (d + 4.0 * n.bit_length())
-        out[j] = (s[j], abs(s[j] - total[j]) + rel * total[j])
+        out[j] = (total[j], j * _EPS * (d + 4.0 * n.bit_length()) * total[j])
     return {k: out[k] for k in ks}
 
 
 def _per_norm(moment: float, err: float, d: int, k: int) -> tuple[float, float, float]:
-    """moment and err divided by E|g|^k for g ~ N(0, I_d), where E|g|^k =
-    2^(k/2) Gamma((d+k)/2) / Gamma(d/2), and a bound on the relative
-    rounding of that factor, in units of eps: k/2 products and a division
-    for even k; for odd k, the exponent's absolute rounding, then exp and the
-    product."""
-    if k % 2 == 0:
-        # E|g|^k is exactly d (d+2) ... (d+k-2) for even k
-        norm = math.prod(float(d + 2 * j) for j in range(k // 2))
-        return moment / norm, err / norm, k / 2 + 1.0
-    y = -0.5 * k * math.log(2.0) + log_gamma_ratio(d / 2, (d + k) / 2)
-    factor = math.exp(y)
-    return moment * factor, err * factor, 3.0 + k + abs(y) + _log_gamma_ratio_rounding(d / 2, (d + k) / 2)
+    """moment and err divided by E|g|^k for g ~ N(0, I_d), and a bound on the
+    relative rounding of that division, in units of eps.
+
+    E|g|^k = 2^(k/2) Gamma((d+k)/2) / Gamma(d/2) is E|g|^(k mod 2) times
+    (d + i) over i = k mod 2, k mod 2 + 2, ..., k - 2.  Dividing by one factor
+    at a time keeps every step in double range, at eps/2 each.  For odd k,
+    1 / E|g| = exp(y), y = log_gamma_ratio(d/2, (d+1)/2) - log(2) / 2: exp
+    turns y's absolute rounding relative and adds its own, and the product
+    adds half an eps."""
+    rounding = 0.5 * (k // 2)
+    if k % 2:
+        y = -0.5 * math.log(2.0) + log_gamma_ratio(d / 2, (d + 1) / 2)
+        moment, err = moment * math.exp(y), err * math.exp(y)
+        rounding += 4.0 + abs(y) + _log_gamma_ratio_rounding(d / 2, (d + 1) / 2)
+    for i in range(k % 2, k - 1, 2):
+        moment, err = moment / (d + i), err / (d + i)
+    return moment, err, rounding
 
 
 def width_moment_cube(n: int, k: int) -> MomentEstimate:

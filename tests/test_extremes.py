@@ -214,6 +214,8 @@ class TestExpectedMax:
         [
             (4, 3.0 / (2.0 * math.sqrt(math.pi)) * (1.0 + 2.0 / math.pi * math.asin(1.0 / 3.0))),
             (5, 5.0 / (4.0 * math.sqrt(math.pi)) * (1.0 + 6.0 / math.pi * math.asin(1.0 / 3.0))),
+            (2, 1.0 / math.sqrt(math.pi)),
+            (3, 3.0 / (2.0 * math.sqrt(math.pi))),
         ],
     )
     def test_m4_m5_closed_forms_within_the_error_bound(self, m, exact):
@@ -236,8 +238,8 @@ class TestExpectedMax:
 
     @pytest.mark.parametrize("m", [10, 36])
     def test_negative_part_keeps_the_bound_tight(self, m):
-        # the negative part converges to a relative tolerance, so its error
-        # estimate stays far below a fixed 1e-12 on a part of about 1e-11
+        # B_m's one integral converges to a relative tolerance, so its error
+        # estimate stays far below the 1e-12 an absolute tolerance would allow
         assert expected_max(m).abs_error_bound <= 3e-14
 
     @pytest.mark.parametrize("n", [2, 5, 50])
@@ -308,6 +310,11 @@ class TestGap:
         gap = expected_max_gap(n)
         assert abs(gap.value - exact) <= gap.abs_error_bound
         assert gap.value == pytest.approx(exact, rel=1e-14)
+
+    def test_n1_closed_form_within_the_error_bound(self):
+        # A_1 = E|eta| = sqrt(2/pi) and B_2 = 1/sqrt(pi)
+        gap = expected_max_gap(1)
+        assert abs(gap.value - (math.sqrt(2.0 / math.pi) - 1.0 / math.sqrt(math.pi))) <= gap.abs_error_bound
 
     def test_extremes_at_1e12_prints_the_true_normalized_gap(self):
         # 8 n log n (A_n / B_2n - 1) = 1.0640 at n = 1e12, where the absolute

@@ -13,6 +13,7 @@ from meanwidth.extremes import (
     _TRUNC_EPS,
     _quad_batch,
     expected_max,
+    max_abs_moments,
     solve_t_n,
 )
 from meanwidth.polytopes import (
@@ -35,7 +36,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def cube_polynomial(n, k):
-    """Hand-derived E[W_{Q_n}^k] for k = 1..4: the oracle of the cumulant route."""
+    """Hand-derived E[W_{Q_n}^k] for k = 1..4: an oracle of the closed form."""
     if k == 1:
         return n * math.exp(log_gamma_ratio(n / 2, (n + 1) / 2)) / math.sqrt(math.pi)
     if k == 2:
@@ -85,7 +86,8 @@ class TestV1FromMeanWidth:
 
 
 def cube_moment_mp(n, k):
-    """E[W_{Q_n}^k] in 50-digit arithmetic, by the same cumulant recursion."""
+    """E[W_{Q_n}^k] in 50-digit arithmetic, by a cumulant recursion: a route
+    independent of the closed form's binomial powering."""
     with mpmath.workdps(50):
         m = [2 ** mpmath.mpf(j / 2) * mpmath.gamma(mpmath.mpf(j + 1) / 2) / mpmath.sqrt(mpmath.pi) for j in range(k + 1)]
         kappa = [mpmath.mpf(0)] * (k + 1)
@@ -165,6 +167,19 @@ class TestCrossMoments:
         est = width_moment(RegularPolytope(PolytopeKind.CROSS, 3), 2)
         mc = estimate_moments(RegularPolytope(PolytopeKind.CROSS, 3), (2,), McConfig(seed=11, samples=1_000_000))[2]
         assert abs(est.value - mc.value) < 4.0 * mc.error + est.error
+
+
+    @pytest.mark.parametrize("n, k", [(2000, 200), (3000, 180)])
+    def test_moment_under_an_overflowing_norm_moment(self, n, k):
+        # E|g|^k overflows a double (about 1e332 at n = 2000, k = 200), where
+        # dividing by its product had printed 0
+        est = width_moment(RegularPolytope(PolytopeKind.CROSS, n), k)
+        moment = max_abs_moments(n, (k,))[k][0]
+        with mpmath.workdps(40):
+            norm = 2 ** mpmath.mpf(k / 2) * mpmath.gamma(mpmath.mpf(n + k) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+            exact = 2 ** mpmath.mpf(k) * mpmath.mpf(moment) / norm
+            assert est.value > 0.0
+            assert abs(mpmath.mpf(est.value) - exact) <= est.error
 
 
 class TestRangeEngine:

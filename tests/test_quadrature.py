@@ -224,6 +224,14 @@ class TestOneBatchPerSurvivalMoment:
         assert len(calls) == 1
         assert len(calls[0][0][1]) == 4
 
+    @pytest.mark.parametrize("run", [expected_max, expected_max_gap], ids=["B_m", "gap"])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_each_extreme_value_is_one_integral(self, monkeypatch, run, n):
+        calls = _capture(monkeypatch, extremes, "_quad_batch")
+        run(n)
+        assert len(calls) == 1
+        assert len(calls[0][0][1]) == 1
+
     def test_range_moments_outer_quadrature_is_one_batch(self, monkeypatch):
         # the inner range quadratures call polytopes' own binding of _quad_batch
         calls = _capture(monkeypatch, extremes, "_quad_batch")
