@@ -55,13 +55,15 @@ class IndefiniteMatrixError(NumericalError, ValueError):
 class _QuadratureConfig:
     epsabs: float = 1e-12
     epsrel: float = 1e-12
-    limit: int = 200
 
 
-# max_abs_moments and range_cdf
+# the most intervals any one integral may use
+_LIMIT = 200
+# max_abs_moments
 _DEFAULT_QUAD = _QuadratureConfig()
-# B_m and the gap A_n - B_2n, about B_2n / (8 n log n), converge to a relative tolerance alone
-_GAP_QUAD = _QuadratureConfig(epsabs=0.0)
+# a relative tolerance alone: B_m, the gap A_n - B_2n (about B_2n / (8 n log n))
+# and the range survival past its break point
+_REL_QUAD = _QuadratureConfig(epsabs=0.0)
 
 
 @dataclass(frozen=True)
@@ -150,11 +152,11 @@ def _quad_batch(f, edge_lists, cfg: _QuadratureConfig):
     integral whose estimates sum to more than max(epsabs, epsrel |value|).
     f(nodes, owners) maps a 2-D array of nodes elementwise to integrand
     values, row r belonging to integral owners[r].  Raises QuadratureError
-    when an integral starts from or needs more than cfg.limit intervals.
+    when an integral starts from or needs more than _LIMIT intervals.
     Returns [(value, error estimate)] in the order of edge_lists; each equals
     what the integral gets on its own."""
-    if any(len(edges) - 1 > cfg.limit for edges in edge_lists):
-        raise QuadratureError(f"an integral starts from more than limit={cfg.limit} intervals")
+    if any(len(edges) - 1 > _LIMIT for edges in edge_lists):
+        raise QuadratureError(f"an integral starts from more than limit={_LIMIT} intervals")
     heaps = [[] for _ in edge_lists]
     results = [None] * len(edge_lists)
     pending = [(i, a, b) for i, edges in enumerate(edge_lists) for a, b in zip(edges, edges[1:])]
@@ -172,9 +174,9 @@ def _quad_batch(f, edge_lists, cfg: _QuadratureConfig):
             if err <= max(cfg.epsabs, cfg.epsrel * abs(value)):
                 results[i] = (value, err)
                 continue
-            if len(heap) >= cfg.limit:
+            if len(heap) >= _LIMIT:
                 raise QuadratureError(
-                    f"quadrature did not converge: error estimate {err:.3g} after limit={cfg.limit} subintervals"
+                    f"quadrature did not converge: error estimate {err:.3g} after limit={_LIMIT} subintervals"
                 )
             _, a, b, _ = heapq.heappop(heap)
             mid = 0.5 * (a + b)
@@ -298,7 +300,7 @@ def expected_max(m: int) -> ExtremeValueResult:
         return -np.expm1(m * np.log1p(-r)) - r**m
 
     # 0 <= 1 - Phi^m - normal_tail^m <= 1 - Phi^m <= m normal_tail(t)
-    value, err = _survival_moments(surv, (1,), m, _GAP_QUAD, peak=solve_t_n(m))[1]
+    value, err = _survival_moments(surv, (1,), m, _REL_QUAD, peak=solve_t_n(m))[1]
     return ExtremeValueResult(n=m, value=value, abs_error_bound=err)
 
 
@@ -308,8 +310,8 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
     With r = normal_tail(t), F_n = (1 - 2r)^n the CDF of max |eta_i| and
     G_n = (1 - r)^(2n) that of the max of 2n, A_n - B_{2n} =
     int_0^inf (G_n(t) - F_n(t) + r^(2n)) dt (the r^(2n) term is B_2n's part
-    below 0, as in expected_max).  G_n - F_n is evaluated as exp(a) * expm1(b - a)
-    with a = n log(1 - 2r), b = 2n log(1 - r), b - a = n log1p(r^2 / (1 - 2r)).
+    below 0, as in expected_max).  G_n - F_n is evaluated as
+    G_n * -expm1(-delta), delta = log(G_n / F_n) = n log1p(r^2 / (1 - 2r)).
     The direct subtraction of two ~sqrt(2 log n)-sized quadratures would lose
     every significant digit of the O(1 / (n sqrt(log n))) gap.
     """
@@ -317,22 +319,15 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
         raise ValueError(f"n must be positive, got {n}")
 
     def diff(t):
-        # t in [0, T] keeps r = normal_tail(t) in (0, 1/2]; at t = 0, 1 - 2r = 0
-        # makes a = -inf and delta = inf, which the np.where below masks
+        # t in [0, T] keeps r = normal_tail(t) in (0, 1/2]; 1 - 2r is exact for
+        # r >= 1/4 (Sterbenz) and +0.0 at t = 0, where delta = inf gives G_n itself
         r = normal_tail(t)
-        one_minus_2r = -np.expm1(math.log(2.0) + np.log(r))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = n * np.log1p(-2.0 * r)
-            delta = n * np.log1p(r * r / one_minus_2r)
-            # past delta = 30, F_n is negligible next to G_n: no cancellation to protect
-            out = np.where(
-                delta > 30.0, np.exp(a + delta) - np.exp(a), np.exp(a) * np.expm1(np.minimum(delta, 30.0))
-            )
-        # where 2r = 1, F_n vanishes: the difference is G_n itself
-        return np.where(one_minus_2r > 0.0, out, np.exp(2 * n * np.log1p(-r))) + r ** (2 * n)
+        with np.errstate(divide="ignore"):
+            delta = n * np.log1p(r * r / (1.0 - 2.0 * r))
+        return np.exp(2 * n * np.log1p(-r)) * -np.expm1(-delta) + r ** (2 * n)
 
     # G_n - F_n >= 0 and G_n + r^(2n) <= 1, so 0 <= integrand <= 1 - F_n <= 2n normal_tail(t)
-    value, err = _survival_moments(diff, (1,), 2 * n, _GAP_QUAD, peak=solve_t_n(n))[1]
+    value, err = _survival_moments(diff, (1,), 2 * n, _REL_QUAD, peak=solve_t_n(n))[1]
     return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extremes import (
-    _DEFAULT_QUAD, _SQRT_2PI, _QuadratureConfig, _quad_batch, _survival_moments,
+    _REL_QUAD, _SQRT_2PI, _QuadratureConfig, _quad_batch, _survival_moments,
     expected_max, expected_max_abs, max_abs_moments, solve_t_n,
 )
 from .special import (
@@ -37,14 +37,12 @@ __all__ = [
     "width_moment_cube",
     "width_moment",
     "width_moments",
-    "range_cdf",
     "range_moments",
     "sudakov_v1",
 ]
 
-# range_moments' inner quadratures of 1 - range_cdf and of the direct survival, and its outer one
-_CDF_QUAD = _QuadratureConfig(epsabs=1e-13)
-_TAIL_QUAD = _QuadratureConfig(epsabs=0.0)
+# range_moments' inner quadratures up to its break point (past it, _REL_QUAD), and its outer one
+_BODY_QUAD = _QuadratureConfig(epsabs=1e-13)
 _OUTER_QUAD = _QuadratureConfig(epsrel=1e-11)
 
 class PolytopeKind(str, enum.Enum):
@@ -145,17 +143,9 @@ def width_moment_cube(n: int, k: int) -> MomentEstimate:
     return width_moments(RegularPolytope(PolytopeKind.CUBE, n), (k,))[k]
 
 
-def range_cdf(n: int, t: float) -> float:
-    """P[max eta_i - min eta_i <= t] = n int phi(x) (Phi(x+t) - Phi(x))^(n-1) dx."""
-    if n < 2:
-        raise ValueError(f"range needs n >= 2, got {n}")
-    return _range_batch(n, [t], _DEFAULT_QUAD)[0] if t > 0 else 0.0
-
-
-def _range_batch(n: int, ts, cfg: _QuadratureConfig, survival: bool = False) -> list[float]:
-    """P[max eta_i - min eta_i <= t], or with survival=True P[... > t], at
-    every t > 0 of ts: one batch of quadratures, each value the one its t
-    gets on its own.
+def _range_batch(n: int, ts, cfg: _QuadratureConfig) -> list[float]:
+    """P[max eta_i - min eta_i > t] at every t > 0 of ts: one batch of
+    quadratures, each value the one its t gets on its own.
 
     With a = normal_tail(x) and b = normal_tail(x + t), the CDF is
     n int phi(x) (a - b)^(n-1) dx, and since n int phi a^(n-1) = 1 the
@@ -167,31 +157,30 @@ def _range_batch(n: int, ts, cfg: _QuadratureConfig, survival: bool = False) -> 
     def integrand(x, owners):
         a = normal_tail(x)
         b = normal_tail(x + ts[owners][:, None])
-        if survival:
-            # a >= normal_tail(9) > 0 on the domain; b = a only as t -> 0,
-            # where log1p(-1) = -inf gives the exact bracket a^(n-1)
-            with np.errstate(divide="ignore"):
-                bracket = -(a ** (n - 1)) * np.expm1((n - 1) * np.log1p(-b / a))
-        else:
-            bracket = np.maximum(a - b, 0.0) ** (n - 1)
+        # a >= normal_tail(9) > 0 on the domain; b = a only as t -> 0,
+        # where log1p(-1) = -inf gives the exact bracket a^(n-1)
+        with np.errstate(divide="ignore"):
+            bracket = -(a ** (n - 1)) * np.expm1((n - 1) * np.log1p(-b / a))
         return np.exp(-0.5 * x * x) / _SQRT_2PI * bracket
 
-    values = _quad_batch(integrand, [(-t - 9.0, 9.0) for t in ts.tolist()], cfg)
-    return [n * value if survival else min(n * value, 1.0) for value, _ in values]
+    # split where the window [x, x + t] is centred on 0, near the peak of (a - b)^(n-1)
+    values = _quad_batch(integrand, [(-t - 9.0, -0.5 * t, 9.0) for t in ts.tolist()], cfg)
+    return [n * value for value, _ in values]
 
 
 def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     """E[(max eta_i - min eta_i)^k] with error bound for each k, by nested
-    quadrature of the range survival function S(t).
+    quadrature of the range survival function S(t) = _range_batch.
 
-    Up to the break point 2 t_n (about the median range), S = 1 - range_cdf;
-    past it, where S is small and the high moments take their weight, S is
-    computed directly, to a relative inner tolerance.  The error adds what
-    the inner tolerances allow: |dS| <= n epsabs + epsrel below the break
-    point, epsrel S past it, so n epsabs + epsrel times its k-th power plus
-    epsrel times the moment.  The outer quadratures of every k run as one
-    batch that computes each interval's survival values once, and the inner
-    quadratures of one outer call's nodes run as one batch."""
+    Up to the break point 2 t_n (about the median range) the inner
+    quadratures run to an absolute tolerance; past it, where S is small and
+    the high moments take their weight, to a relative one.  The error adds
+    what the inner tolerances allow: |dS| <= n epsabs + epsrel below the
+    break point, epsrel S past it, so n epsabs + epsrel times its k-th power
+    plus epsrel times the moment.  The outer quadratures of every k run as
+    one batch that computes each interval's survival values once, and the
+    inner quadratures of one outer call's nodes run as one batch per side of
+    the break point."""
     if n < 2:
         raise ValueError(f"range needs n >= 2, got {n}")
     peak = 2.0 * solve_t_n(n)
@@ -200,15 +189,15 @@ def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
         # outer nodes lie inside (0, T), so every t > 0
         out = np.empty_like(t)
         body = t <= peak
-        out[body] = 1.0 - np.array(_range_batch(n, t[body], _CDF_QUAD))
-        out[~body] = _range_batch(n, t[~body], _TAIL_QUAD, survival=True)
+        out[body] = _range_batch(n, t[body], _BODY_QUAD)
+        out[~body] = _range_batch(n, t[~body], _REL_QUAD)
         return out
 
     # range > t forces max > t/2 or -min > t/2, so the survival function is
     # bounded by 2n normal_tail(t/2)
     moments = _survival_moments(surv, ks, 2 * n, _OUTER_QUAD, scale=2.0, peak=peak)
-    inner = n * _CDF_QUAD.epsabs + _CDF_QUAD.epsrel
-    return {k: (v, e + inner * peak**k + _TAIL_QUAD.epsrel * abs(v)) for k, (v, e) in moments.items()}
+    inner = n * _BODY_QUAD.epsabs + _BODY_QUAD.epsrel
+    return {k: (v, e + inner * peak**k + _REL_QUAD.epsrel * abs(v)) for k, (v, e) in moments.items()}
 
 
 def width_moments(p: RegularPolytope, ks) -> dict[int, MomentEstimate]:

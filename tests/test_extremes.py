@@ -175,7 +175,7 @@ class TestMaxAbsMoment:
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_subdivision_limit_raises(self, monkeypatch, n):
-        monkeypatch.setattr(extremes, "_DEFAULT_QUAD", _QuadratureConfig(limit=1))
+        monkeypatch.setattr(extremes, "_LIMIT", 1)
         with pytest.raises(QuadratureError):
             max_abs_moments(n, (2,))
 

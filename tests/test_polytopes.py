@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from meanwidth import polytopes
+from meanwidth import extremes, polytopes
 from meanwidth.extremes import (
     QuadratureError,
-    _DEFAULT_QUAD,
     _QuadratureConfig,
     _TRUNC_EPS,
     _quad_batch,
@@ -21,7 +20,6 @@ from meanwidth.polytopes import (
     RegularPolytope,
     _abs_sum_moments,
     _range_batch,
-    range_cdf,
     range_moments,
     sudakov_v1,
     v1_from_mean_width,
@@ -183,10 +181,6 @@ class TestCrossMoments:
 
 
 class TestRangeEngine:
-    def test_cdf_limits(self):
-        assert range_cdf(3, 0.0) == 0.0
-        assert range_cdf(3, 25.0) == pytest.approx(1.0, abs=1e-12)
-
     def test_n2_range_is_abs_difference(self):
         # E|eta_1 - eta_2| = 2/sqrt(pi)
         value, err = range_moments(2, (1,))[1]
@@ -205,9 +199,11 @@ class TestRangeEngine:
             range_moments(10**9, (1,))
 
     def test_cdf_subdivision_limit_raises(self, monkeypatch):
-        monkeypatch.setattr(polytopes, "_DEFAULT_QUAD", _QuadratureConfig(limit=1))
-        with pytest.raises(QuadratureError):
-            range_cdf(5, 1.0)
+        # the inner survival batch on its own: from its two starting
+        # intervals it needs more than two
+        monkeypatch.setattr(extremes, "_LIMIT", 2)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            _range_batch(5, [1.0], polytopes._BODY_QUAD)
 
 
 def per_k_range_moment(n, k):
@@ -218,13 +214,11 @@ def per_k_range_moment(n, k):
     allowance (n epsabs + epsrel) peak^k + epsrel value."""
     t_hi = 2.0 * float(normal_tail_inverse(min(_TRUNC_EPS / (2 * n), 0.25)))
     peak = 2.0 * solve_t_n(n)
-    cdf_cfg = _QuadratureConfig(epsabs=1e-13)
+    body_cfg = _QuadratureConfig(epsabs=1e-13)
     tail_cfg = _QuadratureConfig(epsabs=0.0)
 
     def survival(x):
-        if x <= peak:
-            return 1.0 - _range_batch(n, [x], cdf_cfg)[0]
-        return _range_batch(n, [x], tail_cfg, survival=True)[0]
+        return _range_batch(n, [x], body_cfg if x <= peak else tail_cfg)[0]
 
     def integrand(t):
         surv = np.array([survival(x) for x in t.ravel().tolist()]).reshape(t.shape)
@@ -274,12 +268,23 @@ class TestRangeMoments:
         assert moments[12][0] == pytest.approx(665280.0, rel=1e-13)
 
     def test_survival_and_cdf_add_to_one(self):
+        # the oracle: scipy's quad of the CDF n int phi(x) (Phi(x+t) - Phi(x))^(n-1) dx,
+        # the bracket as the difference of two normal tails
+        def cdf(n, t):
+            def integrand(x):
+                return n * math.exp(-0.5 * x * x) / SQRT_2PI * float(normal_tail(x) - normal_tail(x + t)) ** (n - 1)
+
+            value, _ = integrate.quad(integrand, -t - 12.0, 12.0, epsabs=1e-15, epsrel=1e-13, limit=200)
+            return value
+
         inner = _QuadratureConfig(epsabs=0.0)
         for n in (2, 5, 221):
-            ts = [0.3, 1.0, 2.5, 4.0, 6.0]
-            for t, surv in zip(ts, _range_batch(n, ts, inner, survival=True)):
-                assert surv + range_cdf(n, t) == pytest.approx(1.0, abs=1e-13)
-            assert _range_batch(n, ts, _DEFAULT_QUAD) == [range_cdf(n, t) for t in ts]
+            # t = 25 is the t -> inf limit: the survival vanishes and the CDF is 1
+            ts = [0.3, 1.0, 2.5, 4.0, 6.0, 25.0]
+            survs = _range_batch(n, ts, inner)
+            for t, surv in zip(ts, survs):
+                assert surv + cdf(n, t) == pytest.approx(1.0, abs=1e-13), (n, t)
+            assert survs == [_range_batch(n, [t], inner)[0] for t in ts]
 
     def test_n3_error_is_an_honest_bound(self):
         # the n = 3 range density 6 int phi(x) phi(x+d) (Phi(x+d) - Phi(x)) dx
@@ -296,12 +301,19 @@ class TestRangeMoments:
             value, err = moments[k]
             assert abs(value - exact[k]) <= err, k
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 57, 221, 2000])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 57, 100, 221, 1000, 2000, 10**4, 10**5, 10**6])
     def test_mean_range_is_twice_the_expected_max(self, n):
         # E[max - min] = 2 E max by symmetry: an independent quadrature route
         value, err = range_moments(n, (1,))[1]
         emax = expected_max(n)
         assert abs(value - 2.0 * emax.value) <= err + 2.0 * emax.abs_error_bound
+
+    def test_mean_range_keeps_its_digits_at_large_n(self):
+        # far tighter than the error bound (1.0e-8 relative): no survival value
+        # is 1 - CDF, so none loses the CDF's rounding to cancellation
+        n = 10**5
+        two_b = 2.0 * expected_max(n).value
+        assert abs(range_moments(n, (1,))[1][0] - two_b) <= 2e-12 * two_b
 
     def test_duplicate_orders_are_computed_once(self):
         assert list(range_moments(4, (3, 1, 3))) == [3, 1]

@@ -16,7 +16,7 @@ from meanwidth import extremes, polytopes
 from meanwidth.extremes import (
     QuadratureError,
     _DEFAULT_QUAD,
-    _QuadratureConfig,
+    _LIMIT,
     _gk21,
     _quad_batch,
     expected_max,
@@ -54,15 +54,17 @@ class TestRule:
         value, err = _gauss_kronrod(lambda x: x**20, 0.0, 1.0)
         assert err > 10 * 50 * EPS * value
 
-    def test_limit_one_raises(self):
+    def test_limit_one_raises(self, monkeypatch):
+        monkeypatch.setattr(extremes, "_LIMIT", 1)
         with pytest.raises(QuadratureError, match="did not converge"):
-            _one_integral(lambda x: np.exp(-x * x), [0.0, 10.0], _QuadratureConfig(limit=1))
+            _one_integral(lambda x: np.exp(-x * x), [0.0, 10.0], _DEFAULT_QUAD)
 
     @pytest.mark.parametrize("limit", [1, 2])
-    def test_break_points_at_the_limit_raise(self, limit):
+    def test_break_points_at_the_limit_raise(self, monkeypatch, limit):
         # refused before any evaluation: more starting intervals than the limit
+        monkeypatch.setattr(extremes, "_LIMIT", limit)
         with pytest.raises(QuadratureError, match="starts from more than"):
-            _one_integral(lambda x: np.exp(-x * x), [0.0, *[1.0, 2.0][:limit], 10.0], _QuadratureConfig(limit=limit))
+            _one_integral(lambda x: np.exp(-x * x), [0.0, *[1.0, 2.0][:limit], 10.0], _DEFAULT_QUAD)
 
     def test_smooth_integral_matches_scipy(self):
         value, err = _one_integral(lambda x: np.exp(-x * x), [0.0, 10.0], _DEFAULT_QUAD)
@@ -108,7 +110,7 @@ def _scipy(f, edges, cfg):
 
     lo, *points, hi = edges
     return integrate.quad(
-        scalar, lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit, points=points or None
+        scalar, lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=_LIMIT, points=points or None
     )
 
 
@@ -122,8 +124,8 @@ class TestIntegrandsAgainstScipy:
             pytest.param(lambda: max_abs_moments(7, (3,)), id="max-abs-survival"),
             pytest.param(lambda: max_abs_moments(1, (2,)), id="max-abs-survival-n1"),
             pytest.param(lambda: max_abs_moments(7, (1, 4)), id="max-abs-survival-two-orders"),
-            pytest.param(lambda: expected_max(50), id="B_m-positive-part-and-neg-part"),
-            pytest.param(lambda: expected_max_gap(40), id="gap-and-neg-part"),
+            pytest.param(lambda: expected_max(50), id="B_m-one-survival-integral"),
+            pytest.param(lambda: expected_max_gap(40), id="gap-one-survival-integral"),
         ],
     )
     def test_single_integrals(self, monkeypatch, run):
@@ -134,16 +136,16 @@ class TestIntegrandsAgainstScipy:
             oracle, oracle_err = _scipy(f, edges, cfg)
             assert abs(value - oracle) <= err + oracle_err
 
-    def test_range_cdf_and_survival_integrands(self, monkeypatch):
+    def test_range_survival_integrands(self, monkeypatch):
         calls = _capture(monkeypatch, polytopes, "_quad_batch")
         range_moments(5, (1,))
-        # the first outer call's nodes below the break point (CDF), then past it (survival)
+        # the first outer call's nodes below the break point, then past it
         for (f, edge_lists, cfg), _, results in calls[:2]:
             for i in (0, len(edge_lists) // 2, len(edge_lists) - 1):
-                lo, hi = edge_lists[i]
+                lo, *points, hi = edge_lists[i]
                 oracle, oracle_err = integrate.quad(
                     lambda x: float(f(np.array([[x]]), np.array([i]))[0, 0]),
-                    lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit,
+                    lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=_LIMIT, points=points,
                 )
                 value, err = results[i]
                 assert abs(value - oracle) <= err + oracle_err
