@@ -11,7 +11,6 @@ inequalities
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -122,65 +121,72 @@ _WG21 = _mirrored(_GK21_GAUSS, 1.0)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _gk21(f, intervals, owners):
-    """qk21 on each interval (a, b): its Kronrod value and QUADPACK's error
-    estimate, from one call f(nodes, owners) on the nodes of all of them.
-    Row sums, not BLAS, so each interval's bits do not depend on the others."""
-    centers = np.array([0.5 * (a + b) for a, b in intervals])
-    halves = [0.5 * (b - a) for a, b in intervals]
-    fv = f(centers[:, None] + np.array(halves)[:, None] * _X21, np.array(owners))
+def _gk21(f, lo, hi, owners):
+    """qk21 on each interval (lo[r], hi[r]): the lists of their Kronrod values
+    and of QUADPACK's error estimates, from one call f(nodes, owners) on the
+    nodes of all of them.  Row sums, not BLAS, so each interval's bits do not
+    depend on the others."""
+    lo, hi = np.array(lo), np.array(hi)
+    half = 0.5 * (hi - lo)
+    fv = f((0.5 * (lo + hi))[:, None] + half[:, None] * _X21, np.array(owners))
     resk = (fv * _WK21).sum(axis=1)
-    resg = (fv * _WG21).sum(axis=1)
-    resabs = (np.abs(fv) * _WK21).sum(axis=1)
-    resasc = (np.abs(fv - 0.5 * resk[:, None]) * _WK21).sum(axis=1)
-    out = []
-    for k, g, res_abs, res_asc, h in zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist(), halves):
-        err, res_abs, res_asc = abs(k - g) * h, res_abs * h, res_asc * h
-        if res_asc != 0.0 and err != 0.0:
-            err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
-        if res_abs > _TINY / (50.0 * _EPS):
-            err = max(50.0 * _EPS * res_abs, err)
-        out.append((k * h, err))
-    return out
+    err = np.abs(resk - (fv * _WG21).sum(axis=1)) * half
+    res_abs = (np.abs(fv) * _WK21).sum(axis=1) * half
+    res_asc = (np.abs(fv - 0.5 * resk[:, None]) * _WK21).sum(axis=1) * half
+    rescale = (res_asc != 0.0) & (err != 0.0)
+    # Python's pow, which numpy's vector pow does not match to the last bit
+    err[rescale] = res_asc[rescale] * [min(1.0, r**1.5) for r in (200.0 * err[rescale] / res_asc[rescale]).tolist()]
+    # fmax, like Python's max(floor, err), keeps the floor over a NaN estimate (an infinite integrand value)
+    floored = res_abs > _TINY / (50.0 * _EPS)
+    err[floored] = np.fmax(50.0 * _EPS * res_abs[floored], err[floored])
+    return (resk * half).tolist(), err.tolist()
 
 
 def _quad_batch(f, edge_lists, cfg: _QuadratureConfig):
     """The package's one adaptive quadrature, QUADPACK's QAG with the 21-point
     Gauss-Kronrod rule and no extrapolation, for several integrals side by
     side.  Integral i starts from the intervals between its edge_lists[i];
-    each round bisects the interval with the largest error estimate of every
-    integral whose estimates sum to more than max(epsabs, epsrel |value|).
-    f(nodes, owners) maps a 2-D array of nodes elementwise to integrand
-    values, row r belonging to integral owners[r].  Raises QuadratureError
-    when an integral starts from or needs more than _LIMIT intervals.
-    Returns [(value, error estimate)] in the order of edge_lists; each equals
-    what the integral gets on its own."""
+    each round bisects the interval with the largest error estimate (the
+    leftmost of equal ones) of every integral whose estimates sum to more
+    than max(epsabs, epsrel |value|).  f(nodes, owners) maps a 2-D array of
+    nodes elementwise to integrand values, row r belonging to integral
+    owners[r].  Raises QuadratureError when an integral starts from or needs
+    more than _LIMIT intervals.  Returns [(value, error estimate)] in the
+    order of edge_lists; each equals what the integral gets on its own."""
     if any(len(edges) - 1 > _LIMIT for edges in edge_lists):
         raise QuadratureError(f"an integral starts from more than limit={_LIMIT} intervals")
-    heaps = [[] for _ in edge_lists]
-    results = [None] * len(edge_lists)
-    pending = [(i, a, b) for i, edges in enumerate(edge_lists) for a, b in zip(edges, edges[1:])]
-    while pending:
-        evaluated = _gk21(f, [(a, b) for _, a, b in pending], [i for i, _, _ in pending])
-        for (i, a, b), (v, e) in zip(pending, evaluated):
-            # a max-heap on the error estimate
-            heapq.heappush(heaps[i], (-e, a, b, v))
-        active = dict.fromkeys(i for i, _, _ in pending)
-        pending = []
-        for i in active:
-            heap = heaps[i]
-            value = math.fsum([item[3] for item in heap])
-            err = math.fsum([-item[0] for item in heap])
+    # integral i: its break points in ascending order, and the value and error of each interval between them
+    points = [list(edges) for edges in edge_lists]
+    vals, errs, results = [[] for _ in points], [[] for _ in points], [None] * len(points)
+    # i: (j, k, x), the intervals between the points x replace intervals j..k-1 of integral i
+    todo = {i: (0, 0, tuple(edges)) for i, edges in enumerate(points) if len(edges) > 1}
+    while todo:
+        values, errors = _gk21(
+            f,
+            [a for _, _, x in todo.values() for a in x[:-1]],
+            [b for _, _, x in todo.values() for b in x[1:]],
+            [i for i, (_, _, x) in todo.items() for _ in x[1:]],
+        )
+        start = 0
+        for i, (j, k, x) in todo.items():
+            vals[i][j:k] = values[start : start + len(x) - 1]
+            errs[i][j:k] = errors[start : start + len(x) - 1]
+            start += len(x) - 1
+        split = {}
+        for i in todo:
+            value, err = math.fsum(vals[i]), math.fsum(errs[i])
             if err <= max(cfg.epsabs, cfg.epsrel * abs(value)):
                 results[i] = (value, err)
                 continue
-            if len(heap) >= _LIMIT:
+            if len(errs[i]) >= _LIMIT:
                 raise QuadratureError(
                     f"quadrature did not converge: error estimate {err:.3g} after limit={_LIMIT} subintervals"
                 )
-            _, a, b, _ = heapq.heappop(heap)
-            mid = 0.5 * (a + b)
-            pending += [(i, a, mid), (i, mid, b)]
+            # list.index finds the leftmost of equal estimates
+            j = errs[i].index(max(errs[i]))
+            points[i].insert(j + 1, 0.5 * (points[i][j] + points[i][j + 1]))
+            split[i] = (j, j + 1, points[i][j : j + 3])
+        todo = split
     return results
 
 

@@ -44,6 +44,8 @@ __all__ = [
 # range_moments' inner quadratures up to its break point (past it, _REL_QUAD), and its outer one
 _BODY_QUAD = _QuadratureConfig(epsabs=1e-13)
 _OUTER_QUAD = _QuadratureConfig(epsrel=1e-11)
+# _range_batch's inner break points, as offsets from x = -t/2
+_RANGE_OFFSETS = (-6.0, -4.0, -2.5, -1.5, -0.75, 0.0, 0.75, 1.5, 2.5, 4.0, 6.0)
 
 class PolytopeKind(str, enum.Enum):
     CUBE = "cube"
@@ -151,7 +153,11 @@ def _range_batch(n: int, ts, cfg: _QuadratureConfig) -> list[float]:
     n int phi(x) (a - b)^(n-1) dx, and since n int phi a^(n-1) = 1 the
     survival is n int phi(x) (a^(n-1) - (a - b)^(n-1)) dx, its bracket
     evaluated as -a^(n-1) expm1((n-1) log1p(-b/a)): no 1 - CDF cancellation,
-    so a small survival keeps its relative accuracy."""
+    so a small survival keeps its relative accuracy.  Each integral runs over
+    (-t - 9, 9), split at -t/2 + d for d in _RANGE_OFFSETS: the integrand's
+    mass lies within a few units of x = -t/2, where the window [x, x + t] is
+    centred on 0, and from the window's ends alone the bisection would spend
+    its first rounds finding it."""
     ts = np.asarray(ts, dtype=float)
 
     def integrand(x, owners):
@@ -163,8 +169,8 @@ def _range_batch(n: int, ts, cfg: _QuadratureConfig) -> list[float]:
             bracket = -(a ** (n - 1)) * np.expm1((n - 1) * np.log1p(-b / a))
         return np.exp(-0.5 * x * x) / _SQRT_2PI * bracket
 
-    # split where the window [x, x + t] is centred on 0, near the peak of (a - b)^(n-1)
-    values = _quad_batch(integrand, [(-t - 9.0, -0.5 * t, 9.0) for t in ts.tolist()], cfg)
+    edges = [(-t - 9.0, *(-0.5 * t + d for d in _RANGE_OFFSETS), 9.0) for t in ts.tolist()]
+    values = _quad_batch(integrand, edges, cfg)
     return [n * value for value, _ in values]
 
 

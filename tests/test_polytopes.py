@@ -199,11 +199,11 @@ class TestRangeEngine:
             range_moments(10**9, (1,))
 
     def test_cdf_subdivision_limit_raises(self, monkeypatch):
-        # the inner survival batch on its own: from its two starting
-        # intervals it needs more than two
-        monkeypatch.setattr(extremes, "_LIMIT", 2)
+        # the inner survival batch on its own: at n = 221 and t = 0.1 it needs
+        # more than its starting intervals, one more than its break points about -t/2
+        monkeypatch.setattr(extremes, "_LIMIT", len(polytopes._RANGE_OFFSETS) + 1)
         with pytest.raises(QuadratureError, match="did not converge"):
-            _range_batch(5, [1.0], polytopes._BODY_QUAD)
+            _range_batch(221, [0.1], polytopes._BODY_QUAD)
 
 
 def per_k_range_moment(n, k):
@@ -314,6 +314,31 @@ class TestRangeMoments:
         n = 10**5
         two_b = 2.0 * expected_max(n).value
         assert abs(range_moments(n, (1,))[1][0] - two_b) <= 2e-12 * two_b
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_mean_range_keeps_thirteen_digits(self, n):
+        # with the inner break points about -t/2 each survival value starts from
+        # intervals that resolve its mass; a single break point at -t/2 reads
+        # 6.7e-13 and 6.1e-13 relative
+        two_b = 2.0 * expected_max(n).value
+        assert abs(range_moments(n, (1,))[1][0] - two_b) <= 1e-13 * two_b
+
+    def test_inner_break_points_save_intervals(self, monkeypatch):
+        # GK21 intervals of every inner _range_batch quadrature: 3576 with the
+        # single inner break point x = -t/2, a deterministic count
+        intervals = []
+        real = polytopes._quad_batch
+
+        def counting(f, edge_lists, cfg):
+            def g(x, owners):
+                intervals.append(len(x))
+                return f(x, owners)
+
+            return real(g, edge_lists, cfg)
+
+        monkeypatch.setattr(polytopes, "_quad_batch", counting)
+        range_moments(159, (1, 2, 3, 4))
+        assert sum(intervals) <= 0.85 * 3576
 
     def test_duplicate_orders_are_computed_once(self):
         assert list(range_moments(4, (3, 1, 3))) == [3, 1]

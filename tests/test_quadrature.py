@@ -2,6 +2,7 @@
 the tests keep as the independent route, and the import path it frees: no
 scipy on the CLI's import, and scipy.special only once a quadrature runs."""
 
+import heapq
 import json
 import math
 import subprocess
@@ -24,7 +25,7 @@ from meanwidth.extremes import (
     max_abs_moments,
 )
 from meanwidth.polytopes import range_moments
-from meanwidth.special import normal_tail
+from meanwidth.special import _EPS, normal_tail
 
 EPS = np.finfo(float).eps
 
@@ -34,8 +35,8 @@ def _one_integral(f, edges, cfg):
 
 
 def _gauss_kronrod(f, a, b):
-    value, err = _gk21(lambda x, owners: f(x), [(a, b)], [0])[0]
-    return value, err
+    values, errors = _gk21(lambda x, owners: f(x), [a], [b], [0])
+    return values[0], errors[0]
 
 
 class TestRule:
@@ -80,6 +81,128 @@ class TestRule:
         for i, e in enumerate(edges):
             alone = _quad_batch(lambda x, owners: f(x, np.full_like(owners, i)), [e], _DEFAULT_QUAD)[0]
             assert [v.hex() for v in batch[i]] == [v.hex() for v in alone]
+
+
+def _heap_gk21(f, intervals, owners):
+    """qk21 with its error estimate evaluated one interval at a time in Python
+    floats: the reference of _gk21's vector arithmetic."""
+    centers = np.array([0.5 * (a + b) for a, b in intervals])
+    halves = [0.5 * (b - a) for a, b in intervals]
+    fv = f(centers[:, None] + np.array(halves)[:, None] * extremes._X21, np.array(owners))
+    resk = (fv * extremes._WK21).sum(axis=1)
+    resg = (fv * extremes._WG21).sum(axis=1)
+    resabs = (np.abs(fv) * extremes._WK21).sum(axis=1)
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) * extremes._WK21).sum(axis=1)
+    out = []
+    for k, g, res_abs, res_asc, h in zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist(), halves):
+        err, res_abs, res_asc = abs(k - g) * h, res_abs * h, res_asc * h
+        if res_asc != 0.0 and err != 0.0:
+            err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+        if res_abs > extremes._TINY / (50.0 * _EPS):
+            err = max(50.0 * _EPS * res_abs, err)
+        out.append((k * h, err))
+    return out
+
+
+def _heap_quad_batch(f, edge_lists, cfg):
+    """QAG with a max-heap of (-error, a, b, value) per integral: the
+    reference of _quad_batch's list bookkeeping, whose tie rule (the
+    leftmost of equal estimates) is the heap's order."""
+    limit = extremes._LIMIT
+    if any(len(edges) - 1 > limit for edges in edge_lists):
+        raise QuadratureError(f"an integral starts from more than limit={limit} intervals")
+    heaps = [[] for _ in edge_lists]
+    results = [None] * len(edge_lists)
+    pending = [(i, a, b) for i, edges in enumerate(edge_lists) for a, b in zip(edges, edges[1:])]
+    while pending:
+        evaluated = _heap_gk21(f, [(a, b) for _, a, b in pending], [i for i, _, _ in pending])
+        for (i, a, b), (v, e) in zip(pending, evaluated):
+            heapq.heappush(heaps[i], (-e, a, b, v))
+        active = dict.fromkeys(i for i, _, _ in pending)
+        pending = []
+        for i in active:
+            heap = heaps[i]
+            value = math.fsum([item[3] for item in heap])
+            err = math.fsum([-item[0] for item in heap])
+            if err <= max(cfg.epsabs, cfg.epsrel * abs(value)):
+                results[i] = (value, err)
+                continue
+            if len(heap) >= limit:
+                raise QuadratureError(
+                    f"quadrature did not converge: error estimate {err:.3g} after limit={limit} subintervals"
+                )
+            _, a, b, _ = heapq.heappop(heap)
+            mid = 0.5 * (a + b)
+            pending += [(i, a, mid), (i, mid, b)]
+    return results
+
+
+def _bits(results):
+    return [[v.hex() for v in result] for result in results]
+
+
+class TestHeapOracle:
+    """_quad_batch against the heap reference above, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda: max_abs_moments(7, (1, 2, 3, 4)), id="max-abs"),
+            pytest.param(lambda: max_abs_moments(2000, (3,)), id="max-abs-n2000"),
+            pytest.param(lambda: expected_max(50), id="B_m"),
+            pytest.param(lambda: expected_max_gap(40), id="gap"),
+            pytest.param(lambda: range_moments(2, (1, 5)), id="range-n2"),
+            pytest.param(lambda: range_moments(57, (1, 2, 3, 4)), id="range-n57"),
+        ],
+    )
+    def test_package_integrands(self, monkeypatch, run):
+        outer = _capture(monkeypatch, extremes, "_quad_batch")
+        inner = _capture(monkeypatch, polytopes, "_quad_batch")
+        run()
+        # the replays below call the spies again, so iterate over a copy
+        calls = outer + inner
+        assert calls
+        for (f, edge_lists, cfg), _, results in calls:
+            assert _bits(results) == _bits(_heap_quad_batch(f, edge_lists, cfg))
+
+    def test_rule_integrands(self):
+        def f(x, owners):
+            return np.exp(-np.array([0.5, 3.0, 40.0, 1.0])[owners][:, None] * x * x) + (owners == 3)[:, None] * x**20
+
+        edges = [[0.0, 10.0], [0.0, 0.1, 10.0], [-5.0, 0.0, 5.0], [0.0, 1.0]]
+        assert _bits(_quad_batch(f, edges, _DEFAULT_QUAD)) == _bits(_heap_quad_batch(f, edges, _DEFAULT_QUAD))
+
+    def test_equal_estimates_bisect_the_leftmost(self):
+        # [0, 1] and [2, 3] see the same oscillating row of values, so their
+        # estimates are equal to the bit; every other interval sees its centre
+        # (the middle node) as a constant.  Their estimates of about 1e-3 each
+        # exceed the tolerance on a value of about 1.5; bisecting either one
+        # meets it, [0, 1] with a value of about 2 and [2, 3] of about 4.
+        row = 1e-3 * (-1.0) ** np.arange(21)
+
+        def f(x, owners):
+            centre = x[:, 10:11]
+            return np.where((centre == 0.5) | (centre == 2.5), row, centre)
+
+        edges, cfg = [[0.0, 1.0, 2.0, 3.0]], extremes._QuadratureConfig(epsabs=0.0, epsrel=1e-3)
+        first = _heap_gk21(f, [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], [0, 0, 0])
+        assert first[0] == first[2]
+        result = _quad_batch(f, edges, cfg)
+        assert _bits(result) == _bits(_heap_quad_batch(f, edges, cfg))
+        assert result[0][0] == pytest.approx(first[0][0] + 1.5 + 0.5, rel=1e-12)
+
+    def test_the_limit_raises_the_same_error(self, monkeypatch):
+        monkeypatch.setattr(extremes, "_LIMIT", 6)
+
+        def f(x, owners):
+            return np.sqrt(np.abs(x - np.array([0.3, 0.7])[owners][:, None]))
+
+        errors = []
+        for run in (_quad_batch, _heap_quad_batch):
+            with pytest.raises(QuadratureError, match="did not converge") as info:
+                run(f, [[0.0, 1.0], [0.0, 0.5, 1.0]], _DEFAULT_QUAD)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 def _capture(monkeypatch, module, name):
