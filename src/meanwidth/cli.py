@@ -173,18 +173,16 @@ def cmd_limits(args) -> int:
     p = RegularPolytope(family, args.n)
     cfg = McConfig(seed=args.seed, samples=args.samples)
     law = FAMILY_LAWS[family]
+    standardize = {PolytopeKind.CUBE: standardize_cube, PolytopeKind.CROSS: standardize_cross}.get(
+        family, standardize_simplex
+    )
+    standardize(np.empty(0), args.n)  # an n it cannot standardize fails here, before any draw
     if law in (LimitLaw.NORMAL_LIMIT_VAR, LimitLaw.GUMBEL_SUM):
         # these CDFs need scipy.special: imported after the threaded draws, its
         # objects raised the next run's peak RSS by 4 MB
         _scipy_special()
     widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, args.threads))
-    if family is PolytopeKind.CUBE:
-        std = standardize_cube(widths, args.n)
-    elif family is PolytopeKind.CROSS:
-        std = standardize_cross(widths, args.n)
-    else:
-        std = standardize_simplex(widths, args.n)
-    std = np.sort(std)
+    std = np.sort(standardize(widths, args.n))
     ks = ks_statistic(std, law)
     rows = [
         {

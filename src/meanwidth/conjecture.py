@@ -48,9 +48,9 @@ class GramConfiguration:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix, got shape {m.shape}")
-        if not np.allclose(m, m.T, atol=1e-12):
+        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
             raise ValueError("Gram matrix must be symmetric")
-        if not np.allclose(np.diag(m), 1.0, atol=1e-12):
+        if not np.allclose(np.diag(m), 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("Gram matrix must have unit diagonal")
         if np.any(np.abs(m) > 1.0 + 1e-12):
             raise ValueError("correlations must lie in [-1, 1]")

@@ -1,9 +1,10 @@
-"""Expected maxima of independent Gaussian samples, by quadrature.
+"""Expected extremes of independent Gaussian samples, by quadrature.
 
-Computes A_n = E max(|eta_1|, ..., |eta_n|), its higher moments and
-B_m = E max(eta_1, ..., eta_m) as integrals of survival functions, the
-centering sequence u_n, the quantile sequence t_n, and the two comparison
-inequalities
+Computes A_n = E max(|eta_1|, ..., |eta_n|), B_m = E max(eta_1, ..., eta_m)
+and the higher moments of max |eta_i| and of the range max eta_i - min eta_i
+as integrals of survival functions, all through the package's one adaptive
+quadrature, _quad_batch; the centering sequence u_n, the quantile sequence
+t_n, and the two comparison inequalities
 
     B_{2n} <= A_n <= sqrt(2n/(2n-1)) * B_{2n},
     A_n / B_{2n} = 1 + (1 + o(1)) / (8 n log n).
@@ -27,6 +28,7 @@ __all__ = [
     "u_sequence",
     "solve_t_n",
     "max_abs_moments",
+    "range_moments",
     "expected_max_abs",
     "expected_max",
     "expected_max_gap",
@@ -50,19 +52,10 @@ class IndefiniteMatrixError(NumericalError, ValueError):
     """Raised when a matrix that must be positive semidefinite is not."""
 
 
-@dataclass(frozen=True)
-class _QuadratureConfig:
-    epsabs: float = 1e-12
-    epsrel: float = 1e-12
-
-
 # the most intervals any one integral may use
 _LIMIT = 200
-# max_abs_moments
-_DEFAULT_QUAD = _QuadratureConfig()
-# a relative tolerance alone: B_m, the gap A_n - B_2n (about B_2n / (8 n log n))
-# and the range survival past its break point
-_REL_QUAD = _QuadratureConfig(epsabs=0.0)
+# _range_batch's inner break points, as offsets from x = -t/2
+_RANGE_OFFSETS = (-6.0, -4.0, -2.5, -1.5, -0.75, 0.0, 0.75, 1.5, 2.5, 4.0, 6.0)
 
 
 @dataclass(frozen=True)
@@ -142,15 +135,15 @@ def _gk21(f, lo, hi, owners):
     return (resk * half).tolist(), err.tolist()
 
 
-def _quad_batch(f, edge_lists, cfg: _QuadratureConfig):
+def _quad_batch(f, edge_lists, epsrel: float = 1e-12, epsabs: float = 0.0):
     """The package's one adaptive quadrature, QUADPACK's QAG with the 21-point
     Gauss-Kronrod rule and no extrapolation, for several integrals side by
     side.  Integral i starts from the intervals between its edge_lists[i];
     each round bisects the interval with the largest error estimate (the
     leftmost of equal ones) of every integral whose estimates sum to more
-    than max(epsabs, epsrel |value|).  f(nodes, owners) maps a 2-D array of
-    nodes elementwise to integrand values, row r belonging to integral
-    owners[r].  Raises QuadratureError when an integral starts from or needs
+    than max(epsabs, epsrel |value|); only range_moments changes the
+    defaults.  f(nodes, owners) maps a 2-D array of nodes elementwise to
+    integrand values, row r belonging to integral owners[r].  Raises QuadratureError when an integral starts from or needs
     more than _LIMIT intervals.  Returns [(value, error estimate)] in the
     order of edge_lists; each equals what the integral gets on its own."""
     if any(len(edges) - 1 > _LIMIT for edges in edge_lists):
@@ -175,7 +168,7 @@ def _quad_batch(f, edge_lists, cfg: _QuadratureConfig):
         split = {}
         for i in todo:
             value, err = math.fsum(vals[i]), math.fsum(errs[i])
-            if err <= max(cfg.epsabs, cfg.epsrel * abs(value)):
+            if err <= max(epsabs, epsrel * abs(value)):
                 results[i] = (value, err)
                 continue
             if len(errs[i]) >= _LIMIT:
@@ -206,7 +199,7 @@ def solve_t_n(n: int) -> float:
     return abs(float(normal_tail_inverse(1.0 / (2.0 * n))))
 
 
-def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: float, scale: float = 1.0):
+def _survival_moments(surv, ks, envelope: float, peak: float, scale: float = 1.0, epsrel: float = 1e-12):
     """{k: (int_0^inf k t^(k-1) surv(t) dt, error bound)} for a survival
     function under the envelope surv(t) <= envelope * normal_tail(t / scale),
     surv mapping an array of t elementwise.  The package's one rule for
@@ -214,11 +207,11 @@ def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: f
 
     Every k integrates over [0, T], envelope * normal_tail(T / scale) =
     _TRUNC_EPS (T / scale at least the upper quartile), split at peak unless
-    it is 0, all in one _quad_batch that calls surv once per interval (a
-    memo keyed by its row of nodes).  Its error adds a bound on the
-    envelope's moment beyond T.  With U = T / scale, normal_tail(s) <=
-    phi(s) / s bounds int_U^inf k s^(k-1) normal_tail(s) ds by k J_(k-2) for
-    k >= 2, where J_j = int_U^inf s^j phi(s) ds = U^(j-1) phi(U) + (j-1) J_(j-2),
+    it is 0, all in one _quad_batch to the relative tolerance epsrel that
+    calls surv once per interval (a memo keyed by its row of nodes).  Its
+    error adds a bound on the envelope's moment beyond T.  With U = T / scale,
+    normal_tail(s) <= phi(s) / s bounds int_U^inf k s^(k-1) normal_tail(s) ds
+    by k J_(k-2) for k >= 2, where J_j = int_U^inf s^j phi(s) ds = U^(j-1) phi(U) + (j-1) J_(j-2),
     J_0 = normal_tail(U) and J_1 = phi(U); for k = 1 the Mills ratio bound
     gives phi(U) / (1 + U^2) <= phi(U) / U^2.
     """
@@ -258,7 +251,7 @@ def _survival_moments(surv, ks, envelope: float, cfg: _QuadratureConfig, peak: f
     out, k = {}, max(ks)  # the order named when the batch itself overflows
     try:
         with np.errstate(over="raise"):
-            results = _quad_batch(integrand, [edges] * len(ks), cfg)
+            results = _quad_batch(integrand, [edges] * len(ks), epsrel)
         for k, (value, err) in zip(ks, results):
             err += envelope * scale**k * (k * j_moments[k - 2] if k > 1 else phi / (u * u))
             if not math.isfinite(err):
@@ -281,7 +274,68 @@ def max_abs_moments(n: int, ks) -> dict[int, tuple[float, float]]:
             return -np.expm1(n * np.log1p(-2.0 * normal_tail(t)))
 
     # 1 - F_n <= 2n normal_tail(t)
-    return _survival_moments(surv, ks, 2 * n, _DEFAULT_QUAD, peak=solve_t_n(n))
+    return _survival_moments(surv, ks, 2 * n, peak=solve_t_n(n))
+
+
+def _range_batch(n: int, ts, epsabs: float) -> list[float]:
+    """P[max eta_i - min eta_i > t] at every t > 0 of ts: one batch of
+    quadratures, each value the one its t gets on its own.
+
+    With a = normal_tail(x) and b = normal_tail(x + t), the CDF is
+    n int phi(x) (a - b)^(n-1) dx, and since n int phi a^(n-1) = 1 the
+    survival is n int phi(x) (a^(n-1) - (a - b)^(n-1)) dx, its bracket
+    evaluated as -a^(n-1) expm1((n-1) log1p(-b/a)): no 1 - CDF cancellation,
+    so a small survival keeps its relative accuracy.  Each integral runs over
+    (-t - 9, 9), split at -t/2 + d for d in _RANGE_OFFSETS: the integrand's
+    mass lies within a few units of x = -t/2, where the window [x, x + t] is
+    centred on 0, and from the window's ends alone the bisection would spend
+    its first rounds finding it."""
+    ts = np.asarray(ts, dtype=float)
+
+    def integrand(x, owners):
+        a = normal_tail(x)
+        b = normal_tail(x + ts[owners][:, None])
+        # a >= normal_tail(9) > 0 on the domain; b = a only as t -> 0,
+        # where log1p(-1) = -inf gives the exact bracket a^(n-1)
+        with np.errstate(divide="ignore"):
+            bracket = -(a ** (n - 1)) * np.expm1((n - 1) * np.log1p(-b / a))
+        return np.exp(-0.5 * x * x) / _SQRT_2PI * bracket
+
+    edges = [(-t - 9.0, *(-0.5 * t + d for d in _RANGE_OFFSETS), 9.0) for t in ts.tolist()]
+    values = _quad_batch(integrand, edges, epsabs=epsabs)
+    return [n * value for value, _ in values]
+
+
+def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
+    """E[(max eta_i - min eta_i)^k] with error bound for each k, by nested
+    quadrature of the range survival function S(t) = _range_batch.
+
+    Up to the break point 2 t_n (about the median range) the inner
+    quadratures run to the absolute tolerance epsabs = 1e-13 as well as the
+    relative epsrel = 1e-12; past it, where S is small and the high moments
+    take their weight, to epsrel alone.  The outer quadrature runs to
+    1e-11 relative.  The error adds what the inner tolerances allow:
+    |dS| <= n epsabs + epsrel below the break point, epsrel S past it, so
+    n epsabs + epsrel times peak^k plus epsrel times the moment.  The outer
+    quadratures of every k run as one batch that computes each interval's
+    survival values once, and the inner quadratures of one outer call's nodes
+    run as one batch per side of the break point."""
+    if n < 2:
+        raise ValueError(f"range needs n >= 2, got {n}")
+    peak, epsabs, epsrel = 2.0 * solve_t_n(n), 1e-13, 1e-12
+
+    def surv(t):
+        # outer nodes lie inside (0, T), so every t > 0
+        out = np.empty_like(t)
+        body = t <= peak
+        out[body] = _range_batch(n, t[body], epsabs)
+        out[~body] = _range_batch(n, t[~body], 0.0)
+        return out
+
+    # range > t forces max > t/2 or -min > t/2, so the survival function is
+    # bounded by 2n normal_tail(t/2)
+    moments = _survival_moments(surv, ks, 2 * n, peak, scale=2.0, epsrel=1e-11)
+    return {k: (v, e + (n * epsabs + epsrel) * peak**k + epsrel * abs(v)) for k, (v, e) in moments.items()}
 
 
 def expected_max_abs(n: int) -> ExtremeValueResult:
@@ -306,7 +360,7 @@ def expected_max(m: int) -> ExtremeValueResult:
         return -np.expm1(m * np.log1p(-r)) - r**m
 
     # 0 <= 1 - Phi^m - normal_tail^m <= 1 - Phi^m <= m normal_tail(t)
-    value, err = _survival_moments(surv, (1,), m, _REL_QUAD, peak=solve_t_n(m))[1]
+    value, err = _survival_moments(surv, (1,), m, peak=solve_t_n(m))[1]
     return ExtremeValueResult(n=m, value=value, abs_error_bound=err)
 
 
@@ -333,7 +387,7 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
         return np.exp(2 * n * np.log1p(-r)) * -np.expm1(-delta) + r ** (2 * n)
 
     # G_n - F_n >= 0 and G_n + r^(2n) <= 1, so 0 <= integrand <= 1 - F_n <= 2n normal_tail(t)
-    value, err = _survival_moments(diff, (1,), 2 * n, _REL_QUAD, peak=solve_t_n(n))[1]
+    value, err = _survival_moments(diff, (1,), 2 * n, peak=solve_t_n(n))[1]
     return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
 
 

@@ -9,8 +9,9 @@ Every width is W = X / |g| with g ~ N(0, I_d), d the ambient dimension, and
 X a Gaussian extreme of g: the sum of absolute values (cube), twice the max
 of absolute values (crosspolytope) or the scaled range (simplices).  The
 direction g/|g| is independent of |g|, so E[W^k] = E[X^k] / E|g|^k.  The
-cube's E[X^k] has a closed form for every k; the other families go through
-adaptive quadrature of survival-function integrals.
+cube's E[X^k] has a closed form for every k; the other families take it from
+the quadratures of extremes: max_abs_moments (crosspolytope) and
+range_moments (simplices).  This module is the reduction E[X^k] -> E[W^k].
 """
 
 from __future__ import annotations
@@ -19,14 +20,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .extremes import (
-    _REL_QUAD, _SQRT_2PI, _QuadratureConfig, _quad_batch, _survival_moments,
-    expected_max, expected_max_abs, max_abs_moments, solve_t_n,
-)
+from .extremes import _SQRT_2PI, expected_max, expected_max_abs, max_abs_moments, range_moments
 from .special import (
-    _EPS, _gaussian_abs_moment_rounding, _log_gamma_ratio_rounding, gaussian_abs_moment, log_gamma_ratio, normal_tail,
+    _EPS, _gaussian_abs_moment_rounding, _log_gamma_ratio_rounding, gaussian_abs_moment, log_gamma_ratio,
 )
 
 __all__ = [
@@ -37,15 +33,9 @@ __all__ = [
     "width_moment_cube",
     "width_moment",
     "width_moments",
-    "range_moments",
     "sudakov_v1",
 ]
 
-# range_moments' inner quadratures up to its break point (past it, _REL_QUAD), and its outer one
-_BODY_QUAD = _QuadratureConfig(epsabs=1e-13)
-_OUTER_QUAD = _QuadratureConfig(epsrel=1e-11)
-# _range_batch's inner break points, as offsets from x = -t/2
-_RANGE_OFFSETS = (-6.0, -4.0, -2.5, -1.5, -0.75, 0.0, 0.75, 1.5, 2.5, 4.0, 6.0)
 
 class PolytopeKind(str, enum.Enum):
     CUBE = "cube"
@@ -143,67 +133,6 @@ def _per_norm(moment: float, err: float, d: int, k: int) -> tuple[float, float, 
 def width_moment_cube(n: int, k: int) -> MomentEstimate:
     """Closed-form E[W_{Q_n}^k] = Gamma(n/2) / (2^(k/2) Gamma((n+k)/2)) E[(sum |eta_i|)^k]."""
     return width_moments(RegularPolytope(PolytopeKind.CUBE, n), (k,))[k]
-
-
-def _range_batch(n: int, ts, cfg: _QuadratureConfig) -> list[float]:
-    """P[max eta_i - min eta_i > t] at every t > 0 of ts: one batch of
-    quadratures, each value the one its t gets on its own.
-
-    With a = normal_tail(x) and b = normal_tail(x + t), the CDF is
-    n int phi(x) (a - b)^(n-1) dx, and since n int phi a^(n-1) = 1 the
-    survival is n int phi(x) (a^(n-1) - (a - b)^(n-1)) dx, its bracket
-    evaluated as -a^(n-1) expm1((n-1) log1p(-b/a)): no 1 - CDF cancellation,
-    so a small survival keeps its relative accuracy.  Each integral runs over
-    (-t - 9, 9), split at -t/2 + d for d in _RANGE_OFFSETS: the integrand's
-    mass lies within a few units of x = -t/2, where the window [x, x + t] is
-    centred on 0, and from the window's ends alone the bisection would spend
-    its first rounds finding it."""
-    ts = np.asarray(ts, dtype=float)
-
-    def integrand(x, owners):
-        a = normal_tail(x)
-        b = normal_tail(x + ts[owners][:, None])
-        # a >= normal_tail(9) > 0 on the domain; b = a only as t -> 0,
-        # where log1p(-1) = -inf gives the exact bracket a^(n-1)
-        with np.errstate(divide="ignore"):
-            bracket = -(a ** (n - 1)) * np.expm1((n - 1) * np.log1p(-b / a))
-        return np.exp(-0.5 * x * x) / _SQRT_2PI * bracket
-
-    edges = [(-t - 9.0, *(-0.5 * t + d for d in _RANGE_OFFSETS), 9.0) for t in ts.tolist()]
-    values = _quad_batch(integrand, edges, cfg)
-    return [n * value for value, _ in values]
-
-
-def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
-    """E[(max eta_i - min eta_i)^k] with error bound for each k, by nested
-    quadrature of the range survival function S(t) = _range_batch.
-
-    Up to the break point 2 t_n (about the median range) the inner
-    quadratures run to an absolute tolerance; past it, where S is small and
-    the high moments take their weight, to a relative one.  The error adds
-    what the inner tolerances allow: |dS| <= n epsabs + epsrel below the
-    break point, epsrel S past it, so n epsabs + epsrel times its k-th power
-    plus epsrel times the moment.  The outer quadratures of every k run as
-    one batch that computes each interval's survival values once, and the
-    inner quadratures of one outer call's nodes run as one batch per side of
-    the break point."""
-    if n < 2:
-        raise ValueError(f"range needs n >= 2, got {n}")
-    peak = 2.0 * solve_t_n(n)
-
-    def surv(t):
-        # outer nodes lie inside (0, T), so every t > 0
-        out = np.empty_like(t)
-        body = t <= peak
-        out[body] = _range_batch(n, t[body], _BODY_QUAD)
-        out[~body] = _range_batch(n, t[~body], _REL_QUAD)
-        return out
-
-    # range > t forces max > t/2 or -min > t/2, so the survival function is
-    # bounded by 2n normal_tail(t/2)
-    moments = _survival_moments(surv, ks, 2 * n, _OUTER_QUAD, scale=2.0, peak=peak)
-    inner = n * _BODY_QUAD.epsabs + _BODY_QUAD.epsrel
-    return {k: (v, e + inner * peak**k + _REL_QUAD.epsrel * abs(v)) for k, (v, e) in moments.items()}
 
 
 def width_moments(p: RegularPolytope, ks) -> dict[int, MomentEstimate]:

@@ -45,3 +45,11 @@ def test_no_public_function_takes_a_quadrature_config(module):
 def test_the_quadrature_config_type_is_not_exported():
     assert not any("QuadratureConfig" in name for m in [meanwidth, *MODULES] for name in getattr(m, "__all__", ()))
     assert not any("QuadratureConfig" in name for name in vars(meanwidth))
+
+
+@pytest.mark.parametrize("module", [meanwidth, cli, *MODULES], ids=lambda m: m.__name__)
+def test_only_extremes_binds_the_quadrature_internals(module):
+    # one module holds the quadrature and the tolerances it runs to
+    names = {"_quad_batch", "_survival_moments", "_range_batch"}
+    bound = names & set(vars(module))
+    assert bound == (names if module is extremes else set()), bound

@@ -68,6 +68,18 @@ class TestUsageErrors:
         assert out == ""
         assert "2 samples" in err
 
+    def test_cross_limits_reject_n1_before_any_draw(self, capsys, monkeypatch):
+        # the standardization needs n >= 2; the draws alone would take seconds
+        calls = []
+        monkeypatch.setattr(cli, "width_samples", lambda *args: calls.append(args))
+        code, out, err = run_cli(
+            capsys, ["limits", "--family", "cross", "--n", "1", "--samples", "2000000", "--seed", "1"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "n >= 2" in err
+        assert calls == []
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -34,6 +34,12 @@ class TestGramConfiguration:
         with pytest.raises(ValueError):
             GramConfiguration(n=2, matrix=m)
 
+    def test_rejects_a_diagonal_and_asymmetry_within_numpys_default_rtol(self):
+        # 9e-6 off the unit diagonal and 4e-6 asymmetric: both far past atol
+        m = np.array([[0.999991, 0.5], [0.500004, 1.0]])
+        with pytest.raises(ValueError):
+            GramConfiguration(n=2, matrix=m)
+
     def test_rejects_out_of_range(self):
         m = np.array([[1.0, 1.5], [1.5, 1.0]])
         with pytest.raises(ValueError):

@@ -8,19 +8,18 @@ from scipy import integrate
 from meanwidth import extremes, polytopes
 from meanwidth.extremes import (
     QuadratureError,
-    _QuadratureConfig,
     _TRUNC_EPS,
     _quad_batch,
+    _range_batch,
     expected_max,
     max_abs_moments,
+    range_moments,
     solve_t_n,
 )
 from meanwidth.polytopes import (
     PolytopeKind,
     RegularPolytope,
     _abs_sum_moments,
-    _range_batch,
-    range_moments,
     sudakov_v1,
     v1_from_mean_width,
     width_moment,
@@ -201,9 +200,9 @@ class TestRangeEngine:
     def test_cdf_subdivision_limit_raises(self, monkeypatch):
         # the inner survival batch on its own: at n = 221 and t = 0.1 it needs
         # more than its starting intervals, one more than its break points about -t/2
-        monkeypatch.setattr(extremes, "_LIMIT", len(polytopes._RANGE_OFFSETS) + 1)
+        monkeypatch.setattr(extremes, "_LIMIT", len(extremes._RANGE_OFFSETS) + 1)
         with pytest.raises(QuadratureError, match="did not converge"):
-            _range_batch(221, [0.1], polytopes._BODY_QUAD)
+            _range_batch(221, [0.1], 1e-13)
 
 
 def per_k_range_moment(n, k):
@@ -211,20 +210,19 @@ def per_k_range_moment(n, k):
     recomputed at every outer node by a batch of one: the oracle of
     range_moments' shared, batched survival values.  Returns the value,
     QUADPACK's error estimate, the cut-off T and the inner tolerances'
-    allowance (n epsabs + epsrel) peak^k + epsrel value."""
+    allowance (n epsabs + epsrel) peak^k + epsrel value: inner epsabs 1e-13
+    up to the break point and 0 past it, inner epsrel 1e-12, outer 1e-11."""
     t_hi = 2.0 * float(normal_tail_inverse(min(_TRUNC_EPS / (2 * n), 0.25)))
     peak = 2.0 * solve_t_n(n)
-    body_cfg = _QuadratureConfig(epsabs=1e-13)
-    tail_cfg = _QuadratureConfig(epsabs=0.0)
 
     def survival(x):
-        return _range_batch(n, [x], body_cfg if x <= peak else tail_cfg)[0]
+        return _range_batch(n, [x], 1e-13 if x <= peak else 0.0)[0]
 
     def integrand(t):
         surv = np.array([survival(x) for x in t.ravel().tolist()]).reshape(t.shape)
         return k * t ** (k - 1) * surv
 
-    value, err = _quad_batch(lambda t, owners: integrand(t), [[0.0, peak, t_hi]], _QuadratureConfig(epsrel=1e-11))[0]
+    value, err = _quad_batch(lambda t, owners: integrand(t), [[0.0, peak, t_hi]], epsrel=1e-11)[0]
     inner = (n * 1e-13 + 1e-12) * peak**k + 1e-12 * value
     return value, err, t_hi, inner
 
@@ -277,14 +275,13 @@ class TestRangeMoments:
             value, _ = integrate.quad(integrand, -t - 12.0, 12.0, epsabs=1e-15, epsrel=1e-13, limit=200)
             return value
 
-        inner = _QuadratureConfig(epsabs=0.0)
         for n in (2, 5, 221):
             # t = 25 is the t -> inf limit: the survival vanishes and the CDF is 1
             ts = [0.3, 1.0, 2.5, 4.0, 6.0, 25.0]
-            survs = _range_batch(n, ts, inner)
+            survs = _range_batch(n, ts, epsabs=0.0)
             for t, surv in zip(ts, survs):
                 assert surv + cdf(n, t) == pytest.approx(1.0, abs=1e-13), (n, t)
-            assert survs == [_range_batch(n, [t], inner)[0] for t in ts]
+            assert survs == [_range_batch(n, [t], epsabs=0.0)[0] for t in ts]
 
     def test_n3_error_is_an_honest_bound(self):
         # the n = 3 range density 6 int phi(x) phi(x+d) (Phi(x+d) - Phi(x)) dx
@@ -325,18 +322,23 @@ class TestRangeMoments:
 
     def test_inner_break_points_save_intervals(self, monkeypatch):
         # GK21 intervals of every inner _range_batch quadrature: 3576 with the
-        # single inner break point x = -t/2, a deterministic count
-        intervals = []
-        real = polytopes._quad_batch
+        # single inner break point x = -t/2, a deterministic count.  The inner
+        # quadratures are the _quad_batch calls nested in the outer one.
+        intervals, depth = [], [0]
+        real = extremes._quad_batch
 
-        def counting(f, edge_lists, cfg):
+        def counting(f, edge_lists, *args, **kwargs):
             def g(x, owners):
                 intervals.append(len(x))
                 return f(x, owners)
 
-            return real(g, edge_lists, cfg)
+            depth[0] += 1
+            try:
+                return real(g if depth[0] > 1 else f, edge_lists, *args, **kwargs)
+            finally:
+                depth[0] -= 1
 
-        monkeypatch.setattr(polytopes, "_quad_batch", counting)
+        monkeypatch.setattr(extremes, "_quad_batch", counting)
         range_moments(159, (1, 2, 3, 4))
         assert sum(intervals) <= 0.85 * 3576
 

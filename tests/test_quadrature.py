@@ -3,6 +3,7 @@ the tests keep as the independent route, and the import path it frees: no
 scipy on the CLI's import, and scipy.special only once a quadrature runs."""
 
 import heapq
+import inspect
 import json
 import math
 import subprocess
@@ -13,25 +14,26 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from meanwidth import extremes, polytopes
+from meanwidth import extremes
 from meanwidth.extremes import (
     QuadratureError,
-    _DEFAULT_QUAD,
     _LIMIT,
     _gk21,
     _quad_batch,
     expected_max,
     expected_max_gap,
     max_abs_moments,
+    range_moments,
 )
-from meanwidth.polytopes import range_moments
 from meanwidth.special import _EPS, normal_tail
 
 EPS = np.finfo(float).eps
+# an absolute floor beside the default relative tolerance
+TOL = {"epsrel": 1e-12, "epsabs": 1e-12}
 
 
-def _one_integral(f, edges, cfg):
-    return _quad_batch(lambda x, owners: f(x), [edges], cfg)[0]
+def _one_integral(f, edges, **tolerances):
+    return _quad_batch(lambda x, owners: f(x), [edges], **tolerances)[0]
 
 
 def _gauss_kronrod(f, a, b):
@@ -58,17 +60,17 @@ class TestRule:
     def test_limit_one_raises(self, monkeypatch):
         monkeypatch.setattr(extremes, "_LIMIT", 1)
         with pytest.raises(QuadratureError, match="did not converge"):
-            _one_integral(lambda x: np.exp(-x * x), [0.0, 10.0], _DEFAULT_QUAD)
+            _one_integral(lambda x: np.exp(-x * x), [0.0, 10.0], **TOL)
 
     @pytest.mark.parametrize("limit", [1, 2])
     def test_break_points_at_the_limit_raise(self, monkeypatch, limit):
         # refused before any evaluation: more starting intervals than the limit
         monkeypatch.setattr(extremes, "_LIMIT", limit)
         with pytest.raises(QuadratureError, match="starts from more than"):
-            _one_integral(lambda x: np.exp(-x * x), [0.0, *[1.0, 2.0][:limit], 10.0], _DEFAULT_QUAD)
+            _one_integral(lambda x: np.exp(-x * x), [0.0, *[1.0, 2.0][:limit], 10.0], **TOL)
 
     def test_smooth_integral_matches_scipy(self):
-        value, err = _one_integral(lambda x: np.exp(-x * x), [0.0, 10.0], _DEFAULT_QUAD)
+        value, err = _one_integral(lambda x: np.exp(-x * x), [0.0, 10.0], **TOL)
         assert abs(value - math.sqrt(math.pi) / 2 * math.erf(10.0)) <= err
         assert err <= 1e-12
 
@@ -77,9 +79,9 @@ class TestRule:
             return np.exp(-np.array([0.5, 3.0, 40.0])[owners][:, None] * x * x)
 
         edges = [[0.0, 10.0], [0.0, 0.1, 10.0], [-5.0, 0.0, 5.0]]
-        batch = _quad_batch(f, edges, _DEFAULT_QUAD)
+        batch = _quad_batch(f, edges, **TOL)
         for i, e in enumerate(edges):
-            alone = _quad_batch(lambda x, owners: f(x, np.full_like(owners, i)), [e], _DEFAULT_QUAD)[0]
+            alone = _quad_batch(lambda x, owners: f(x, np.full_like(owners, i)), [e], **TOL)[0]
             assert [v.hex() for v in batch[i]] == [v.hex() for v in alone]
 
 
@@ -104,7 +106,7 @@ def _heap_gk21(f, intervals, owners):
     return out
 
 
-def _heap_quad_batch(f, edge_lists, cfg):
+def _heap_quad_batch(f, edge_lists, epsrel=1e-12, epsabs=0.0):
     """QAG with a max-heap of (-error, a, b, value) per integral: the
     reference of _quad_batch's list bookkeeping, whose tie rule (the
     leftmost of equal estimates) is the heap's order."""
@@ -124,7 +126,7 @@ def _heap_quad_batch(f, edge_lists, cfg):
             heap = heaps[i]
             value = math.fsum([item[3] for item in heap])
             err = math.fsum([-item[0] for item in heap])
-            if err <= max(cfg.epsabs, cfg.epsrel * abs(value)):
+            if err <= max(epsabs, epsrel * abs(value)):
                 results[i] = (value, err)
                 continue
             if len(heap) >= limit:
@@ -156,21 +158,21 @@ class TestHeapOracle:
         ],
     )
     def test_package_integrands(self, monkeypatch, run):
-        outer = _capture(monkeypatch, extremes, "_quad_batch")
-        inner = _capture(monkeypatch, polytopes, "_quad_batch")
+        # the outer range quadrature and the inner ones it runs alike
+        recorded = _capture(monkeypatch, extremes, "_quad_batch")
         run()
-        # the replays below call the spies again, so iterate over a copy
-        calls = outer + inner
+        # the replays below call the spy again, so iterate over a copy
+        calls = list(recorded)
         assert calls
-        for (f, edge_lists, cfg), _, results in calls:
-            assert _bits(results) == _bits(_heap_quad_batch(f, edge_lists, cfg))
+        for args, kwargs, results in calls:
+            assert _bits(results) == _bits(_heap_quad_batch(*args, **kwargs))
 
     def test_rule_integrands(self):
         def f(x, owners):
             return np.exp(-np.array([0.5, 3.0, 40.0, 1.0])[owners][:, None] * x * x) + (owners == 3)[:, None] * x**20
 
         edges = [[0.0, 10.0], [0.0, 0.1, 10.0], [-5.0, 0.0, 5.0], [0.0, 1.0]]
-        assert _bits(_quad_batch(f, edges, _DEFAULT_QUAD)) == _bits(_heap_quad_batch(f, edges, _DEFAULT_QUAD))
+        assert _bits(_quad_batch(f, edges, **TOL)) == _bits(_heap_quad_batch(f, edges, **TOL))
 
     def test_equal_estimates_bisect_the_leftmost(self):
         # [0, 1] and [2, 3] see the same oscillating row of values, so their
@@ -184,11 +186,11 @@ class TestHeapOracle:
             centre = x[:, 10:11]
             return np.where((centre == 0.5) | (centre == 2.5), row, centre)
 
-        edges, cfg = [[0.0, 1.0, 2.0, 3.0]], extremes._QuadratureConfig(epsabs=0.0, epsrel=1e-3)
+        edges, tolerances = [[0.0, 1.0, 2.0, 3.0]], {"epsrel": 1e-3, "epsabs": 0.0}
         first = _heap_gk21(f, [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], [0, 0, 0])
         assert first[0] == first[2]
-        result = _quad_batch(f, edges, cfg)
-        assert _bits(result) == _bits(_heap_quad_batch(f, edges, cfg))
+        result = _quad_batch(f, edges, **tolerances)
+        assert _bits(result) == _bits(_heap_quad_batch(f, edges, **tolerances))
         assert result[0][0] == pytest.approx(first[0][0] + 1.5 + 0.5, rel=1e-12)
 
     def test_the_limit_raises_the_same_error(self, monkeypatch):
@@ -200,7 +202,7 @@ class TestHeapOracle:
         errors = []
         for run in (_quad_batch, _heap_quad_batch):
             with pytest.raises(QuadratureError, match="did not converge") as info:
-                run(f, [[0.0, 1.0], [0.0, 0.5, 1.0]], _DEFAULT_QUAD)
+                run(f, [[0.0, 1.0], [0.0, 0.5, 1.0]], **TOL)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
@@ -219,22 +221,50 @@ def _capture(monkeypatch, module, name):
     return calls
 
 
+def _capture_outermost(monkeypatch):
+    """Record, like _capture, the calls of extremes._quad_batch that no other
+    call's integrand makes: the range's outer quadrature, not the inner
+    survival quadratures it runs."""
+    calls, depth = [], [0]
+    real = extremes._quad_batch
+
+    def spy(*args, **kwargs):
+        depth[0] += 1
+        try:
+            result = real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(extremes, "_quad_batch", spy)
+    return calls
+
+
+def _call_parts(args, kwargs):
+    """(f, edge_lists, {"epsrel": ..., "epsabs": ...}) of a recorded _quad_batch call."""
+    bound = inspect.signature(_quad_batch).bind(*args, **kwargs)
+    bound.apply_defaults()
+    f, edge_lists, epsrel, epsabs = bound.arguments.values()
+    return f, edge_lists, {"epsrel": epsrel, "epsabs": epsabs}
+
+
 def _batch_integrals(calls):
-    """(integrand of integral i alone, its edges, cfg, its result) for every
-    integral of every recorded _quad_batch call."""
-    for (f, edge_lists, cfg), _, results in calls:
+    """(integrand of integral i alone, its edges, its tolerances, its result)
+    for every integral of every recorded _quad_batch call."""
+    for args, kwargs, results in calls:
+        f, edge_lists, tolerances = _call_parts(args, kwargs)
         for i, (edges, result) in enumerate(zip(edge_lists, results)):
-            yield (lambda x, f=f, i=i: f(x, np.full(len(x), i))), edges, cfg, result
+            yield (lambda x, f=f, i=i: f(x, np.full(len(x), i))), edges, tolerances, result
 
 
-def _scipy(f, edges, cfg):
+def _scipy(f, edges, tolerances):
     def scalar(t):
         return float(f(np.array([[t]]))[0, 0])
 
     lo, *points, hi = edges
-    return integrate.quad(
-        scalar, lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=_LIMIT, points=points or None
-    )
+    return integrate.quad(scalar, lo, hi, **tolerances, limit=_LIMIT, points=points or None)
 
 
 class TestIntegrandsAgainstScipy:
@@ -255,20 +285,22 @@ class TestIntegrandsAgainstScipy:
         calls = _capture(monkeypatch, extremes, "_quad_batch")
         run()
         assert calls
-        for f, edges, cfg, (value, err) in _batch_integrals(calls):
-            oracle, oracle_err = _scipy(f, edges, cfg)
+        for f, edges, tolerances, (value, err) in _batch_integrals(calls):
+            oracle, oracle_err = _scipy(f, edges, tolerances)
             assert abs(value - oracle) <= err + oracle_err
 
     def test_range_survival_integrands(self, monkeypatch):
-        calls = _capture(monkeypatch, polytopes, "_quad_batch")
+        calls = _capture(monkeypatch, extremes, "_quad_batch")
         range_moments(5, (1,))
-        # the first outer call's nodes below the break point, then past it
-        for (f, edge_lists, cfg), _, results in calls[:2]:
+        # the inner calls of the first outer round, which end before the outer
+        # call: its nodes below the break point, then past it
+        for args, kwargs, results in calls[:2]:
+            f, edge_lists, tolerances = _call_parts(args, kwargs)
             for i in (0, len(edge_lists) // 2, len(edge_lists) - 1):
                 lo, *points, hi = edge_lists[i]
                 oracle, oracle_err = integrate.quad(
                     lambda x: float(f(np.array([[x]]), np.array([i]))[0, 0]),
-                    lo, hi, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=_LIMIT, points=points,
+                    lo, hi, **tolerances, limit=_LIMIT, points=points,
                 )
                 value, err = results[i]
                 assert abs(value - oracle) <= err + oracle_err
@@ -358,15 +390,15 @@ class TestOneBatchPerSurvivalMoment:
         assert len(calls[0][0][1]) == 1
 
     def test_range_moments_outer_quadrature_is_one_batch(self, monkeypatch):
-        # the inner range quadratures call polytopes' own binding of _quad_batch
-        calls = _capture(monkeypatch, extremes, "_quad_batch")
+        # the inner range quadratures run inside the outer one's integrand
+        calls = _capture_outermost(monkeypatch)
         range_moments(57, (1, 2, 3, 4))
         assert len(calls) == 1
         assert len(calls[0][0][1]) == 4
 
     def test_range_moments_passes_each_outer_row_once(self, monkeypatch):
         rows = []
-        real = polytopes._survival_moments
+        real = extremes._survival_moments
 
         def spy(surv, *args, **kwargs):
             def recording(t):
@@ -375,7 +407,7 @@ class TestOneBatchPerSurvivalMoment:
 
             return real(recording, *args, **kwargs)
 
-        monkeypatch.setattr(polytopes, "_survival_moments", spy)
+        monkeypatch.setattr(extremes, "_survival_moments", spy)
         range_moments(57, (1, 2, 3, 4))
         assert rows
         assert len(rows) == len(set(rows))
