@@ -201,7 +201,7 @@ def cmd_limits(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = McConfig(seed=args.seed, samples=args.samples)
-    result = optimize_configuration(args.n, args.restarts, cfg)
+    result = optimize_configuration(args.n, args.restarts, cfg, threads=args.threads)
     fingerprint = gram_fingerprint_distance(result.best_gram, regular_simplex_gram(args.n))
     rows = [
         {
@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
+                       help="worker threads for moments --route mc, limits and search (default: the CPU count)")
 
     p = sub.add_parser("moments", help="width moments E[W^k] per family and route")
     p.add_argument("--family", choices=[k.value for k in PolytopeKind], required=True)

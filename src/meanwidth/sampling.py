@@ -88,11 +88,18 @@ def _map_chunks(fn, cfg: McConfig, threads: int):
     def run(i, count):
         return fn(chunk_rng(cfg.seed, i), count)
 
-    plan = list(cfg.chunks())
-    if threads <= 1 or len(plan) <= 1:
-        return [run(i, c) for i, c in plan]
+    return _pool_map(run, list(cfg.chunks()), threads)
+
+
+def _pool_map(fn, arg_tuples: list, threads: int) -> list:
+    """[fn(*args) for args in arg_tuples], in that order, as tasks on the
+    shared pool; on the calling thread when threads <= 1 or there is only
+    one task.  fn must not map on the pool itself: its workers would wait on
+    tasks queued behind them."""
+    if threads <= 1 or len(arg_tuples) <= 1:
+        return [fn(*args) for args in arg_tuples]
     pool = _pool(threads)
-    futures = [pool.submit(run, i, c) for i, c in plan]
+    futures = [pool.submit(fn, *args) for args in arg_tuples]
     return [f.result() for f in futures]
 
 

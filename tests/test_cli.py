@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from meanwidth import cli
+from meanwidth import cli, conjecture
 from meanwidth.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from meanwidth.extremes import IndefiniteMatrixError, NumericalError, QuadratureError
 from meanwidth.polytopes import PolytopeKind, RegularPolytope, width_moment, width_moment_cube
@@ -306,6 +306,29 @@ class TestSearchOutput:
         _, rows = parse_csv(out)
         row = rows[0]
         assert float(row["gap"]) <= 5.0 * float(row["best_stderr"])
+
+    def test_threads_run_the_restarts_in_parallel(self, capsys, monkeypatch):
+        argv = ["search", "--n", "3", "--restarts", "2", "--samples", "20000", "--seed", "5"]
+        _, serial, _ = run_cli(capsys, argv + ["--threads", "1"])
+        # each restart's first step waits at the barrier, which only the two
+        # restarts running at once can pass
+        barrier = threading.Barrier(2, timeout=10)
+        idents = set()
+        first_argmax = conjecture._first_argmax
+
+        def recording(scores):
+            ident = threading.get_ident()
+            if ident not in idents:
+                idents.add(ident)
+                barrier.wait()
+            return first_argmax(scores)
+
+        monkeypatch.setattr(conjecture, "_first_argmax", recording)
+        code, threaded, _ = run_cli(capsys, argv + ["--threads", "2"])
+        assert code == EXIT_OK
+        assert len(idents) == 2
+        assert threading.get_ident() not in idents
+        assert threaded == serial
 
 
 class TestFileOutput:

@@ -230,12 +230,14 @@ class TestOptimizer:
         res = optimize_configuration(3, 5, McConfig(seed=6, samples=50_000), iterations=200)
         assert res.gap <= 5.0 * res.best_stderr
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [2, 3, 5, 12])
-    def test_matches_the_add_at_step_bit_for_bit(self, n):
-        # 20_001 samples leave a partial last chunk
+    def test_matches_the_add_at_step_bit_for_bit(self, n, threads):
+        # 20_001 samples leave a partial last chunk; three restarts on two
+        # threads leave one restart queued behind the others
         cfg = McConfig(seed=17, samples=20_001)
-        res = optimize_configuration(n, 2, cfg, iterations=50)
-        value, stderr, gram = _add_at_search(n, 2, cfg, iterations=50)
+        res = optimize_configuration(n, 3, cfg, iterations=50, threads=threads)
+        value, stderr, gram = _add_at_search(n, 3, cfg, iterations=50)
         assert res.best_value == value
         assert res.best_stderr == stderr
         assert np.array_equal(res.best_gram.matrix, gram)
