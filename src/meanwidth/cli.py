@@ -22,34 +22,19 @@ from .conjecture import (
     regular_simplex_gram,
 )
 from .extremes import NumericalError, comparison_report
-from .limits import (
-    LimitLaw,
-    ks_statistic,
-    standardize_cross,
-    standardize_cube,
-    standardize_simplex,
-)
+from .limits import ks_statistic, standardized_sample
 from .polytopes import (
     PolytopeKind,
     RegularPolytope,
     v1_from_mean_width,
     width_moments,
 )
-from .sampling import McConfig, _map_chunks, estimate_moments, width_samples
-from .special import _scipy_special
+from .sampling import McConfig, estimate_moments
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FINDING = 3
 EXIT_NUMERICAL = 4
-
-FAMILY_LAWS = {
-    PolytopeKind.CUBE: LimitLaw.NORMAL_LIMIT_VAR,
-    PolytopeKind.SIMPLEX_S: LimitLaw.GUMBEL_SUM,
-    PolytopeKind.SIMPLEX_T: LimitLaw.GUMBEL_SUM,
-    PolytopeKind.CROSS: LimitLaw.TWO_GUMBEL,
-}
-
 
 def _int_list(text: str) -> list[int]:
     try:
@@ -171,18 +156,7 @@ def cmd_extremes(args) -> int:
 def cmd_limits(args) -> int:
     family = PolytopeKind(args.family)
     p = RegularPolytope(family, args.n)
-    cfg = McConfig(seed=args.seed, samples=args.samples)
-    law = FAMILY_LAWS[family]
-    standardize = {PolytopeKind.CUBE: standardize_cube, PolytopeKind.CROSS: standardize_cross}.get(
-        family, standardize_simplex
-    )
-    standardize(np.empty(0), args.n)  # an n it cannot standardize fails here, before any draw
-    if law in (LimitLaw.NORMAL_LIMIT_VAR, LimitLaw.GUMBEL_SUM):
-        # these CDFs need scipy.special: imported after the threaded draws, its
-        # objects raised the next run's peak RSS by 4 MB
-        _scipy_special()
-    widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, args.threads))
-    std = np.sort(standardize(widths, args.n))
+    law, std = standardized_sample(p, McConfig(seed=args.seed, samples=args.samples), args.threads)
     ks = ks_statistic(std, law)
     rows = [
         {
@@ -206,7 +180,7 @@ def cmd_search(args) -> int:
     rows = [
         {
             "n": args.n,
-            "restarts": result.restarts_used,
+            "restarts": args.restarts,
             "best_value": result.best_value,
             "best_stderr": result.best_stderr,
             "regular_value": result.regular_value,

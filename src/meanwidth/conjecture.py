@@ -75,7 +75,6 @@ class SearchResult:
     best_stderr: float
     regular_value: float
     gap: float  # best_value - regular_value
-    restarts_used: int
 
 
 def _regular_simplex_matrix(n: int) -> np.ndarray:
@@ -114,6 +113,8 @@ def _simplex_bound(n: int) -> float:
 def conjecture_bound_check(g: GramConfiguration, cfg: McConfig, threads: int = 1) -> BoundCheck:
     """Compare E max under g against the sqrt(n/(n-1)) * E max(iid) bound."""
     n = g.n
+    if n < 2:
+        raise ValueError(f"the bound sqrt(n/(n-1)) E max needs n >= 2, got {n}")
     estimate, stderr = sample_correlated_max(g.matrix, cfg, threads)
     bound = _simplex_bound(n)
     ok = estimate <= bound + 4.0 * stderr
@@ -217,13 +218,14 @@ def optimize_configuration(
         best_stderr=_SQRT_2PI * best_stderr,
         regular_value=regular_value,
         gap=best_value - regular_value,
-        restarts_used=restarts,
     )
 
 
 def interpolation_covariance(n: int, t: float) -> np.ndarray:
     """Covariance of the 2n-dimensional interpolation family: variances
     2n/(t+2n-1), correlation -2nt/(t+2n-1) inside pairs (2i-1, 2i)."""
+    if n < 1:
+        raise ValueError(f"interpolation family needs n >= 1, got {n}")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     m = 2 * n

@@ -14,14 +14,15 @@ import math
 import numpy as np
 
 from .extremes import u_sequence
+from .polytopes import PolytopeKind, RegularPolytope
+from .sampling import McConfig, _map_chunks, width_samples
 from .special import _scipy_special
 
 __all__ = [
     "LIMIT_VAR",
     "LimitLaw",
-    "standardize_cube",
-    "standardize_simplex",
-    "standardize_cross",
+    "standardize",
+    "standardized_sample",
     "limit_cdf",
     "gumbel_sum_density",
     "ks_statistic",
@@ -42,27 +43,39 @@ class LimitLaw(str, enum.Enum):
     GUMBEL_SUM = "gumbel-sum"
 
 
-def standardize_cube(w, n: int):
-    """Center the cube width at its sqrt(2n/pi) limit location."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return np.asarray(w, dtype=float) - math.sqrt(2.0 * n / math.pi)
+_FAMILY_LAWS = {
+    PolytopeKind.CUBE: LimitLaw.NORMAL_LIMIT_VAR,
+    PolytopeKind.SIMPLEX_S: LimitLaw.GUMBEL_SUM,
+    PolytopeKind.SIMPLEX_T: LimitLaw.GUMBEL_SUM,
+    PolytopeKind.CROSS: LimitLaw.TWO_GUMBEL,
+}
 
 
-def standardize_simplex(w, n: int):
-    """sqrt(2 n log n) (w - 2 u_n / sqrt(n)); limit law GUMBEL_SUM."""
-    u = u_sequence(n)
+def standardize(p: RegularPolytope, w):
+    """The cube width centered at its sqrt(2n/pi) limit location; a simplex
+    width as sqrt(2 n log n) (w - 2 u_n / sqrt(n)), the crosspolytope's with
+    u_{2n} in place of u_n."""
+    n = p.n
+    if p.kind is PolytopeKind.CUBE:
+        return np.asarray(w, dtype=float) - math.sqrt(2.0 * n / math.pi)
+    if p.kind is PolytopeKind.CROSS and n < 2:
+        raise ValueError(f"standardizing the crosspolytope width needs n >= 2, got {n}")
+    u = u_sequence(2 * n if p.kind is PolytopeKind.CROSS else n)
     scale = math.sqrt(2.0 * n * math.log(n))
     return scale * (np.asarray(w, dtype=float) - 2.0 * u / math.sqrt(n))
 
 
-def standardize_cross(w, n: int):
-    """sqrt(2 n log n) (w - 2 u_{2n} / sqrt(n)); limit law TWO_GUMBEL."""
-    if n < 2:
-        raise ValueError(f"standardize_cross needs n >= 2, got {n}")
-    u = u_sequence(2 * n)
-    scale = math.sqrt(2.0 * n * math.log(n))
-    return scale * (np.asarray(w, dtype=float) - 2.0 * u / math.sqrt(n))
+def standardized_sample(p: RegularPolytope, cfg: McConfig, threads: int = 1) -> tuple[LimitLaw, np.ndarray]:
+    """The seeded width sample of p, standardized and sorted ascending, and
+    the law it tends to; the bits do not depend on threads."""
+    law = _FAMILY_LAWS[p.kind]
+    standardize(p, np.empty(0))  # an n it cannot standardize fails here, before any draw
+    if law in (LimitLaw.NORMAL_LIMIT_VAR, LimitLaw.GUMBEL_SUM):
+        # these CDFs need scipy.special: imported after the threaded draws, its
+        # objects raised the next run's peak RSS by 4 MB
+        _scipy_special()
+    widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, threads))
+    return law, np.sort(standardize(p, widths))
 
 
 def gumbel_sum_density(x):

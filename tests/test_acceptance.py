@@ -29,9 +29,7 @@ from meanwidth.limits import (
     LimitLaw,
     gumbel_sum_density,
     ks_statistic,
-    standardize_cross,
-    standardize_cube,
-    standardize_simplex,
+    standardized_sample,
 )
 from meanwidth.polytopes import (
     PolytopeKind,
@@ -40,7 +38,7 @@ from meanwidth.polytopes import (
     width_moment,
     width_moment_cube,
 )
-from meanwidth.sampling import McConfig, _map_chunks, estimate_moments, width_samples
+from meanwidth.sampling import McConfig, estimate_moments
 
 
 def verdict(index: int, title: str, ok: bool, detail: str = "") -> None:
@@ -50,11 +48,13 @@ def verdict(index: int, title: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {index} failed: {title}{suffix}"
 
 
-def _widths(kind: PolytopeKind, n: int, samples: int, seed: int) -> np.ndarray:
-    """The seeded width sample, its chunks drawn on every core (same bits)."""
-    p = RegularPolytope(kind, n)
-    cfg = McConfig(seed=seed, samples=samples)
-    return np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, os.cpu_count() or 1))
+def _standardized(kind: PolytopeKind, n: int, samples: int, seed: int, law: LimitLaw) -> np.ndarray:
+    """The seeded standardized width sample, its chunks drawn on every core
+    (same bits), after checking the family's limit law."""
+    got, sample = standardized_sample(RegularPolytope(kind, n), McConfig(seed=seed, samples=samples),
+                                      os.cpu_count() or 1)
+    assert got is law
+    return sample
 
 
 def test_criterion_01_cube_moment_formulas():
@@ -135,7 +135,7 @@ def test_criterion_05_corollary_chain():
 
 def test_criterion_06_cube_central_limit():
     n, samples, seed = 2_000, 100_000, 42
-    std = np.sort(standardize_cube(_widths(PolytopeKind.CUBE, n, samples, seed), n))
+    std = _standardized(PolytopeKind.CUBE, n, samples, seed, LimitLaw.NORMAL_LIMIT_VAR)
     mean = float(std.mean())
     var = float(std.var(ddof=1))
     ks = ks_statistic(std, LimitLaw.NORMAL_LIMIT_VAR)
@@ -147,9 +147,9 @@ def test_criterion_06_cube_central_limit():
 
 def test_criterion_07_gumbel_limits():
     n, samples, seed = 5_000, 100_000, 42
-    std_s = np.sort(standardize_simplex(_widths(PolytopeKind.SIMPLEX_T, n, samples, seed), n))
+    std_s = _standardized(PolytopeKind.SIMPLEX_T, n, samples, seed, LimitLaw.GUMBEL_SUM)
     ks_s = ks_statistic(std_s, LimitLaw.GUMBEL_SUM)
-    std_c = np.sort(standardize_cross(_widths(PolytopeKind.CROSS, n, samples, seed), n))
+    std_c = _standardized(PolytopeKind.CROSS, n, samples, seed, LimitLaw.TWO_GUMBEL)
     ks_c = ks_statistic(std_c, LimitLaw.TWO_GUMBEL)
     mass, _ = integrate.quad(gumbel_sum_density, -10.0, 200.0, epsabs=1e-10, limit=300)
     mean, _ = integrate.quad(lambda x: x * gumbel_sum_density(x), -10.0, 200.0,

@@ -53,3 +53,9 @@ def test_only_extremes_binds_the_quadrature_internals(module):
     names = {"_quad_batch", "_survival_moments", "_range_batch"}
     bound = names & set(vars(module))
     assert bound == (names if module is extremes else set()), bound
+
+
+def test_cli_binds_no_sampling_or_special_internals():
+    # the CLI draws its standardized limits sample through limits, the one
+    # place that pairs a family with its law
+    assert not {"_map_chunks", "_scipy_special", "width_samples"} & set(vars(cli))

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 import threading
 
 import numpy as np
 import pytest
 
-from meanwidth import cli, conjecture
+from meanwidth import cli, conjecture, limits
 from meanwidth.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from meanwidth.extremes import IndefiniteMatrixError, NumericalError, QuadratureError
 from meanwidth.polytopes import PolytopeKind, RegularPolytope, width_moment, width_moment_cube
@@ -71,7 +72,7 @@ class TestUsageErrors:
     def test_cross_limits_reject_n1_before_any_draw(self, capsys, monkeypatch):
         # the standardization needs n >= 2; the draws alone would take seconds
         calls = []
-        monkeypatch.setattr(cli, "width_samples", lambda *args: calls.append(args))
+        monkeypatch.setattr(limits, "width_samples", lambda *args: calls.append(args))
         code, out, err = run_cli(
             capsys, ["limits", "--family", "cross", "--n", "1", "--samples", "2000000", "--seed", "1"]
         )
@@ -262,6 +263,18 @@ class TestExtremesOutput:
         assert rows[0]["gap_normalized"] == ""  # undefined at n = 1
         assert float(rows[2]["gap_normalized"]) > 1.0
 
+    def test_opt_in_timestamp(self, capsys, monkeypatch):
+        argv = ["extremes", "--n", "3", "--format", "json"]
+        monkeypatch.delenv("MEANWIDTH_TIMESTAMP", raising=False)
+        _, plain, _ = run_cli(capsys, argv)
+        monkeypatch.setenv("MEANWIDTH_TIMESTAMP", "1")
+        code, stamped, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        stamped, plain = json.loads(stamped), json.loads(plain)
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamped["manifest"]["started_at"])
+        assert plain["manifest"]["started_at"] is None
+        assert stamped["rows"] == plain["rows"]
+
 
 class TestLimitsOutput:
     def test_cube_fit(self, capsys):
@@ -288,7 +301,7 @@ class TestLimitsOutput:
             barrier.wait()
             return width_samples(p, rng, count)
 
-        monkeypatch.setattr(cli, "width_samples", recording)
+        monkeypatch.setattr(limits, "width_samples", recording)
         code, threaded, _ = run_cli(capsys, argv + ["--threads", "2"])
         assert code == EXIT_OK
         assert len(idents) >= 2

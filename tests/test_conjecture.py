@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from meanwidth import conjecture
 from meanwidth.conjecture import (
     GramConfiguration,
     _first_argmax,
@@ -133,6 +134,14 @@ class TestBoundCheck:
                 check = conjecture_bound_check(g, McConfig(seed=6, samples=2_000))
                 assert check.ok, f"bound violated at n={n}: {check}"
 
+    def test_rejects_n1_before_any_draw(self, monkeypatch):
+        # sqrt(n/(n-1)) has no value at n = 1; the draws alone would take seconds
+        calls = []
+        monkeypatch.setattr(conjecture, "sample_correlated_max", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="n >= 2"):
+            conjecture_bound_check(GramConfiguration(n=1, matrix=np.eye(1)), McConfig(seed=1, samples=10**7))
+        assert calls == []
+
 
 class TestFingerprintDistance:
     def test_zero_on_identical(self):
@@ -158,6 +167,13 @@ class TestInterpolation:
             interpolation_covariance(3, -0.1)
         with pytest.raises(ValueError):
             interpolation_covariance(3, 1.5)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_1(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            interpolation_covariance(n, 0.5)
+        with pytest.raises(ValueError, match="n >= 1"):
+            interpolation_emax_curve(n, [0.0, 1.0], McConfig(seed=1, samples=100))
 
     def test_endpoint_t0_is_iid_scaled(self):
         # t = 0: 2n iid coordinates with variance 2n/(2n-1)

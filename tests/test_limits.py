@@ -12,24 +12,19 @@ from meanwidth.limits import (
     gumbel_sum_density,
     ks_statistic,
     limit_cdf,
-    standardize_cross,
-    standardize_cube,
-    standardize_simplex,
+    standardize,
+    standardized_sample,
 )
 from meanwidth.polytopes import PolytopeKind, RegularPolytope
-from meanwidth.sampling import McConfig, _map_chunks, width_samples
+from meanwidth.sampling import McConfig
 
 
-def _standardized_sample(kind, n, samples, seed):
-    p = RegularPolytope(kind, n)
-    cfg = McConfig(seed=seed, samples=samples)
+def _standardized_sample(kind, n, samples, seed, law):
     # the chunks drawn on every core: the same bits as one thread
-    w = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, os.cpu_count() or 1))
-    if kind is PolytopeKind.CUBE:
-        return np.sort(standardize_cube(w, n))
-    if kind is PolytopeKind.CROSS:
-        return np.sort(standardize_cross(w, n))
-    return np.sort(standardize_simplex(w, n))
+    got, sample = standardized_sample(RegularPolytope(kind, n), McConfig(seed=seed, samples=samples),
+                                      os.cpu_count() or 1)
+    assert got is law
+    return sample
 
 
 # the bivariate CLT behind the cube limit: E|eta|, Var|eta|, Var(eta^2) and
@@ -59,14 +54,15 @@ class TestCltConstants:
 class TestStandardizers:
     def test_cube_is_a_shift(self):
         w = np.array([1.0, 2.0])
-        out = standardize_cube(w, 8)
+        out = standardize(RegularPolytope(PolytopeKind.CUBE, 8), w)
         shift = math.sqrt(16.0 / math.pi)
         assert np.allclose(out, w - shift, atol=1e-14)
 
     def test_simplex_affine(self):
         n = 50
-        a = float(standardize_simplex(0.0, n))
-        b = float(standardize_simplex(1.0, n))
+        p = RegularPolytope(PolytopeKind.SIMPLEX_T, n)
+        a = float(standardize(p, 0.0))
+        b = float(standardize(p, 1.0))
         scale = math.sqrt(2.0 * n * math.log(n))
         assert b - a == pytest.approx(scale, rel=1e-12)
 
@@ -76,13 +72,14 @@ class TestStandardizers:
         from meanwidth.extremes import u_sequence
 
         w0 = 2.0 * u_sequence(2 * n) / math.sqrt(n)
-        assert float(standardize_cross(w0, n)) == pytest.approx(0.0, abs=1e-12)
+        assert float(standardize(RegularPolytope(PolytopeKind.CROSS, n), w0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_bad_n(self):
+        # the polytope itself refuses a cube of dimension 0
         with pytest.raises(ValueError):
-            standardize_cube([1.0], 0)
-        with pytest.raises(ValueError):
-            standardize_cross([1.0], 1)
+            standardize(RegularPolytope(PolytopeKind.CUBE, 0), [1.0])
+        with pytest.raises(ValueError, match="n >= 2"):
+            standardize(RegularPolytope(PolytopeKind.CROSS, 1), [1.0])
 
 
 class TestSimpleCdfs:
@@ -185,7 +182,7 @@ class TestConvergence:
     def test_cube_ks_decreases_with_n(self):
         ks = []
         for n in (50, 500, 5000):
-            s = _standardized_sample(PolytopeKind.CUBE, n, 30_000, seed=42)
+            s = _standardized_sample(PolytopeKind.CUBE, n, 30_000, seed=42, law=LimitLaw.NORMAL_LIMIT_VAR)
             ks.append(ks_statistic(s, LimitLaw.NORMAL_LIMIT_VAR))
         # allow one Monte Carlo inversion in the decreasing trend
         assert sum(a > b for a, b in zip(ks, ks[1:])) >= 1
@@ -194,7 +191,7 @@ class TestConvergence:
     def test_cross_ks_decreases_with_n(self):
         ks = []
         for n in (50, 500, 5000):
-            s = _standardized_sample(PolytopeKind.CROSS, n, 30_000, seed=42)
+            s = _standardized_sample(PolytopeKind.CROSS, n, 30_000, seed=42, law=LimitLaw.TWO_GUMBEL)
             ks.append(ks_statistic(s, LimitLaw.TWO_GUMBEL))
         assert sum(a > b for a, b in zip(ks, ks[1:])) >= 1
         assert ks[-1] < ks[0]
@@ -202,7 +199,7 @@ class TestConvergence:
     def test_simplex_ks_decreases_with_n(self):
         ks = []
         for n in (50, 500, 5000):
-            s = _standardized_sample(PolytopeKind.SIMPLEX_T, n, 30_000, seed=42)
+            s = _standardized_sample(PolytopeKind.SIMPLEX_T, n, 30_000, seed=42, law=LimitLaw.GUMBEL_SUM)
             ks.append(ks_statistic(s, LimitLaw.GUMBEL_SUM))
         assert sum(a > b for a, b in zip(ks, ks[1:])) >= 1
         assert ks[-1] < ks[0]
