@@ -21,7 +21,7 @@ from .conjecture import (
     optimize_configuration,
     regular_simplex_gram,
 )
-from .extremes import NumericalError, comparison_report
+from .extremes import NumericalError, comparison_reports
 from .limits import ks_statistic, standardized_sample
 from .polytopes import (
     PolytopeKind,
@@ -135,20 +135,18 @@ def _moment_row(p: RegularPolytope, est) -> dict:
 
 
 def cmd_extremes(args) -> int:
-    rows = []
-    for n in args.n:
-        rep = comparison_report(n)
-        rows.append(
-            {
-                "n": rep.n,
-                "a_n": rep.a_n,
-                "b_2n": rep.b_2n,
-                "ratio": rep.ratio,
-                "slepian_ok": rep.slepian_ok,
-                "upper_ok": rep.upper_ok,
-                "gap_normalized": rep.gap_normalized,
-            }
-        )
+    rows = [
+        {
+            "n": rep.n,
+            "a_n": rep.a_n,
+            "b_2n": rep.b_2n,
+            "ratio": rep.ratio,
+            "slepian_ok": rep.slepian_ok,
+            "upper_ok": rep.upper_ok,
+            "gap_normalized": rep.gap_normalized,
+        }
+        for rep in comparison_reports(args.n)
+    ]
     emit(make_manifest("extremes", args, None), rows, args.format, args.out)
     return EXIT_OK
 

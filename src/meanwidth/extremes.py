@@ -12,6 +12,7 @@ t_n, and the two comparison inequalities
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ __all__ = [
     "expected_max",
     "expected_max_gap",
     "comparison_report",
+    "comparison_reports",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -115,56 +117,58 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def _gk21(f, lo, hi, owners):
-    """qk21 on each interval (lo[r], hi[r]): the lists of their Kronrod values
-    and of QUADPACK's error estimates, from one call f(nodes, owners) on the
-    nodes of all of them.  Row sums, not BLAS, so each interval's bits do not
-    depend on the others."""
-    lo, hi = np.array(lo), np.array(hi)
+    """qk21 on each interval (lo[r], hi[r]): the arrays of their Kronrod
+    values and of QUADPACK's error estimates, from one call f(nodes, owners)
+    on the nodes of all of them.  Row sums, not BLAS, so each interval's bits
+    do not depend on the others."""
     half = 0.5 * (hi - lo)
-    fv = f((0.5 * (lo + hi))[:, None] + half[:, None] * _X21, np.array(owners))
+    fv = f((0.5 * (lo + hi))[:, None] + half[:, None] * _X21, owners)
     resk = (fv * _WK21).sum(axis=1)
     err = np.abs(resk - (fv * _WG21).sum(axis=1)) * half
     res_abs = (np.abs(fv) * _WK21).sum(axis=1) * half
     res_asc = (np.abs(fv - 0.5 * resk[:, None]) * _WK21).sum(axis=1) * half
     rescale = (res_asc != 0.0) & (err != 0.0)
-    # Python's pow, which numpy's vector pow does not match to the last bit
-    err[rescale] = res_asc[rescale] * [min(1.0, r**1.5) for r in (200.0 * err[rescale] / res_asc[rescale]).tolist()]
+    # Python's pow, which numpy's vector pow does not match to the last bit;
+    # fmin, like Python's min(1.0, r), keeps 1.0 over a NaN ratio
+    ratio = (200.0 * err[rescale] / res_asc[rescale]).tolist()
+    powers = np.fromiter(map(pow, ratio, itertools.repeat(1.5)), float, len(ratio))
+    err[rescale] = res_asc[rescale] * np.fmin(1.0, powers)
     # fmax, like Python's max(floor, err), keeps the floor over a NaN estimate (an infinite integrand value)
     floored = res_abs > _TINY / (50.0 * _EPS)
     err[floored] = np.fmax(50.0 * _EPS * res_abs[floored], err[floored])
-    return (resk * half).tolist(), err.tolist()
+    return resk * half, err
 
 
-def _quad_batch(f, edge_lists, epsrel: float = 1e-12, epsabs: float = 0.0):
+def _quad_batch(f, edges, epsrel: float = 1e-12, epsabs: float = 0.0):
     """The package's one adaptive quadrature, QUADPACK's QAG with the 21-point
     Gauss-Kronrod rule and no extrapolation, for several integrals side by
-    side.  Integral i starts from the intervals between its edge_lists[i];
-    each round bisects the interval with the largest error estimate (the
-    leftmost of equal ones) of every integral whose estimates sum to more
-    than max(epsabs, epsrel |value|); only range_moments changes the
-    defaults.  f(nodes, owners) maps a 2-D array of nodes elementwise to
-    integrand values, row r belonging to integral owners[r].  Raises QuadratureError when an integral starts from or needs
-    more than _LIMIT intervals.  Returns [(value, error estimate)] in the
-    order of edge_lists; each equals what the integral gets on its own."""
-    if any(len(edges) - 1 > _LIMIT for edges in edge_lists):
+    side.  Integral i starts from the intervals between its edges[i] (a list
+    of edge sequences, or a 2-D array with one row per integral); each round
+    bisects the interval with the largest error estimate (the leftmost of
+    equal ones) of every integral whose estimates sum to more than
+    max(epsabs, epsrel |value|); only range_moments changes the defaults.
+    f(nodes, owners) maps a 2-D array of nodes elementwise to integrand
+    values, row r belonging to integral owners[r].  Raises QuadratureError
+    when an integral starts from or needs more than _LIMIT intervals.
+    Returns [(value, error estimate)] in the order of edges; each equals what
+    the integral gets on its own.  Only the integrals that the first round,
+    on one array of all break points, leaves above tolerance get lists."""
+    if isinstance(edges, np.ndarray):
+        flat, sizes = edges.ravel(), [edges.shape[1] - 1] * len(edges)
+    else:
+        flat, sizes = np.concatenate([np.empty(0), *edges]), [len(e) - 1 for e in edges]
+    if max(sizes, default=0) > _LIMIT:
         raise QuadratureError(f"an integral starts from more than limit={_LIMIT} intervals")
-    # integral i: its break points in ascending order, and the value and error of each interval between them
-    points = [list(edges) for edges in edge_lists]
-    vals, errs, results = [[] for _ in points], [[] for _ in points], [None] * len(points)
-    # i: (j, k, x), the intervals between the points x replace intervals j..k-1 of integral i
-    todo = {i: (0, 0, tuple(edges)) for i, edges in enumerate(points) if len(edges) > 1}
+    # interval r of integral owners[r] starts at flat[r + owners[r]]: each integral's edges follow the last's
+    owners = np.repeat(np.arange(len(sizes)), sizes)
+    below = np.arange(len(owners)) + owners
+    values, errors = _gk21(f, flat[below], flat[below + 1], owners)
+    values, errors, ends = values.tolist(), errors.tolist(), list(itertools.accumulate(sizes, initial=0))
+    vals = [values[a:b] for a, b in zip(ends, ends[1:])]
+    errs = [errors[a:b] for a, b in zip(ends, ends[1:])]
+    # integral i: its break points in ascending order, once it needs a bisection
+    points, results, todo = {}, [None] * len(sizes), range(len(sizes))
     while todo:
-        values, errors = _gk21(
-            f,
-            [a for _, _, x in todo.values() for a in x[:-1]],
-            [b for _, _, x in todo.values() for b in x[1:]],
-            [i for i, (_, _, x) in todo.items() for _ in x[1:]],
-        )
-        start = 0
-        for i, (j, k, x) in todo.items():
-            vals[i][j:k] = values[start : start + len(x) - 1]
-            errs[i][j:k] = errors[start : start + len(x) - 1]
-            start += len(x) - 1
         split = {}
         for i in todo:
             value, err = math.fsum(vals[i]), math.fsum(errs[i])
@@ -175,10 +179,17 @@ def _quad_batch(f, edge_lists, epsrel: float = 1e-12, epsabs: float = 0.0):
                 raise QuadratureError(
                     f"quadrature did not converge: error estimate {err:.3g} after limit={_LIMIT} subintervals"
                 )
+            if i not in points:
+                points[i] = flat[ends[i] + i : ends[i + 1] + i + 1].tolist()
             # list.index finds the leftmost of equal estimates
-            j = errs[i].index(max(errs[i]))
+            split[i] = j = errs[i].index(max(errs[i]))
             points[i].insert(j + 1, 0.5 * (points[i][j] + points[i][j + 1]))
-            split[i] = (j, j + 1, points[i][j : j + 3])
+        if split:
+            x = np.array([points[i][j : j + 3] for i, j in split.items()])
+            values, errors = _gk21(f, x[:, :2].ravel(), x[:, 1:].ravel(), np.array(list(split)).repeat(2))
+            values, errors = values.tolist(), errors.tolist()
+            for r, (i, j) in enumerate(split.items()):
+                vals[i][j : j + 1], errs[i][j : j + 1] = values[2 * r : 2 * r + 2], errors[2 * r : 2 * r + 2]
         todo = split
     return results
 
@@ -199,72 +210,79 @@ def solve_t_n(n: int) -> float:
     return abs(float(normal_tail_inverse(1.0 / (2.0 * n))))
 
 
-def _survival_moments(surv, ks, envelope: float, peak: float, scale: float = 1.0, epsrel: float = 1e-12):
-    """{k: (int_0^inf k t^(k-1) surv(t) dt, error bound)} for a survival
+def _survival_moments(integrals, epsrel: float = 1e-12):
+    """[{k: (int_0^inf k t^(k-1) surv(t) dt, error bound)}] for each
+    integral (surv, ks, envelope, peak, scale) of integrals: a survival
     function under the envelope surv(t) <= envelope * normal_tail(t / scale),
     surv mapping an array of t elementwise.  The package's one rule for
     where a quadrature stops and what its tail adds to the error.
 
     Every k integrates over [0, T], envelope * normal_tail(T / scale) =
     _TRUNC_EPS (T / scale at least the upper quartile), split at peak unless
-    it is 0, all in one _quad_batch to the relative tolerance epsrel that
-    calls surv once per interval (a memo keyed by its row of nodes).  Its
-    error adds a bound on the envelope's moment beyond T.  With U = T / scale,
+    it is 0, every k of every integral in one _quad_batch to the relative
+    tolerance epsrel that calls each surv once per interval (a memo keyed by
+    the integral and its row of nodes).  Its error adds a bound on the
+    envelope's moment beyond T.  With U = T / scale,
     normal_tail(s) <= phi(s) / s bounds int_U^inf k s^(k-1) normal_tail(s) ds
     by k J_(k-2) for k >= 2, where J_j = int_U^inf s^j phi(s) ds = U^(j-1) phi(U) + (j-1) J_(j-2),
     J_0 = normal_tail(U) and J_1 = phi(U); for k = 1 the Mills ratio bound
     gives phi(U) / (1 + U^2) <= phi(U) / U^2.
     """
-    ks = tuple(dict.fromkeys(ks))
-    if any(k < 1 for k in ks):
-        raise ValueError(f"moment orders must be positive, got {ks}")
-    # min(_TRUNC_EPS / envelope, 0.25), also for an envelope that underflowed to 0
-    u = float(normal_tail_inverse(_TRUNC_EPS / max(envelope, 4.0 * _TRUNC_EPS)))
-    edges = [0.0, peak, scale * u] if peak else [0.0, scale * u]
-    memo = {}
+    # quadrature q integrates order k of integral g, (g, k) = orders[q]; tails[q] = (envelope, scale, J term)
+    orders, edges, tails = [], [], []
+    for g, (_, ks, envelope, peak, scale) in enumerate(integrals):
+        ks = tuple(dict.fromkeys(ks))
+        if any(k < 1 for k in ks):
+            raise ValueError(f"moment orders must be positive, got {ks}")
+        # min(_TRUNC_EPS / envelope, 0.25), also for an envelope that underflowed to 0
+        u = float(normal_tail_inverse(_TRUNC_EPS / max(envelope, 4.0 * _TRUNC_EPS)))
+        # Every term of the bound is positive, so it rounds to about (k + U^2) eps
+        # relative: U^2 / 2 from phi(U)'s exp and normal_tail's erfc, a few eps per
+        # step of the recurrence.  The bound exceeds the exact tail by 0.3 % or
+        # more (about 1 / U^2, or 1 / k once the tail lies well past U), which
+        # covers that rounding; a test pins the margin.  A J_j past double range
+        # is inf, which the loop refuses.
+        phi = math.exp(-0.5 * u * u) / _SQRT_2PI
+        j_moments, term = [float(normal_tail(u)), phi], phi
+        for j in range(2, max(ks) - 1):
+            term *= u
+            j_moments.append(term + (j - 1) * j_moments[j - 2])
+        orders += [(g, k) for k in ks]
+        edges += [[0.0, peak, scale * u] if peak else [0.0, scale * u]] * len(ks)
+        tails += [(envelope, scale, k * j_moments[k - 2] if k > 1 else phi / (u * u)) for k in ks]
+    integral_of, order_of, memo = np.array([g for g, _ in orders]), np.array([k for _, k in orders]), {}
 
     def integrand(t, owners):
-        keys = [row.tobytes() for row in t]
-        # each new row once, even when several orders bisect its interval
+        keys = list(zip(integral_of[owners].tolist(), map(np.ndarray.tobytes, t)))
+        # each new row once per integral, even when several orders bisect its interval
         fresh = {key: r for r, key in enumerate(keys) if key not in memo}
-        if fresh:
-            memo.update(zip(fresh, surv(t[list(fresh.values())])))
+        for g in dict.fromkeys(g for g, _ in fresh):
+            new = [key for key in fresh if key[0] == g]
+            memo.update(zip(new, integrals[g][0](t[[fresh[key] for key in new]])))
         s = np.array([memo[key] for key in keys])
-        out = np.empty_like(t)
-        for i in dict.fromkeys(owners.tolist()):
+        out, ks = np.empty_like(t), order_of[owners]
+        for k in dict.fromkeys(ks.tolist()):
             # an int exponent: numpy squares t at k = 3, where pow(t, 2.0) can differ
-            k, rows = ks[i], owners == i
+            rows = ks == k
             out[rows] = k * t[rows] ** (k - 1) * s[rows]
         return out
 
-    # Every term of the bound is positive, so it rounds to about (k + U^2) eps
-    # relative: U^2 / 2 from phi(U)'s exp and normal_tail's erfc, a few eps per
-    # step of the recurrence.  The bound exceeds the exact tail by 0.3 % or
-    # more (about 1 / U^2, or 1 / k once the tail lies well past U), which
-    # covers that rounding; a test pins the margin.  A J_j past double range
-    # is inf, which the loop refuses.
-    phi = math.exp(-0.5 * u * u) / _SQRT_2PI
-    j_moments, term = [float(normal_tail(u)), phi], phi
-    for j in range(2, max(ks) - 1):
-        term *= u
-        j_moments.append(term + (j - 1) * j_moments[j - 2])
-    out, k = {}, max(ks)  # the order named when the batch itself overflows
+    out, k = [{} for _ in integrals], max((k for _, k in orders), default=0)  # named when the batch itself overflows
     try:
         with np.errstate(over="raise"):
-            results = _quad_batch(integrand, [edges] * len(ks), epsrel)
-        for k, (value, err) in zip(ks, results):
-            err += envelope * scale**k * (k * j_moments[k - 2] if k > 1 else phi / (u * u))
+            results = _quad_batch(integrand, edges, epsrel)
+        for (g, k), (envelope, scale, term), (value, err) in zip(orders, tails, results):
+            err += envelope * scale**k * term
             if not math.isfinite(err):
                 raise OverflowError
-            out[k] = (value, err)
+            out[g][k] = (value, err)
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"moment of order {k} is out of double-precision range") from exc
     return out
 
 
-def max_abs_moments(n: int, ks) -> dict[int, tuple[float, float]]:
-    """{k: (E[(max |eta_i|)^k], error bound)} for each k, as
-    int_0^inf k t^(k-1) (1 - F_n(t)) dt, every k in one batch, 1 - F_n once per interval."""
+def _max_abs_integral(n: int, ks):
+    """max_abs_moments' integral for _survival_moments: 1 - F_n, F_n the CDF of max |eta_i|."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
 
@@ -274,7 +292,13 @@ def max_abs_moments(n: int, ks) -> dict[int, tuple[float, float]]:
             return -np.expm1(n * np.log1p(-2.0 * normal_tail(t)))
 
     # 1 - F_n <= 2n normal_tail(t)
-    return _survival_moments(surv, ks, 2 * n, peak=solve_t_n(n))
+    return surv, ks, 2 * n, solve_t_n(n), 1.0
+
+
+def max_abs_moments(n: int, ks) -> dict[int, tuple[float, float]]:
+    """{k: (E[(max |eta_i|)^k], error bound)} for each k, as
+    int_0^inf k t^(k-1) (1 - F_n(t)) dt, every k in one batch, 1 - F_n once per interval."""
+    return _survival_moments([_max_abs_integral(n, ks)])[0]
 
 
 def _range_batch(n: int, ts, epsabs: float) -> list[float]:
@@ -289,19 +313,22 @@ def _range_batch(n: int, ts, epsabs: float) -> list[float]:
     (-t - 9, 9), split at -t/2 + d for d in _RANGE_OFFSETS: the integrand's
     mass lies within a few units of x = -t/2, where the window [x, x + t] is
     centred on 0, and from the window's ends alone the bisection would spend
-    its first rounds finding it."""
+    its first rounds finding it.  Where a <= exp(-760 / (n - 1)), a^(n-1)
+    rounds to +0.0, which pow reaches by a slow underflow path: no pow there."""
     ts = np.asarray(ts, dtype=float)
+    floor = math.exp(-760.0 / (n - 1))
 
     def integrand(x, owners):
         a = normal_tail(x)
         b = normal_tail(x + ts[owners][:, None])
+        power = np.power(a, n - 1, out=np.zeros_like(a), where=a > floor)
         # a >= normal_tail(9) > 0 on the domain; b = a only as t -> 0,
         # where log1p(-1) = -inf gives the exact bracket a^(n-1)
         with np.errstate(divide="ignore"):
-            bracket = -(a ** (n - 1)) * np.expm1((n - 1) * np.log1p(-b / a))
+            bracket = -power * np.expm1((n - 1) * np.log1p(-b / a))
         return np.exp(-0.5 * x * x) / _SQRT_2PI * bracket
 
-    edges = [(-t - 9.0, *(-0.5 * t + d for d in _RANGE_OFFSETS), 9.0) for t in ts.tolist()]
+    edges = np.column_stack((-ts - 9.0, -0.5 * ts[:, None] + _RANGE_OFFSETS, np.full(len(ts), 9.0)))
     values = _quad_batch(integrand, edges, epsabs=epsabs)
     return [n * value for value, _ in values]
 
@@ -334,7 +361,7 @@ def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
 
     # range > t forces max > t/2 or -min > t/2, so the survival function is
     # bounded by 2n normal_tail(t/2)
-    moments = _survival_moments(surv, ks, 2 * n, peak, scale=2.0, epsrel=1e-11)
+    moments = _survival_moments([(surv, ks, 2 * n, peak, 2.0)], epsrel=1e-11)[0]
     return {k: (v, e + (n * epsabs + epsrel) * peak**k + epsrel * abs(v)) for k, (v, e) in moments.items()}
 
 
@@ -360,8 +387,25 @@ def expected_max(m: int) -> ExtremeValueResult:
         return -np.expm1(m * np.log1p(-r)) - r**m
 
     # 0 <= 1 - Phi^m - normal_tail^m <= 1 - Phi^m <= m normal_tail(t)
-    value, err = _survival_moments(surv, (1,), m, peak=solve_t_n(m))[1]
+    value, err = _survival_moments([(surv, (1,), m, solve_t_n(m), 1.0)])[0][1]
     return ExtremeValueResult(n=m, value=value, abs_error_bound=err)
+
+
+def _gap_integral(n: int):
+    """expected_max_gap's integral for _survival_moments: G_n - F_n + r^(2n)."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+
+    def diff(t):
+        # t in [0, T] keeps r = normal_tail(t) in (0, 1/2]; 1 - 2r is exact for
+        # r >= 1/4 (Sterbenz) and +0.0 at t = 0, where delta = inf gives G_n itself
+        r = normal_tail(t)
+        with np.errstate(divide="ignore"):
+            delta = n * np.log1p(r * r / (1.0 - 2.0 * r))
+        return np.exp(2 * n * np.log1p(-r)) * -np.expm1(-delta) + r ** (2 * n)
+
+    # G_n - F_n >= 0 and G_n + r^(2n) <= 1, so 0 <= integrand <= 1 - F_n <= 2n normal_tail(t)
+    return diff, (1,), 2 * n, solve_t_n(n), 1.0
 
 
 def expected_max_gap(n: int) -> ExtremeValueResult:
@@ -375,20 +419,24 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
     The direct subtraction of two ~sqrt(2 log n)-sized quadratures would lose
     every significant digit of the O(1 / (n sqrt(log n))) gap.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-
-    def diff(t):
-        # t in [0, T] keeps r = normal_tail(t) in (0, 1/2]; 1 - 2r is exact for
-        # r >= 1/4 (Sterbenz) and +0.0 at t = 0, where delta = inf gives G_n itself
-        r = normal_tail(t)
-        with np.errstate(divide="ignore"):
-            delta = n * np.log1p(r * r / (1.0 - 2.0 * r))
-        return np.exp(2 * n * np.log1p(-r)) * -np.expm1(-delta) + r ** (2 * n)
-
-    # G_n - F_n >= 0 and G_n + r^(2n) <= 1, so 0 <= integrand <= 1 - F_n <= 2n normal_tail(t)
-    value, err = _survival_moments(diff, (1,), 2 * n, peak=solve_t_n(n))[1]
+    value, err = _survival_moments([_gap_integral(n)])[0][1]
     return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
+
+
+def comparison_reports(ns) -> list[ComparisonReport]:
+    """comparison_report for each n of ns, from one batch of quadratures:
+    A_n and the gap A_n - B_2n of every n side by side."""
+    ns = list(ns)
+    moments = _survival_moments([q for n in ns for q in (_max_abs_integral(n, (1,)), _gap_integral(n))])
+    reports = []
+    for n, a, gap in zip(ns, moments[::2], moments[1::2]):
+        (a_n, a_err), (gap_n, gap_err) = a[1], gap[1]
+        b_2n, slack = a_n - gap_n, a_err + gap_err
+        upper_ok = a_n <= math.sqrt(2 * n / (2 * n - 1)) * b_2n + slack
+        gap_norm = 8.0 * n * math.log(n) * (gap_n / b_2n) if n >= 2 else math.nan
+        reports.append(ComparisonReport(n=n, a_n=a_n, b_2n=b_2n, ratio=a_n / b_2n, slepian_ok=bool(gap_n >= -slack),
+                                        upper_ok=bool(upper_ok), gap_normalized=gap_norm, slack=slack))
+    return reports
 
 
 def comparison_report(n: int) -> ComparisonReport:
@@ -398,16 +446,4 @@ def comparison_report(n: int) -> ComparisonReport:
     normalized gap keeps full relative accuracy even at n = 1e5, where
     a_n / b_2n - 1 is of order 1e-7.
     """
-    a = expected_max_abs(n)
-    gap = expected_max_gap(n)
-    b_val = a.value - gap.value
-    slack = a.abs_error_bound + gap.abs_error_bound
-    ratio = a.value / b_val
-    slepian_ok = gap.value >= -slack
-    upper_ok = a.value <= math.sqrt(2 * n / (2 * n - 1)) * b_val + slack
-    gap_norm = 8.0 * n * math.log(n) * (gap.value / b_val) if n >= 2 else math.nan
-    return ComparisonReport(
-        n=n, a_n=a.value, b_2n=b_val, ratio=ratio,
-        slepian_ok=bool(slepian_ok), upper_ok=bool(upper_ok),
-        gap_normalized=gap_norm, slack=slack,
-    )
+    return comparison_reports([n])[0]

@@ -24,7 +24,6 @@ __all__ = [
     "standardize",
     "standardized_sample",
     "limit_cdf",
-    "gumbel_sum_density",
     "ks_statistic",
 ]
 
@@ -76,19 +75,6 @@ def standardized_sample(p: RegularPolytope, cfg: McConfig, threads: int = 1) -> 
         _scipy_special()
     widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, threads))
     return law, np.sort(standardize(p, widths))
-
-
-def gumbel_sum_density(x):
-    """Density of the sum of two independent Gumbel variables:
-    2 exp(-x) K0(2 exp(-x/2))."""
-    x = np.asarray(x, dtype=float)
-    z = 2.0 * np.exp(-x / 2.0)
-    # K0 underflows past z ~ 700, and z itself underflows to 0 past x ~ 1490;
-    # the density is 0 at both ends.
-    out = np.zeros_like(z)
-    ok = (z > 0.0) & (z < 690.0)
-    out[ok] = 2.0 * np.exp(-x[ok]) * _scipy_special().k0(z[ok])
-    return out if out.ndim else float(out)
 
 
 def limit_cdf(law: LimitLaw, x):

@@ -41,9 +41,13 @@ def _scipy_special():
 def normal_tail(t):
     """Upper tail of the standard normal, P[eta > t].
 
-    Accepts scalars or arrays.  Computed through erfc, which stays accurate
-    (relative error ~1e-15) far into the tail where the naive 1 - CDF form
-    would cancel catastrophically.
+    Accepts scalars or arrays.  Computed through scipy's erfc, which keeps
+    its relative accuracy far into the tail, where the naive 1 - CDF form
+    would cancel catastrophically: its relative error at a given argument
+    reaches about 19 eps for t <= 8.5, 33 eps for t <= 14 and 130 eps for
+    t <= 28, inside the U^2 / 2 eps that the tail rule of
+    extremes._survival_moments allows for it at its cut-off U.  Rounding
+    t / sqrt(2) adds about t^2 eps, inside that rule's 0.3 % margin.
     """
     return 0.5 * _scipy_special().erfc(np.asarray(t, dtype=float) / _SQRT2)
 

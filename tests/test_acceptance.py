@@ -27,7 +27,6 @@ from meanwidth.limits import (
     LIMIT_VAR,
     EULER_GAMMA,
     LimitLaw,
-    gumbel_sum_density,
     ks_statistic,
     standardized_sample,
 )
@@ -39,6 +38,7 @@ from meanwidth.polytopes import (
     width_moment_cube,
 )
 from meanwidth.sampling import McConfig, estimate_moments
+from test_limits import gumbel_sum_density
 
 
 def verdict(index: int, title: str, ok: bool, detail: str = "") -> None:

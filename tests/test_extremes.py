@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -14,6 +15,7 @@ from meanwidth.extremes import (
     QuadratureError,
     _survival_moments,
     comparison_report,
+    comparison_reports,
     expected_max,
     expected_max_abs,
     expected_max_gap,
@@ -156,7 +158,7 @@ class TestMaxAbsMoment:
                     )
                     exact = envelope * (j_k - U**k * foot)
                     try:
-                        bound = _survival_moments(zero, (k,), envelope, peak=0.0, epsrel=1e-12)[k][1]
+                        bound = _survival_moments([(zero, (k,), envelope, 0.0, 1.0)], epsrel=1e-12)[0][k][1]
                     except ValueError:
                         # refused only once the bound leaves double range
                         assert 1.05 * exact > sys.float_info.max, (envelope, k)
@@ -285,6 +287,15 @@ class TestComparison:
             rep = comparison_report(n)
             direct = expected_max(2 * n)
             assert rep.b_2n == pytest.approx(direct.value, abs=1e-9)
+
+    def test_one_batch_equals_each_report_on_its_own(self):
+        # comparison_reports integrates A_n and the gap of every n in one batch
+        ns = (1, 2, 7, 100, 4000, 100000)
+
+        def bits(rep):
+            return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(rep)]
+
+        assert [bits(rep) for rep in comparison_reports(ns)] == [bits(comparison_report(n)) for n in ns]
 
     def test_gap_sweep_approaches_one_from_above(self):
         gaps = [comparison_report(n).gap_normalized for n in (100, 1000, 10000, 100000)]

@@ -197,12 +197,58 @@ class TestRangeEngine:
         with pytest.raises(QuadratureError):
             range_moments(10**9, (1,))
 
+    @pytest.mark.parametrize("n", [2, 3, 57, 400, 2000, 10**5])
+    def test_skipping_the_underflowing_pow_keeps_the_bits(self, monkeypatch, n):
+        # from n = 57 on, part of the nodes have a <= exp(-760 / (n - 1)), where
+        # _range_batch skips pow; t on both sides of the break point 2 t_n,
+        # each with its inner tolerance
+        integrands = []
+        real = extremes._quad_batch
+
+        def spy(f, *args, **kwargs):
+            integrands.append(f)
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(extremes, "_quad_batch", spy)
+        peak = 2.0 * solve_t_n(n)
+        for ts, epsabs in (([0.05, 0.5 * peak, peak], 1e-13), ([1.01 * peak, peak + 2.0, peak + 8.0], 0.0)):
+            got = _range_batch(n, ts, epsabs)
+            assert [v.hex() for v in got] == [v.hex() for v in full_pow_range_batch(n, ts, epsabs)]
+            # the integrand itself on a fine grid over each t's domain, where
+            # the rule's weights could hide a subnormal a^(n-1) lost to the skip
+            for i, t in enumerate(ts):
+                x = np.linspace(-t - 9.0, 9.0, 21 * 400).reshape(400, 21)
+                owners = np.full(len(x), i)
+                assert integrands[-1](x, owners).tobytes() == full_pow_integrand(n, ts)(x, owners).tobytes()
+
     def test_cdf_subdivision_limit_raises(self, monkeypatch):
         # the inner survival batch on its own: at n = 221 and t = 0.1 it needs
         # more than its starting intervals, one more than its break points about -t/2
         monkeypatch.setattr(extremes, "_LIMIT", len(extremes._RANGE_OFFSETS) + 1)
         with pytest.raises(QuadratureError, match="did not converge"):
             _range_batch(221, [0.1], 1e-13)
+
+
+def full_pow_integrand(n, ts):
+    """_range_batch's integrand with a^(n-1) computed at every node: the
+    reference of its pow skip."""
+    ts = np.asarray(ts, dtype=float)
+
+    def integrand(x, owners):
+        a = normal_tail(x)
+        b = normal_tail(x + ts[owners][:, None])
+        with np.errstate(divide="ignore"):
+            bracket = -(a ** (n - 1)) * np.expm1((n - 1) * np.log1p(-b / a))
+        return np.exp(-0.5 * x * x) / SQRT_2PI * bracket
+
+    return integrand
+
+
+def full_pow_range_batch(n, ts, epsabs):
+    """_range_batch through full_pow_integrand, its edges built one t at a
+    time: the reference of its pow skip and its edge array."""
+    edges = [(-t - 9.0, *(-0.5 * t + d for d in extremes._RANGE_OFFSETS), 9.0) for t in ts]
+    return [n * value for value, _ in _quad_batch(full_pow_integrand(n, ts), edges, epsabs=epsabs)]
 
 
 def per_k_range_moment(n, k):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from meanwidth import extremes
+from meanwidth import cli, extremes
 from meanwidth.extremes import (
     QuadratureError,
     _LIMIT,
@@ -37,7 +37,7 @@ def _one_integral(f, edges, **tolerances):
 
 
 def _gauss_kronrod(f, a, b):
-    values, errors = _gk21(lambda x, owners: f(x), [a], [b], [0])
+    values, errors = _gk21(lambda x, owners: f(x), np.array([a]), np.array([b]), np.array([0]))
     return values[0], errors[0]
 
 
@@ -104,6 +104,42 @@ def _heap_gk21(f, intervals, owners):
             err = max(50.0 * _EPS * res_abs, err)
         out.append((k * h, err))
     return out
+
+
+class TestRuleAgainstTheScalarLoop:
+    """_gk21's arrays against _heap_gk21 one interval at a time, bit for bit:
+    the rescale's fmin and the floor's fmax keep the results of Python's
+    min(1.0, r**1.5) and max(50 eps resabs, err), also where the rescale meets
+    a NaN ratio (an infinite node value) or nothing to rescale (a zero integrand)."""
+
+    @staticmethod
+    def _both(f, intervals, owners):
+        lo, hi = (np.array(side) for side in zip(*intervals))
+        values, errors = _gk21(f, lo, hi, np.array(owners))
+        alone = [_heap_gk21(f, [interval], [owner])[0] for interval, owner in zip(intervals, owners)]
+        assert [(v.hex(), e.hex()) for v, e in zip(values.tolist(), errors.tolist())] == [
+            (v.hex(), e.hex()) for v, e in alone
+        ]
+        return alone
+
+    def test_ordinary_intervals(self):
+        def f(x, owners):
+            return np.exp(-np.array([0.5, 3.0, 1.0])[owners][:, None] * x * x) + (owners == 2)[:, None] * x**20
+
+        self._both(f, [(0.0, 1.0), (0.5, 3.0), (-5.0, 5.0), (0.0, 1.0)], [0, 1, 1, 2])
+
+    def test_an_infinite_node_value(self):
+        # the middle node of (0, 2) is 1.0; inf - inf makes resasc and the ratio NaN
+        def f(x, owners):
+            return np.where(x == 1.0, np.inf, x * x)
+
+        with np.errstate(invalid="ignore"):
+            alone = self._both(f, [(0.0, 2.0), (2.0, 3.0)], [0, 0])
+        assert alone[0] == (math.inf, math.inf)
+
+    def test_a_zero_integrand(self):
+        alone = self._both(lambda x, owners: np.zeros_like(x), [(0.0, 1.0), (-3.0, 7.0)], [0, 1])
+        assert alone == [(0.0, 0.0), (0.0, 0.0)]
 
 
 def _heap_quad_batch(f, edge_lists, epsrel=1e-12, epsabs=0.0):
@@ -389,6 +425,14 @@ class TestOneBatchPerSurvivalMoment:
         assert len(calls) == 1
         assert len(calls[0][0][1]) == 1
 
+    def test_an_extremes_command_is_one_batch(self, monkeypatch, capsys):
+        # A_n and the gap of every n side by side
+        calls = _capture(monkeypatch, extremes, "_quad_batch")
+        assert cli.main(["extremes", "--n", "1,7,100000"]) == 0
+        assert len(calls) == 1
+        assert len(calls[0][0][1]) == 6
+        assert capsys.readouterr().out.count("\n100000,") == 1
+
     def test_range_moments_outer_quadrature_is_one_batch(self, monkeypatch):
         # the inner range quadratures run inside the outer one's integrand
         calls = _capture_outermost(monkeypatch)
@@ -400,12 +444,14 @@ class TestOneBatchPerSurvivalMoment:
         rows = []
         real = extremes._survival_moments
 
-        def spy(surv, *args, **kwargs):
+        def spy(integrals, *args, **kwargs):
+            ((surv, *rest),) = integrals
+
             def recording(t):
                 rows.extend(row.tobytes() for row in t)
                 return surv(t)
 
-            return real(recording, *args, **kwargs)
+            return real([(recording, *rest)], *args, **kwargs)
 
         monkeypatch.setattr(extremes, "_survival_moments", spy)
         range_moments(57, (1, 2, 3, 4))
