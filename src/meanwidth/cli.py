@@ -26,8 +26,8 @@ from .limits import ks_statistic, standardized_sample
 from .polytopes import (
     PolytopeKind,
     RegularPolytope,
+    family_width_moments,
     v1_from_mean_width,
-    width_moments,
 )
 from .sampling import McConfig, estimate_moments
 
@@ -107,21 +107,19 @@ def cmd_moments(args) -> int:
     if args.route == "closed" and family is not PolytopeKind.CUBE:
         print("error: --route closed is only available for the cube", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    for n in args.n:
-        p = RegularPolytope(family, n)
-        if args.route == "mc":
-            cfg = McConfig(seed=args.seed, samples=args.samples)
-            ests = estimate_moments(p, tuple(args.k), cfg, threads=args.threads)
-        else:
-            # the cube's width_moments is its closed form on either route
-            ests = width_moments(p, args.k)
-        rows.extend(_moment_row(p, ests[k]) for k in args.k)
+    if args.route == "mc":
+        cfg = McConfig(seed=args.seed, samples=args.samples)
+        each = [estimate_moments(RegularPolytope(family, n), tuple(args.k), cfg, threads=args.threads) for n in args.n]
+    else:
+        # the cube's closed form on either route; every n of a quadrature in one batch
+        each = family_width_moments(family, args.n, args.k)
+    rows = [_moment_row(ests[k]) for ests in each for k in args.k]
     emit(make_manifest("moments", args, args.seed), rows, args.format, args.out)
     return EXIT_OK
 
 
-def _moment_row(p: RegularPolytope, est) -> dict:
+def _moment_row(est) -> dict:
+    p = est.polytope
     v1 = v1_from_mean_width(p.ambient_dim, est.value) if est.k == 1 else math.nan
     return {
         "family": p.kind.value,

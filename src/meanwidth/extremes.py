@@ -29,7 +29,9 @@ __all__ = [
     "u_sequence",
     "solve_t_n",
     "max_abs_moments",
+    "max_abs_moments_each",
     "range_moments",
+    "range_moments_each",
     "expected_max_abs",
     "expected_max",
     "expected_max_gap",
@@ -56,8 +58,10 @@ class IndefiniteMatrixError(NumericalError, ValueError):
 
 # the most intervals any one integral may use
 _LIMIT = 200
-# _range_batch's inner break points, as offsets from x = -t/2
-_RANGE_OFFSETS = (-6.0, -4.0, -2.5, -1.5, -0.75, 0.0, 0.75, 1.5, 2.5, 4.0, 6.0)
+# _range_batch's inner break points between its ends -t/2 and 9, as offsets from x = -t/2
+_RANGE_OFFSETS = (0.75, 1.5, 2.5, 4.0, 6.0)
+# range_moments' inner absolute tolerance up to the break point 2 t_n
+_RANGE_EPSABS = 1e-13
 
 
 @dataclass(frozen=True)
@@ -298,39 +302,75 @@ def _max_abs_integral(n: int, ks):
 def max_abs_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     """{k: (E[(max |eta_i|)^k], error bound)} for each k, as
     int_0^inf k t^(k-1) (1 - F_n(t)) dt, every k in one batch, 1 - F_n once per interval."""
-    return _survival_moments([_max_abs_integral(n, ks)])[0]
+    return max_abs_moments_each([n], ks)[0]
+
+
+def max_abs_moments_each(ns, ks) -> list[dict[int, tuple[float, float]]]:
+    """max_abs_moments for each n of ns, every n and k in one batch."""
+    return _survival_moments([_max_abs_integral(n, ks) for n in ns])
 
 
 def _range_batch(n: int, ts, epsabs: float) -> list[float]:
     """P[max eta_i - min eta_i > t] at every t > 0 of ts: one batch of
     quadratures, each value the one its t gets on its own.
 
-    With a = normal_tail(x) and b = normal_tail(x + t), the CDF is
-    n int phi(x) (a - b)^(n-1) dx, and since n int phi a^(n-1) = 1 the
-    survival is n int phi(x) (a^(n-1) - (a - b)^(n-1)) dx, its bracket
-    evaluated as -a^(n-1) expm1((n-1) log1p(-b/a)): no 1 - CDF cancellation,
-    so a small survival keeps its relative accuracy.  Each integral runs over
-    (-t - 9, 9), split at -t/2 + d for d in _RANGE_OFFSETS: the integrand's
-    mass lies within a few units of x = -t/2, where the window [x, x + t] is
-    centred on 0, and from the window's ends alone the bisection would spend
-    its first rounds finding it.  Where a <= exp(-760 / (n - 1)), a^(n-1)
-    rounds to +0.0, which pow reaches by a slow underflow path: no pow there."""
+    With a = normal_tail(x), b = normal_tail(x + t), p = 1 - a and q = 1 - b,
+    the survival is n int phi(x) (a^(n-1) - (a - b)^(n-1)) dx over (-t - 9, 9)
+    (the CDF is n int phi(x) (a - b)^(n-1) dx, and n int phi a^(n-1) = 1).
+    The reflection x -> -x - t keeps the probability of the window [x, x + t]
+    and folds the half below x = -t/2 onto the half above: S(t) / n =
+    int_{-t/2}^9 [phi(x) (a^(n-1) - (a - b)^(n-1)) + phi(x + t) (q^(n-1) - (q - p)^(n-1))] dx,
+    each bracket -u^(n-1) expm1((n-1) log1p(-v/u)) for (u, v) = (a, b), (q, p),
+    without a 1 - CDF cancellation.  One normal_tail(|x|) gives a and p, the
+    smaller of them exactly.  The intervals start at -t/2 + d for d in 0 and
+    _RANGE_OFFSETS, where the mass lies, and end at 9.  Where
+    u <= exp(-760 / (n - 1)), u^(n-1) rounds to +0.0, which pow reaches by a
+    slow underflow path: no pow there."""
     ts = np.asarray(ts, dtype=float)
     floor = math.exp(-760.0 / (n - 1))
 
-    def integrand(x, owners):
-        a = normal_tail(x)
-        b = normal_tail(x + ts[owners][:, None])
-        power = np.power(a, n - 1, out=np.zeros_like(a), where=a > floor)
-        # a >= normal_tail(9) > 0 on the domain; b = a only as t -> 0,
-        # where log1p(-1) = -inf gives the exact bracket a^(n-1)
+    def bracket(u, v):
+        # u^(n-1) - (u - v)^(n-1) for 0 <= v <= u, u > 0; v = u only as t -> 0,
+        # where log1p(-1) = -inf gives the exact bracket u^(n-1)
+        power = np.power(u, n - 1, out=np.zeros_like(u), where=u > floor)
         with np.errstate(divide="ignore"):
-            bracket = -power * np.expm1((n - 1) * np.log1p(-b / a))
-        return np.exp(-0.5 * x * x) / _SQRT_2PI * bracket
+            return -power * np.expm1((n - 1) * np.log1p(-v / u))
 
-    edges = np.column_stack((-ts - 9.0, -0.5 * ts[:, None] + _RANGE_OFFSETS, np.full(len(ts), 9.0)))
+    def integrand(x, owners):
+        shifted = x + ts[owners][:, None]
+        c = normal_tail(np.abs(x))
+        below = x < 0.0
+        a, p = np.where(below, 1.0 - c, c), np.where(below, c, 1.0 - c)
+        b = normal_tail(shifted)
+        upper, lower = np.exp(-0.5 * x * x) * bracket(a, b), np.exp(-0.5 * shifted * shifted) * bracket(1.0 - b, p)
+        return (upper + lower) / _SQRT_2PI
+
+    edges = np.column_stack((-0.5 * ts[:, None] + (0.0, *_RANGE_OFFSETS), np.full(len(ts), 9.0)))
     values = _quad_batch(integrand, edges, epsabs=epsabs)
     return [n * value for value, _ in values]
+
+
+def _range_integral(n: int, ks):
+    """range_moments' integral for _survival_moments: the survival function
+    of the range, inner tolerance epsabs = _RANGE_EPSABS up to the break point 2 t_n."""
+    if n < 2:
+        raise ValueError(f"range needs n >= 2, got {n}")
+    peak = 2.0 * solve_t_n(n)
+
+    def surv(t):
+        # outer nodes lie inside (0, T), so every t > 0
+        out = np.empty_like(t)
+        body = t <= peak
+        # the nodes of one bisection mostly lie on one side of the break point
+        if body.any():
+            out[body] = _range_batch(n, t[body], _RANGE_EPSABS)
+        if not body.all():
+            out[~body] = _range_batch(n, t[~body], 0.0)
+        return out
+
+    # range > t forces max > t/2 or -min > t/2, so the survival function is
+    # bounded by 2n normal_tail(t/2)
+    return surv, ks, 2 * n, peak, 2.0
 
 
 def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
@@ -338,31 +378,24 @@ def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     quadrature of the range survival function S(t) = _range_batch.
 
     Up to the break point 2 t_n (about the median range) the inner
-    quadratures run to the absolute tolerance epsabs = 1e-13 as well as the
-    relative epsrel = 1e-12; past it, where S is small and the high moments
-    take their weight, to epsrel alone.  The outer quadrature runs to
-    1e-11 relative.  The error adds what the inner tolerances allow:
-    |dS| <= n epsabs + epsrel below the break point, epsrel S past it, so
-    n epsabs + epsrel times peak^k plus epsrel times the moment.  The outer
-    quadratures of every k run as one batch that computes each interval's
-    survival values once, and the inner quadratures of one outer call's nodes
-    run as one batch per side of the break point."""
-    if n < 2:
-        raise ValueError(f"range needs n >= 2, got {n}")
-    peak, epsabs, epsrel = 2.0 * solve_t_n(n), 1e-13, 1e-12
+    quadratures, each over the folded window (-t/2, 9), run to the absolute
+    tolerance epsabs = 1e-13 as well as the relative epsrel = 1e-12; past
+    it, where S is small and the high moments take their weight, to epsrel
+    alone.  The outer quadrature runs to 1e-11 relative.  The error adds
+    what the inner tolerances allow: |dS| <= n epsabs + epsrel below the
+    break point, epsrel S past it, so n epsabs + epsrel times peak^k plus
+    epsrel times the moment.  The outer quadratures of every k run as one
+    batch that computes each interval's survival values once, and the inner
+    quadratures of one outer call's nodes run as one batch per side of the
+    break point."""
+    return range_moments_each([n], ks)[0]
 
-    def surv(t):
-        # outer nodes lie inside (0, T), so every t > 0
-        out = np.empty_like(t)
-        body = t <= peak
-        out[body] = _range_batch(n, t[body], epsabs)
-        out[~body] = _range_batch(n, t[~body], 0.0)
-        return out
 
-    # range > t forces max > t/2 or -min > t/2, so the survival function is
-    # bounded by 2n normal_tail(t/2)
-    moments = _survival_moments([(surv, ks, 2 * n, peak, 2.0)], epsrel=1e-11)[0]
-    return {k: (v, e + (n * epsabs + epsrel) * peak**k + epsrel * abs(v)) for k, (v, e) in moments.items()}
+def range_moments_each(ns, ks) -> list[dict[int, tuple[float, float]]]:
+    """range_moments for each n of ns, the outer quadratures of every n and k in one batch."""
+    integrals, epsrel = [_range_integral(n, ks) for n in ns], 1e-12  # the inner epsrel, _quad_batch's default
+    return [{k: (v, e + (n * _RANGE_EPSABS + epsrel) * peak**k + epsrel * abs(v)) for k, (v, e) in moments.items()}
+            for n, (*_, peak, _), moments in zip(ns, integrals, _survival_moments(integrals, epsrel=1e-11))]
 
 
 def expected_max_abs(n: int) -> ExtremeValueResult:

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .extremes import _SQRT_2PI, expected_max, expected_max_abs, max_abs_moments, range_moments
+from .extremes import _SQRT_2PI, expected_max, expected_max_abs, max_abs_moments_each, range_moments_each
 from .special import (
     _EPS, _gaussian_abs_moment_rounding, _log_gamma_ratio_rounding, gaussian_abs_moment, log_gamma_ratio,
 )
@@ -33,6 +33,7 @@ __all__ = [
     "width_moment_cube",
     "width_moment",
     "width_moments",
+    "family_width_moments",
     "sudakov_v1",
 ]
 
@@ -137,35 +138,51 @@ def width_moment_cube(n: int, k: int) -> MomentEstimate:
 
 def width_moments(p: RegularPolytope, ks) -> dict[int, MomentEstimate]:
     """E[W^k] = E[X^k] / E|g|^k for several k, every k of E[X^k] from one
-    computation: the cube's closed form (X = sum |eta_i|), or quadrature of
-    E[(max |eta_i|)^k] (crosspolytope, X = 2 max |eta_i|) or of E[range^k]
-    (simplices, X = range, scaled by sqrt(n/(n-1)) for T_{n-1}).  The error
-    adds the rounding of the scaling to that of E[X^k]."""
+    computation: family_width_moments of p's n alone."""
+    return family_width_moments(p.kind, (p.n,), ks)[0]
+
+
+def family_width_moments(kind: PolytopeKind, ns, ks) -> list[dict[int, MomentEstimate]]:
+    """width_moments of the polytope of kind for each n of ns: the cube's
+    closed form (X = sum |eta_i|), or quadrature of E[(max |eta_i|)^k]
+    (crosspolytope, X = 2 max |eta_i|) or of E[range^k] (simplices,
+    X = range, scaled by sqrt(n/(n-1)) for T_{n-1}), every n and k of one
+    quadrature in one batch.  The error adds the rounding of the scaling to
+    that of E[X^k]."""
+    ps = [RegularPolytope(kind, n) for n in ns]
     ks = tuple(dict.fromkeys(ks))
     if any(k < 1 for k in ks):
         raise ValueError(f"moment orders must be positive, got {ks}")
-    # scale and its relative rounding in eps: sqrt(n/(n-1)) adds its eps/2 to half the quotient's
-    scale, scale_eps, route = 1.0, 0.0, "quadrature"
-    if p.kind is PolytopeKind.CUBE:
-        try:
-            route, moments = "closed_form", _abs_sum_moments(p.n, ks)
-        except OverflowError as exc:
-            raise ValueError(f"cube moment n={p.n}, k={max(ks)} is out of double-precision range") from exc
-    elif p.kind is PolytopeKind.CROSS:
-        scale, moments = 2.0, max_abs_moments(p.n, ks)
+    route = "quadrature"
+    if kind is PolytopeKind.CUBE:
+        route, each = "closed_form", []
+        for n in ns:
+            try:
+                each.append(_abs_sum_moments(n, ks))
+            except OverflowError as exc:
+                raise ValueError(f"cube moment n={n}, k={max(ks)} is out of double-precision range") from exc
+    elif kind is PolytopeKind.CROSS:
+        each = max_abs_moments_each(ns, ks)
     else:
-        moments = range_moments(p.n, ks)
-        if p.kind is PolytopeKind.SIMPLEX_T:
+        each = range_moments_each(ns, ks)
+    out = []
+    for p, moments in zip(ps, each):
+        # scale and its relative rounding in eps: sqrt(n/(n-1)) adds its eps/2 to half the quotient's
+        scale, scale_eps = 1.0, 0.0
+        if kind is PolytopeKind.CROSS:
+            scale = 2.0
+        elif kind is PolytopeKind.SIMPLEX_T:
             scale, scale_eps = math.sqrt(p.n / (p.n - 1)), 0.75
-    d, out = p.ambient_dim, {}
-    for k, (moment, err) in moments.items():
-        value, error, rounding = _per_norm(scale**k * moment, scale**k * err, d, k)
-        # scale**k: k times scale's rounding and pow's 1 eps; the product 0.5 eps
-        rounding += k * scale_eps + 1.5 if scale_eps else 0.0
-        error += _EPS * rounding * abs(value)
-        if not (math.isfinite(value) and math.isfinite(error)):
-            raise ValueError(f"{p.kind.value} moment n={p.n}, k={k} is out of double-precision range")
-        out[k] = MomentEstimate(polytope=p, k=k, value=value, route=route, error=error)
+        d, ests = p.ambient_dim, {}
+        for k, (moment, err) in moments.items():
+            value, error, rounding = _per_norm(scale**k * moment, scale**k * err, d, k)
+            # scale**k: k times scale's rounding and pow's 1 eps; the product 0.5 eps
+            rounding += k * scale_eps + 1.5 if scale_eps else 0.0
+            error += _EPS * rounding * abs(value)
+            if not (math.isfinite(value) and math.isfinite(error)):
+                raise ValueError(f"{kind.value} moment n={p.n}, k={k} is out of double-precision range")
+            ests[k] = MomentEstimate(polytope=p, k=k, value=value, route=route, error=error)
+        out.append(ests)
     return out
 
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from meanwidth import cli, conjecture, limits
+from meanwidth import cli, conjecture, extremes, limits
 from meanwidth.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from meanwidth.extremes import IndefiniteMatrixError, NumericalError, QuadratureError
 from meanwidth.polytopes import PolytopeKind, RegularPolytope, width_moment, width_moment_cube
@@ -215,6 +215,28 @@ class TestMomentsOutput:
                 est = width_moment(p, int(row["k"]))
                 assert row["value"] == format(est.value, ".17g")
                 assert row["error"] == format(est.error, ".17g")
+
+    @pytest.mark.parametrize("family", ["cross", "simplex-s", "simplex-t"])
+    def test_one_quadrature_command_is_one_outer_batch(self, capsys, monkeypatch, family):
+        # every n and k of the command in one outer _quad_batch, with the
+        # range's inner batches nested in it
+        outer, depth = [], [0]
+        real = extremes._quad_batch
+
+        def counting(f, edges, *args, **kwargs):
+            depth[0] += 1
+            try:
+                if depth[0] == 1:
+                    outer.append(len(edges))
+                return real(f, edges, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(extremes, "_quad_batch", counting)
+        argv = ["moments", "--family", family, "--n", "40,3,7", "--k", "2,1", "--route", "quadrature"]
+        code, _, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        assert outer == [6]
 
     def test_json_matches_csv_numerically(self, capsys):
         argv = ["moments", "--family", "cube", "--n", "4", "--k", "1,3", "--route", "closed"]

@@ -20,6 +20,7 @@ from meanwidth.polytopes import (
     PolytopeKind,
     RegularPolytope,
     _abs_sum_moments,
+    family_width_moments,
     sudakov_v1,
     v1_from_mean_width,
     width_moment,
@@ -214,12 +215,43 @@ class TestRangeEngine:
         for ts, epsabs in (([0.05, 0.5 * peak, peak], 1e-13), ([1.01 * peak, peak + 2.0, peak + 8.0], 0.0)):
             got = _range_batch(n, ts, epsabs)
             assert [v.hex() for v in got] == [v.hex() for v in full_pow_range_batch(n, ts, epsabs)]
-            # the integrand itself on a fine grid over each t's domain, where
-            # the rule's weights could hide a subnormal a^(n-1) lost to the skip
+            # the integrand itself on a fine grid over each t's folded domain, where
+            # the rule's weights could hide a subnormal power lost to the skip
             for i, t in enumerate(ts):
-                x = np.linspace(-t - 9.0, 9.0, 21 * 400).reshape(400, 21)
+                x = np.linspace(-0.5 * t, 9.0, 21 * 400).reshape(400, 21)
                 owners = np.full(len(x), i)
                 assert integrands[-1](x, owners).tobytes() == full_pow_integrand(n, ts)(x, owners).tobytes()
+
+    def test_two_point_survival_matches_the_closed_form(self):
+        # at n = 2 the range is sqrt(2) |eta|, so S(t) = 2 normal_tail(t / sqrt(2)),
+        # on both sides of the break point 2 t_2 with each side's inner tolerance
+        peak = 2.0 * solve_t_n(2)
+        for ts, epsabs in (([0.01, 0.3, 1.0, peak], 1e-13), ([1.01 * peak, 3.0, 6.0, 12.0, 20.0], 0.0)):
+            for t, surv in zip(ts, _range_batch(2, ts, epsabs)):
+                exact = 2.0 * float(normal_tail(t / math.sqrt(2.0)))
+                assert abs(surv - exact) <= 2 * epsabs + 1e-12 * exact, (t, surv, exact)
+
+    @pytest.mark.parametrize("n", [3, 57, 400, 2000, 10**5])
+    def test_folded_survival_matches_the_unfolded_quadrature(self, monkeypatch, n):
+        # the fold x -> -x - t against the survival integral over the whole
+        # window (-t - 9, 9): within both quadratures' error estimates and the
+        # inner tolerance's allowance n epsabs + epsrel S
+        results = []
+        real = extremes._quad_batch
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(extremes, "_quad_batch", spy)
+        peak = 2.0 * solve_t_n(n)
+        for ts, epsabs in (([0.05, 0.5 * peak, peak], 1e-13), ([1.01 * peak, peak + 2.0, peak + 8.0], 0.0)):
+            _range_batch(n, ts, epsabs)
+            folded = results[-1]
+            unfolded = unfolded_range_batch(n, ts, epsabs)
+            for t, (value, err), (oracle, oracle_err) in zip(ts, folded, unfolded):
+                allowance = n * epsabs + 1e-12 * n * oracle
+                assert abs(n * value - n * oracle) <= n * (err + oracle_err) + allowance, (t, n * value, n * oracle)
 
     def test_cdf_subdivision_limit_raises(self, monkeypatch):
         # the inner survival batch on its own: at n = 221 and t = 0.1 it needs
@@ -230,8 +262,38 @@ class TestRangeEngine:
 
 
 def full_pow_integrand(n, ts):
-    """_range_batch's integrand with a^(n-1) computed at every node: the
-    reference of its pow skip."""
+    """_range_batch's folded integrand with both powers computed at every
+    node: the reference of its pow skip."""
+    ts = np.asarray(ts, dtype=float)
+
+    def bracket(u, v):
+        with np.errstate(divide="ignore"):
+            return -(u ** (n - 1)) * np.expm1((n - 1) * np.log1p(-v / u))
+
+    def integrand(x, owners):
+        shifted = x + ts[owners][:, None]
+        c = normal_tail(np.abs(x))
+        below = x < 0.0
+        a, p = np.where(below, 1.0 - c, c), np.where(below, c, 1.0 - c)
+        b = normal_tail(shifted)
+        upper, lower = np.exp(-0.5 * x * x) * bracket(a, b), np.exp(-0.5 * shifted * shifted) * bracket(1.0 - b, p)
+        return (upper + lower) / SQRT_2PI
+
+    return integrand
+
+
+def full_pow_range_batch(n, ts, epsabs):
+    """_range_batch through full_pow_integrand, its edges built one t at a
+    time: the reference of its pow skip and its edge array."""
+    edges = [(-0.5 * t, *(-0.5 * t + d for d in extremes._RANGE_OFFSETS), 9.0) for t in ts]
+    return [n * value for value, _ in _quad_batch(full_pow_integrand(n, ts), edges, epsabs=epsabs)]
+
+
+def unfolded_range_batch(n, ts, epsabs):
+    """[(value, error estimate)] of S(t) / n, the range survival unfolded: the
+    integral of phi(x) (a^(n-1) - (a - b)^(n-1)) over the whole window
+    (-t - 9, 9), a = normal_tail(x), b = normal_tail(x + t), split at
+    -t/2 + d for d in +-0.75, +-1.5, +-2.5, +-4, +-6 and at -t/2."""
     ts = np.asarray(ts, dtype=float)
 
     def integrand(x, owners):
@@ -241,14 +303,9 @@ def full_pow_integrand(n, ts):
             bracket = -(a ** (n - 1)) * np.expm1((n - 1) * np.log1p(-b / a))
         return np.exp(-0.5 * x * x) / SQRT_2PI * bracket
 
-    return integrand
-
-
-def full_pow_range_batch(n, ts, epsabs):
-    """_range_batch through full_pow_integrand, its edges built one t at a
-    time: the reference of its pow skip and its edge array."""
-    edges = [(-t - 9.0, *(-0.5 * t + d for d in extremes._RANGE_OFFSETS), 9.0) for t in ts]
-    return [n * value for value, _ in _quad_batch(full_pow_integrand(n, ts), edges, epsabs=epsabs)]
+    offsets = (-6.0, -4.0, -2.5, -1.5, -0.75, 0.0, 0.75, 1.5, 2.5, 4.0, 6.0)
+    edges = [(-t - 9.0, *(-0.5 * t + d for d in offsets), 9.0) for t in ts]
+    return _quad_batch(integrand, edges, epsabs=epsabs)
 
 
 def per_k_range_moment(n, k):
@@ -367,9 +424,11 @@ class TestRangeMoments:
         assert abs(range_moments(n, (1,))[1][0] - two_b) <= 1e-13 * two_b
 
     def test_inner_break_points_save_intervals(self, monkeypatch):
-        # GK21 intervals of every inner _range_batch quadrature: 3576 with the
-        # single inner break point x = -t/2, a deterministic count.  The inner
-        # quadratures are the _quad_batch calls nested in the outer one.
+        # GK21 intervals of every inner _range_batch quadrature: 3576 over the
+        # unfolded window (-t - 9, 9) with the single inner break point x = -t/2,
+        # 2540 with break points at -t/2 +- 0.75 .. 6, 1260 folded about -t/2;
+        # deterministic counts.  The inner quadratures are the _quad_batch
+        # calls nested in the outer one.
         intervals, depth = [], [0]
         real = extremes._quad_batch
 
@@ -386,7 +445,7 @@ class TestRangeMoments:
 
         monkeypatch.setattr(extremes, "_quad_batch", counting)
         range_moments(159, (1, 2, 3, 4))
-        assert sum(intervals) <= 0.85 * 3576
+        assert sum(intervals) <= 0.4 * 3576
 
     def test_duplicate_orders_are_computed_once(self):
         assert list(range_moments(4, (3, 1, 3))) == [3, 1]
@@ -436,13 +495,14 @@ class TestWidthMoments:
         "kind, name",
         [
             (PolytopeKind.CUBE, "_abs_sum_moments"),
-            (PolytopeKind.CROSS, "max_abs_moments"),
-            (PolytopeKind.SIMPLEX_S, "range_moments"),
-            (PolytopeKind.SIMPLEX_T, "range_moments"),
+            pytest.param(PolytopeKind.CROSS, "max_abs_moments_each", id="cross-batch"),
+            pytest.param(PolytopeKind.SIMPLEX_S, "range_moments_each", id="simplex-s-batch"),
+            pytest.param(PolytopeKind.SIMPLEX_T, "range_moments_each", id="simplex-t-batch"),
         ],
     )
     def test_one_moment_computation_per_call(self, monkeypatch, kind, name):
-        calls = []
+        # the cube's closed form once per n, a quadrature once for every n
+        calls, ks = [], (1, 2, 3, 4)
         real = getattr(polytopes, name)
 
         def counted(*args):
@@ -450,8 +510,28 @@ class TestWidthMoments:
             return real(*args)
 
         monkeypatch.setattr(polytopes, name, counted)
-        width_moments(RegularPolytope(kind, 5), (1, 2, 3, 4))
-        assert calls == [(5, (1, 2, 3, 4))]
+        width_moments(RegularPolytope(kind, 5), ks)
+        family_width_moments(kind, [5, 9], ks)
+        if kind is PolytopeKind.CUBE:
+            assert calls == [(5, ks), (5, ks), (9, ks)]
+        else:
+            assert calls == [((5,), ks), ([5, 9], ks)]
+
+    @pytest.mark.parametrize("kind", list(PolytopeKind))
+    def test_several_n_equal_each_n_alone_bit_for_bit(self, kind):
+        # the outer quadratures of every n share their rounds, each integral
+        # with its own intervals, so no n's bits depend on the others
+        ns, ks = (9, 2, 57, 9, 3), (4, 1, 3)
+
+        def bits(ests):
+            return [(k, est.polytope, est.value.hex(), est.error.hex()) for k, est in ests.items()]
+
+        together = family_width_moments(kind, ns, ks)
+        assert [bits(ests) for ests in together] == [bits(width_moments(RegularPolytope(kind, n), ks)) for n in ns]
+
+    def test_rejects_an_invalid_n_in_a_batch(self):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            family_width_moments(PolytopeKind.SIMPLEX_T, [3, 1], (1,))
 
 
 class TestSimplexMoments:
