@@ -5,7 +5,7 @@ from .extremes import (
     ExtremeValueResult,
     NumericalError,
     QuadratureError,
-    comparison_report,
+    comparison_reports,
     expected_max,
     expected_max_abs,
     solve_t_n,

@@ -29,13 +29,10 @@ __all__ = [
     "u_sequence",
     "solve_t_n",
     "max_abs_moments",
-    "max_abs_moments_each",
     "range_moments",
-    "range_moments_each",
     "expected_max_abs",
     "expected_max",
     "expected_max_gap",
-    "comparison_report",
     "comparison_reports",
 ]
 
@@ -146,32 +143,25 @@ def _gk21(f, lo, hi, owners):
 def _quad_batch(f, edges, epsrel: float = 1e-12, epsabs: float = 0.0):
     """The package's one adaptive quadrature, QUADPACK's QAG with the 21-point
     Gauss-Kronrod rule and no extrapolation, for several integrals side by
-    side.  Integral i starts from the intervals between its edges[i] (a list
-    of edge sequences, or a 2-D array with one row per integral); each round
-    bisects the interval with the largest error estimate (the leftmost of
-    equal ones) of every integral whose estimates sum to more than
-    max(epsabs, epsrel |value|); only range_moments changes the defaults.
-    f(nodes, owners) maps a 2-D array of nodes elementwise to integrand
-    values, row r belonging to integral owners[r].  Raises QuadratureError
-    when an integral starts from or needs more than _LIMIT intervals.
-    Returns [(value, error estimate)] in the order of edges; each equals what
-    the integral gets on its own.  Only the integrals that the first round,
-    on one array of all break points, leaves above tolerance get lists."""
-    if isinstance(edges, np.ndarray):
-        flat, sizes = edges.ravel(), [edges.shape[1] - 1] * len(edges)
-    else:
-        flat, sizes = np.concatenate([np.empty(0), *edges]), [len(e) - 1 for e in edges]
-    if max(sizes, default=0) > _LIMIT:
+    side.  Integral i starts from the intervals between the break points of
+    edges[i], a row of a 2-D array; each round bisects the interval with the
+    largest error estimate (the leftmost of equal ones) of every integral
+    whose estimates sum to more than max(epsabs, epsrel |value|); only
+    range_moments changes the defaults.  f(nodes, owners) maps a 2-D array of
+    nodes elementwise to integrand values, row r belonging to integral
+    owners[r].  Raises QuadratureError when an integral starts from or needs
+    more than _LIMIT intervals.  Returns [(value, error estimate)] in the
+    order of edges; each equals what the integral gets on its own.  Only the
+    integrals that the first round, on every row of edges at once, leaves
+    above tolerance get lists."""
+    edges = np.asarray(edges, dtype=float)
+    count, size = edges.shape[0], edges.shape[1] - 1
+    if size > _LIMIT:
         raise QuadratureError(f"an integral starts from more than limit={_LIMIT} intervals")
-    # interval r of integral owners[r] starts at flat[r + owners[r]]: each integral's edges follow the last's
-    owners = np.repeat(np.arange(len(sizes)), sizes)
-    below = np.arange(len(owners)) + owners
-    values, errors = _gk21(f, flat[below], flat[below + 1], owners)
-    values, errors, ends = values.tolist(), errors.tolist(), list(itertools.accumulate(sizes, initial=0))
-    vals = [values[a:b] for a, b in zip(ends, ends[1:])]
-    errs = [errors[a:b] for a, b in zip(ends, ends[1:])]
+    values, errors = _gk21(f, edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(np.arange(count), size))
+    vals, errs = values.reshape(count, size).tolist(), errors.reshape(count, size).tolist()
     # integral i: its break points in ascending order, once it needs a bisection
-    points, results, todo = {}, [None] * len(sizes), range(len(sizes))
+    points, results, todo = {}, [None] * count, range(count)
     while todo:
         split = {}
         for i in todo:
@@ -184,7 +174,7 @@ def _quad_batch(f, edges, epsrel: float = 1e-12, epsabs: float = 0.0):
                     f"quadrature did not converge: error estimate {err:.3g} after limit={_LIMIT} subintervals"
                 )
             if i not in points:
-                points[i] = flat[ends[i] + i : ends[i + 1] + i + 1].tolist()
+                points[i] = edges[i].tolist()
             # list.index finds the leftmost of equal estimates
             split[i] = j = errs[i].index(max(errs[i]))
             points[i].insert(j + 1, 0.5 * (points[i][j] + points[i][j + 1]))
@@ -222,11 +212,11 @@ def _survival_moments(integrals, epsrel: float = 1e-12):
     where a quadrature stops and what its tail adds to the error.
 
     Every k integrates over [0, T], envelope * normal_tail(T / scale) =
-    _TRUNC_EPS (T / scale at least the upper quartile), split at peak unless
-    it is 0, every k of every integral in one _quad_batch to the relative
-    tolerance epsrel that calls each surv once per interval (a memo keyed by
-    the integral and its row of nodes).  Its error adds a bound on the
-    envelope's moment beyond T.  With U = T / scale,
+    _TRUNC_EPS (T / scale at least the upper quartile), split at peak (at
+    peak = 0 the interval [0, 0] adds an exact 0), every k of every integral
+    in one _quad_batch to the relative tolerance epsrel that calls each surv
+    once per interval (a memo keyed by the integral and its row of nodes).
+    Its error adds a bound on the envelope's moment beyond T.  With U = T / scale,
     normal_tail(s) <= phi(s) / s bounds int_U^inf k s^(k-1) normal_tail(s) ds
     by k J_(k-2) for k >= 2, where J_j = int_U^inf s^j phi(s) ds = U^(j-1) phi(U) + (j-1) J_(j-2),
     J_0 = normal_tail(U) and J_1 = phi(U); for k = 1 the Mills ratio bound
@@ -252,7 +242,7 @@ def _survival_moments(integrals, epsrel: float = 1e-12):
             term *= u
             j_moments.append(term + (j - 1) * j_moments[j - 2])
         orders += [(g, k) for k in ks]
-        edges += [[0.0, peak, scale * u] if peak else [0.0, scale * u]] * len(ks)
+        edges += [(0.0, peak, scale * u)] * len(ks)
         tails += [(envelope, scale, k * j_moments[k - 2] if k > 1 else phi / (u * u)) for k in ks]
     integral_of, order_of, memo = np.array([g for g, _ in orders]), np.array([k for _, k in orders]), {}
 
@@ -274,7 +264,7 @@ def _survival_moments(integrals, epsrel: float = 1e-12):
     out, k = [{} for _ in integrals], max((k for _, k in orders), default=0)  # named when the batch itself overflows
     try:
         with np.errstate(over="raise"):
-            results = _quad_batch(integrand, edges, epsrel)
+            results = _quad_batch(integrand, np.reshape(edges, (-1, 3)), epsrel)  # 2-D also when empty
         for (g, k), (envelope, scale, term), (value, err) in zip(orders, tails, results):
             err += envelope * scale**k * term
             if not math.isfinite(err):
@@ -299,14 +289,10 @@ def _max_abs_integral(n: int, ks):
     return surv, ks, 2 * n, solve_t_n(n), 1.0
 
 
-def max_abs_moments(n: int, ks) -> dict[int, tuple[float, float]]:
-    """{k: (E[(max |eta_i|)^k], error bound)} for each k, as
-    int_0^inf k t^(k-1) (1 - F_n(t)) dt, every k in one batch, 1 - F_n once per interval."""
-    return max_abs_moments_each([n], ks)[0]
-
-
-def max_abs_moments_each(ns, ks) -> list[dict[int, tuple[float, float]]]:
-    """max_abs_moments for each n of ns, every n and k in one batch."""
+def max_abs_moments(ns, ks) -> list[dict[int, tuple[float, float]]]:
+    """[{k: (E[(max |eta_i|)^k], error bound)}] for each n of ns, as
+    int_0^inf k t^(k-1) (1 - F_n(t)) dt, every n and k in one batch, 1 - F_n
+    once per interval."""
     return _survival_moments([_max_abs_integral(n, ks) for n in ns])
 
 
@@ -373,9 +359,9 @@ def _range_integral(n: int, ks):
     return surv, ks, 2 * n, peak, 2.0
 
 
-def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
-    """E[(max eta_i - min eta_i)^k] with error bound for each k, by nested
-    quadrature of the range survival function S(t) = _range_batch.
+def range_moments(ns, ks) -> list[dict[int, tuple[float, float]]]:
+    """[{k: (E[(max eta_i - min eta_i)^k], error bound)}] for each n of ns, by
+    nested quadrature of the range survival function S(t) = _range_batch.
 
     Up to the break point 2 t_n (about the median range) the inner
     quadratures, each over the folded window (-t/2, 9), run to the absolute
@@ -384,15 +370,10 @@ def range_moments(n: int, ks) -> dict[int, tuple[float, float]]:
     alone.  The outer quadrature runs to 1e-11 relative.  The error adds
     what the inner tolerances allow: |dS| <= n epsabs + epsrel below the
     break point, epsrel S past it, so n epsabs + epsrel times peak^k plus
-    epsrel times the moment.  The outer quadratures of every k run as one
-    batch that computes each interval's survival values once, and the inner
-    quadratures of one outer call's nodes run as one batch per side of the
-    break point."""
-    return range_moments_each([n], ks)[0]
-
-
-def range_moments_each(ns, ks) -> list[dict[int, tuple[float, float]]]:
-    """range_moments for each n of ns, the outer quadratures of every n and k in one batch."""
+    epsrel times the moment.  The outer quadratures of every n and k run as
+    one batch that computes each interval's survival values once, and the
+    inner quadratures of one outer call's nodes run as one batch per side of
+    the break point."""
     integrals, epsrel = [_range_integral(n, ks) for n in ns], 1e-12  # the inner epsrel, _quad_batch's default
     return [{k: (v, e + (n * _RANGE_EPSABS + epsrel) * peak**k + epsrel * abs(v)) for k, (v, e) in moments.items()}
             for n, (*_, peak, _), moments in zip(ns, integrals, _survival_moments(integrals, epsrel=1e-11))]
@@ -400,7 +381,7 @@ def range_moments_each(ns, ks) -> list[dict[int, tuple[float, float]]]:
 
 def expected_max_abs(n: int) -> ExtremeValueResult:
     """A_n = E max(|eta_1|, ..., |eta_n|), the k = 1 case of max_abs_moments."""
-    value, err = max_abs_moments(n, (1,))[1]
+    value, err = max_abs_moments([n], (1,))[0][1]
     return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
 
 
@@ -457,8 +438,14 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
 
 
 def comparison_reports(ns) -> list[ComparisonReport]:
-    """comparison_report for each n of ns, from one batch of quadratures:
-    A_n and the gap A_n - B_2n of every n side by side."""
+    """Both comparison inequalities plus the normalized gap
+    8 n log n (a_n / b_2n - 1) for each n of ns, from one batch of
+    quadratures: A_n and the gap A_n - B_2n of every n side by side.
+
+    b_2n is recovered as a_n minus the cancellation-free gap so that the
+    normalized gap keeps full relative accuracy even at n = 1e5, where
+    a_n / b_2n - 1 is of order 1e-7.
+    """
     ns = list(ns)
     moments = _survival_moments([q for n in ns for q in (_max_abs_integral(n, (1,)), _gap_integral(n))])
     reports = []
@@ -470,13 +457,3 @@ def comparison_reports(ns) -> list[ComparisonReport]:
         reports.append(ComparisonReport(n=n, a_n=a_n, b_2n=b_2n, ratio=a_n / b_2n, slepian_ok=bool(gap_n >= -slack),
                                         upper_ok=bool(upper_ok), gap_normalized=gap_norm, slack=slack))
     return reports
-
-
-def comparison_report(n: int) -> ComparisonReport:
-    """Both comparison inequalities plus the normalized gap 8 n log n (a_n / b_2n - 1).
-
-    b_2n is recovered as a_n minus the cancellation-free gap so that the
-    normalized gap keeps full relative accuracy even at n = 1e5, where
-    a_n / b_2n - 1 is of order 1e-7.
-    """
-    return comparison_reports([n])[0]

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .extremes import _SQRT_2PI, expected_max, expected_max_abs, max_abs_moments_each, range_moments_each
+from .extremes import _SQRT_2PI, expected_max, expected_max_abs, max_abs_moments, range_moments
 from .special import (
     _EPS, _gaussian_abs_moment_rounding, _log_gamma_ratio_rounding, gaussian_abs_moment, log_gamma_ratio,
 )
@@ -51,6 +51,8 @@ class RegularPolytope:
     n: int  # family parameter: Q_n, S_{n-1}, T_{n-1}, C_n
 
     def __post_init__(self):
+        # a plain string names its member; an unknown name raises ValueError
+        object.__setattr__(self, "kind", PolytopeKind(self.kind))
         if self.n < 1:
             raise ValueError(f"family parameter must be positive, got {self.n}")
         if self.kind in (PolytopeKind.SIMPLEX_S, PolytopeKind.SIMPLEX_T) and self.n < 2:
@@ -149,6 +151,7 @@ def family_width_moments(kind: PolytopeKind, ns, ks) -> list[dict[int, MomentEst
     X = range, scaled by sqrt(n/(n-1)) for T_{n-1}), every n and k of one
     quadrature in one batch.  The error adds the rounding of the scaling to
     that of E[X^k]."""
+    kind = PolytopeKind(kind)
     ps = [RegularPolytope(kind, n) for n in ns]
     ks = tuple(dict.fromkeys(ks))
     if any(k < 1 for k in ks):
@@ -162,9 +165,9 @@ def family_width_moments(kind: PolytopeKind, ns, ks) -> list[dict[int, MomentEst
             except OverflowError as exc:
                 raise ValueError(f"cube moment n={n}, k={max(ks)} is out of double-precision range") from exc
     elif kind is PolytopeKind.CROSS:
-        each = max_abs_moments_each(ns, ks)
+        each = max_abs_moments(ns, ks)
     else:
-        each = range_moments_each(ns, ks)
+        each = range_moments(ns, ks)
     out = []
     for p, moments in zip(ps, each):
         # scale and its relative rounding in eps: sqrt(n/(n-1)) adds its eps/2 to half the quotient's

@@ -22,7 +22,7 @@ from meanwidth.conjecture import (
     random_unit_diagonal_gram,
     regular_simplex_gram,
 )
-from meanwidth.extremes import comparison_report, expected_max, expected_max_abs
+from meanwidth.extremes import comparison_reports, expected_max, expected_max_abs
 from meanwidth.limits import (
     LIMIT_VAR,
     EULER_GAMMA,
@@ -93,10 +93,10 @@ def test_criterion_02_cross_and_simplex_second_moments():
 def test_criterion_03_comparison_theorem_finite_n():
     ok = True
     for n in range(1, 201):
-        rep = comparison_report(n)
+        rep = comparison_reports([n])[0]
         ok = ok and rep.b_2n <= rep.a_n + rep.slack
         ok = ok and rep.a_n <= math.sqrt(2 * n / (2 * n - 1)) * rep.b_2n + rep.slack
-    rep1 = comparison_report(1)
+    rep1 = comparison_reports([1])[0]
     equality = (
         abs(rep1.a_n - math.sqrt(2.0) * rep1.b_2n) < 1e-10
         and abs(rep1.a_n - math.sqrt(2.0 / math.pi)) < 1e-10
@@ -106,7 +106,7 @@ def test_criterion_03_comparison_theorem_finite_n():
 
 
 def test_criterion_04_normalized_gap_trend():
-    gaps = [comparison_report(n).gap_normalized for n in (100, 1_000, 10_000, 100_000)]
+    gaps = [comparison_reports([n])[0].gap_normalized for n in (100, 1_000, 10_000, 100_000)]
     positive = all(g > 0.0 for g in gaps)
     dists = [abs(g - 1.0) for g in gaps]
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))

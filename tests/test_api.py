@@ -1,4 +1,9 @@
 import inspect
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -59,3 +64,14 @@ def test_cli_binds_no_sampling_or_special_internals():
     # the CLI draws its standardized limits sample through limits, the one
     # place that pairs a family with its law
     assert not {"_map_chunks", "_scipy_special", "width_samples"} & set(vars(cli))
+
+
+def test_the_readme_example_runs():
+    # the README's python block, run as a user would, against this tree's source
+    root = pathlib.Path(__file__).resolve().parents[1]
+    (code,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(encoding="utf-8"), re.S)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert [line.split()[0] for line in lines[3:]] == ["3", "50", "400"]

@@ -27,6 +27,7 @@ from meanwidth.polytopes import (
     width_moment_cube,
     width_moments,
 )
+from meanwidth.limits import standardize
 from meanwidth.sampling import McConfig, estimate_moments
 from meanwidth.special import gaussian_abs_moment, log_gamma_ratio, normal_tail, normal_tail_inverse
 
@@ -68,6 +69,29 @@ class TestRegularPolytope:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             RegularPolytope(PolytopeKind.CUBE, 0)
+
+    @pytest.mark.parametrize("kind", list(PolytopeKind))
+    def test_a_string_kind_gives_the_members_bits(self, kind):
+        # the kind is coerced to its member, so every `is` check sees it
+        p, q = RegularPolytope(kind.value, 10), RegularPolytope(kind, 10)
+        assert p.kind is kind
+        assert p.ambient_dim == q.ambient_dim
+
+        def bits(ests):
+            return [(k, est.polytope.kind, est.value.hex(), est.error.hex(), est.route) for k, est in ests.items()]
+
+        assert bits(width_moments(p, (1, 2))) == bits(width_moments(q, (1, 2)))
+        assert bits(family_width_moments(kind.value, [10], (1,))[0]) == bits(width_moments(q, (1,)))
+        cfg = McConfig(seed=3, samples=2000)
+        assert bits(estimate_moments(p, (1, 2), cfg)) == bits(estimate_moments(q, (1, 2), cfg))
+        w = np.linspace(0.5, 3.0, 7)
+        assert standardize(p, w).tobytes() == standardize(q, w).tobytes()
+
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="hexagon"):
+            RegularPolytope("hexagon", 3)
+        with pytest.raises(ValueError, match="hexagon"):
+            family_width_moments("hexagon", [3], (1,))
 
 
 class TestV1FromMeanWidth:
@@ -172,7 +196,7 @@ class TestCrossMoments:
         # E|g|^k overflows a double (about 1e332 at n = 2000, k = 200), where
         # dividing by its product had printed 0
         est = width_moment(RegularPolytope(PolytopeKind.CROSS, n), k)
-        moment = max_abs_moments(n, (k,))[k][0]
+        moment = max_abs_moments([n], (k,))[0][k][0]
         with mpmath.workdps(40):
             norm = 2 ** mpmath.mpf(k / 2) * mpmath.gamma(mpmath.mpf(n + k) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
             exact = 2 ** mpmath.mpf(k) * mpmath.mpf(moment) / norm
@@ -183,12 +207,12 @@ class TestCrossMoments:
 class TestRangeEngine:
     def test_n2_range_is_abs_difference(self):
         # E|eta_1 - eta_2| = 2/sqrt(pi)
-        value, err = range_moments(2, (1,))[1]
+        value, err = range_moments([2], (1,))[0][1]
         assert value == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-9)
 
     def test_n2_second_moment(self):
         # E (eta_1 - eta_2)^2 = 2
-        value, _ = range_moments(2, (2,))[2]
+        value, _ = range_moments([2], (2,))[0][2]
         assert value == pytest.approx(2.0, abs=1e-9)
 
     def test_nonconvergence_raises(self):
@@ -196,7 +220,7 @@ class TestRangeEngine:
         # tail a by 1e9, so no inner survival quadrature reaches its relative
         # tolerance before running out of subdivisions
         with pytest.raises(QuadratureError):
-            range_moments(10**9, (1,))
+            range_moments([10**9], (1,))
 
     @pytest.mark.parametrize("n", [2, 3, 57, 400, 2000, 10**5])
     def test_skipping_the_underflowing_pow_keeps_the_bits(self, monkeypatch, n):
@@ -341,7 +365,7 @@ def envelope_tail(n, k, t_hi):
 class TestRangeMoments:
     @pytest.mark.parametrize("n", [3, 57, 221])
     def test_equals_the_per_k_quadrature_bit_for_bit(self, n):
-        shared = range_moments(n, (1, 2, 3, 4))
+        shared = range_moments([n], (1, 2, 3, 4))[0]
         assert list(shared) == [1, 2, 3, 4]
         for k in (1, 2, 3, 4):
             value, err = shared[k]
@@ -351,7 +375,7 @@ class TestRangeMoments:
 
     def test_n2_error_is_an_honest_bound(self):
         # the n = 2 range is |eta_1 - eta_2| = sqrt(2) |eta|
-        moments = range_moments(2, range(1, 8))
+        moments = range_moments([2], range(1, 8))[0]
         for k in range(1, 8):
             value, err = moments[k]
             exact = 2.0 ** (k / 2) * gaussian_abs_moment(k)
@@ -360,7 +384,7 @@ class TestRangeMoments:
     def test_n2_high_orders_converge_within_the_error_bound(self):
         # the survival is computed without the 1 - CDF cancellation, so the
         # orders whose weight lies in the far tail converge too
-        moments = range_moments(2, range(8, 13))
+        moments = range_moments([2], range(8, 13))[0]
         for k in range(8, 13):
             value, err = moments[k]
             exact = 2.0 ** (k / 2) * gaussian_abs_moment(k)
@@ -390,7 +414,7 @@ class TestRangeMoments:
         # the n = 3 range density 6 int phi(x) phi(x+d) (Phi(x+d) - Phi(x)) dx
         # reduces, with y = x + d/2 and E Phi(Y + a) = Phi(a sqrt(2/3)) for
         # Y ~ N(0, 1/2), to (3/sqrt(pi)) exp(-d^2/4) erf(d/sqrt(12))
-        moments = range_moments(3, (1, 2, 3, 4))
+        moments = range_moments([3], (1, 2, 3, 4))[0]
         with mpmath.workdps(30):
             density = lambda d: 3 / mpmath.sqrt(mpmath.pi) * mpmath.exp(-d * d / 4) * mpmath.erf(d / mpmath.sqrt(12))
             exact = {k: float(mpmath.quad(lambda d: d**k * density(d), [0, 4, 8, 16, mpmath.inf])) for k in range(1, 5)}
@@ -404,7 +428,7 @@ class TestRangeMoments:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 57, 100, 221, 1000, 2000, 10**4, 10**5, 10**6])
     def test_mean_range_is_twice_the_expected_max(self, n):
         # E[max - min] = 2 E max by symmetry: an independent quadrature route
-        value, err = range_moments(n, (1,))[1]
+        value, err = range_moments([n], (1,))[0][1]
         emax = expected_max(n)
         assert abs(value - 2.0 * emax.value) <= err + 2.0 * emax.abs_error_bound
 
@@ -413,7 +437,7 @@ class TestRangeMoments:
         # is 1 - CDF, so none loses the CDF's rounding to cancellation
         n = 10**5
         two_b = 2.0 * expected_max(n).value
-        assert abs(range_moments(n, (1,))[1][0] - two_b) <= 2e-12 * two_b
+        assert abs(range_moments([n], (1,))[0][1][0] - two_b) <= 2e-12 * two_b
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
     def test_mean_range_keeps_thirteen_digits(self, n):
@@ -421,7 +445,7 @@ class TestRangeMoments:
         # intervals that resolve its mass; a single break point at -t/2 reads
         # 6.7e-13 and 6.1e-13 relative
         two_b = 2.0 * expected_max(n).value
-        assert abs(range_moments(n, (1,))[1][0] - two_b) <= 1e-13 * two_b
+        assert abs(range_moments([n], (1,))[0][1][0] - two_b) <= 1e-13 * two_b
 
     def test_inner_break_points_save_intervals(self, monkeypatch):
         # GK21 intervals of every inner _range_batch quadrature: 3576 over the
@@ -444,16 +468,16 @@ class TestRangeMoments:
                 depth[0] -= 1
 
         monkeypatch.setattr(extremes, "_quad_batch", counting)
-        range_moments(159, (1, 2, 3, 4))
+        range_moments([159], (1, 2, 3, 4))
         assert sum(intervals) <= 0.4 * 3576
 
     def test_duplicate_orders_are_computed_once(self):
-        assert list(range_moments(4, (3, 1, 3))) == [3, 1]
+        assert list(range_moments([4], (3, 1, 3))[0]) == [3, 1]
 
     @pytest.mark.parametrize("n, ks", [(1, (1,)), (3, (1, 0)), (3, (-1,))])
     def test_rejects_bad_input(self, n, ks):
         with pytest.raises(ValueError):
-            range_moments(n, ks)
+            range_moments([n], ks)
 
 
 class TestWidthMoments:
@@ -495,9 +519,9 @@ class TestWidthMoments:
         "kind, name",
         [
             (PolytopeKind.CUBE, "_abs_sum_moments"),
-            pytest.param(PolytopeKind.CROSS, "max_abs_moments_each", id="cross-batch"),
-            pytest.param(PolytopeKind.SIMPLEX_S, "range_moments_each", id="simplex-s-batch"),
-            pytest.param(PolytopeKind.SIMPLEX_T, "range_moments_each", id="simplex-t-batch"),
+            pytest.param(PolytopeKind.CROSS, "max_abs_moments", id="cross-batch"),
+            pytest.param(PolytopeKind.SIMPLEX_S, "range_moments", id="simplex-s-batch"),
+            pytest.param(PolytopeKind.SIMPLEX_T, "range_moments", id="simplex-t-batch"),
         ],
     )
     def test_one_moment_computation_per_call(self, monkeypatch, kind, name):
