@@ -65,7 +65,6 @@ class BoundCheck:
     stderr: float
     bound: float
     ok: bool
-    near_regular: bool
 
 
 @dataclass(frozen=True)
@@ -77,17 +76,13 @@ class SearchResult:
     gap: float  # best_value - regular_value
 
 
-def _regular_simplex_matrix(n: int) -> np.ndarray:
+def regular_simplex_gram(n: int) -> GramConfiguration:
+    """Correlation matrix of the regular simplex: off-diagonals -1/(n-1)."""
     if n < 2:
         raise ValueError(f"regular simplex Gram needs n >= 2, got {n}")
     m = np.full((n, n), -1.0 / (n - 1))
     np.fill_diagonal(m, 1.0)
-    return m
-
-
-def regular_simplex_gram(n: int) -> GramConfiguration:
-    """Correlation matrix of the regular simplex: off-diagonals -1/(n-1)."""
-    return GramConfiguration(n=n, matrix=_regular_simplex_matrix(n))
+    return GramConfiguration(n=n, matrix=m)
 
 
 def random_unit_diagonal_gram(n: int, rng: np.random.Generator) -> GramConfiguration:
@@ -118,9 +113,7 @@ def conjecture_bound_check(g: GramConfiguration, cfg: McConfig, threads: int = 1
     estimate, stderr = sample_correlated_max(g.matrix, cfg, threads)
     bound = _simplex_bound(n)
     ok = estimate <= bound + 4.0 * stderr
-    near_regular = np.linalg.norm(g.matrix - _regular_simplex_matrix(n)) < 1e-9
-    return BoundCheck(n=n, estimate=estimate, stderr=stderr, bound=bound, ok=bool(ok),
-                      near_regular=bool(near_regular))
+    return BoundCheck(n=n, estimate=estimate, stderr=stderr, bound=bound, ok=bool(ok))
 
 
 def gram_fingerprint_distance(a: GramConfiguration, b: GramConfiguration) -> float:

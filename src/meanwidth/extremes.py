@@ -55,6 +55,8 @@ class IndefiniteMatrixError(NumericalError, ValueError):
 
 # the most intervals any one integral may use
 _LIMIT = 200
+# the relative tolerance of every quadrature but range_moments' outer one
+_EPSREL = 1e-12
 # _range_batch's inner break points between its ends -t/2 and 9, as offsets from x = -t/2
 _RANGE_OFFSETS = (0.75, 1.5, 2.5, 4.0, 6.0)
 # range_moments' inner absolute tolerance up to the break point 2 t_n
@@ -63,7 +65,6 @@ _RANGE_EPSABS = 1e-13
 
 @dataclass(frozen=True)
 class ExtremeValueResult:
-    n: int
     value: float
     abs_error_bound: float
 
@@ -140,7 +141,7 @@ def _gk21(f, lo, hi, owners):
     return resk * half, err
 
 
-def _quad_batch(f, edges, epsrel: float = 1e-12, epsabs: float = 0.0):
+def _quad_batch(f, edges, epsrel: float = _EPSREL, epsabs: float = 0.0):
     """The package's one adaptive quadrature, QUADPACK's QAG with the 21-point
     Gauss-Kronrod rule and no extrapolation, for several integrals side by
     side.  Integral i starts from the intervals between the break points of
@@ -204,7 +205,7 @@ def solve_t_n(n: int) -> float:
     return abs(float(normal_tail_inverse(1.0 / (2.0 * n))))
 
 
-def _survival_moments(integrals, epsrel: float = 1e-12):
+def _survival_moments(integrals, epsrel: float = _EPSREL):
     """[{k: (int_0^inf k t^(k-1) surv(t) dt, error bound)}] for each
     integral (surv, ks, envelope, peak, scale) of integrals: a survival
     function under the envelope surv(t) <= envelope * normal_tail(t / scale),
@@ -365,7 +366,7 @@ def range_moments(ns, ks) -> list[dict[int, tuple[float, float]]]:
 
     Up to the break point 2 t_n (about the median range) the inner
     quadratures, each over the folded window (-t/2, 9), run to the absolute
-    tolerance epsabs = 1e-13 as well as the relative epsrel = 1e-12; past
+    tolerance epsabs = 1e-13 as well as the relative _EPSREL = 1e-12; past
     it, where S is small and the high moments take their weight, to epsrel
     alone.  The outer quadrature runs to 1e-11 relative.  The error adds
     what the inner tolerances allow: |dS| <= n epsabs + epsrel below the
@@ -374,15 +375,15 @@ def range_moments(ns, ks) -> list[dict[int, tuple[float, float]]]:
     one batch that computes each interval's survival values once, and the
     inner quadratures of one outer call's nodes run as one batch per side of
     the break point."""
-    integrals, epsrel = [_range_integral(n, ks) for n in ns], 1e-12  # the inner epsrel, _quad_batch's default
-    return [{k: (v, e + (n * _RANGE_EPSABS + epsrel) * peak**k + epsrel * abs(v)) for k, (v, e) in moments.items()}
+    integrals = [_range_integral(n, ks) for n in ns]
+    return [{k: (v, e + (n * _RANGE_EPSABS + _EPSREL) * peak**k + _EPSREL * abs(v)) for k, (v, e) in moments.items()}
             for n, (*_, peak, _), moments in zip(ns, integrals, _survival_moments(integrals, epsrel=1e-11))]
 
 
 def expected_max_abs(n: int) -> ExtremeValueResult:
     """A_n = E max(|eta_1|, ..., |eta_n|), the k = 1 case of max_abs_moments."""
     value, err = max_abs_moments([n], (1,))[0][1]
-    return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
+    return ExtremeValueResult(value=value, abs_error_bound=err)
 
 
 def expected_max(m: int) -> ExtremeValueResult:
@@ -402,7 +403,7 @@ def expected_max(m: int) -> ExtremeValueResult:
 
     # 0 <= 1 - Phi^m - normal_tail^m <= 1 - Phi^m <= m normal_tail(t)
     value, err = _survival_moments([(surv, (1,), m, solve_t_n(m), 1.0)])[0][1]
-    return ExtremeValueResult(n=m, value=value, abs_error_bound=err)
+    return ExtremeValueResult(value=value, abs_error_bound=err)
 
 
 def _gap_integral(n: int):
@@ -434,7 +435,7 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
     every significant digit of the O(1 / (n sqrt(log n))) gap.
     """
     value, err = _survival_moments([_gap_integral(n)])[0][1]
-    return ExtremeValueResult(n=n, value=value, abs_error_bound=err)
+    return ExtremeValueResult(value=value, abs_error_bound=err)
 
 
 def comparison_reports(ns) -> list[ComparisonReport]:

@@ -27,9 +27,6 @@ __all__ = [
     "ks_statistic",
 ]
 
-EULER_GAMMA = 0.5772156649015329
-
-
 # variance of the cube width's normal limit, from the bivariate CLT behind it:
 # Var|eta| - (E|eta|)^2 / 2 = (pi - 2)/pi - 1/pi
 LIMIT_VAR = (math.pi - 3.0) / math.pi
@@ -37,7 +34,6 @@ LIMIT_VAR = (math.pi - 3.0) / math.pi
 
 class LimitLaw(str, enum.Enum):
     NORMAL_LIMIT_VAR = "normal"
-    GUMBEL = "gumbel"
     TWO_GUMBEL = "two-gumbel"
     GUMBEL_SUM = "gumbel-sum"
 
@@ -81,9 +77,7 @@ def limit_cdf(law: LimitLaw, x):
     """CDF of a limit law; scalars or arrays."""
     law = LimitLaw(law)
     arr = np.asarray(x, dtype=float)
-    if law is LimitLaw.GUMBEL:
-        out = np.exp(-np.exp(-arr))
-    elif law is LimitLaw.TWO_GUMBEL:
+    if law is LimitLaw.TWO_GUMBEL:
         out = np.exp(-np.exp(-arr / 2.0))
     elif law is LimitLaw.NORMAL_LIMIT_VAR:
         out = _scipy_special().ndtr(arr / math.sqrt(LIMIT_VAR))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .extremes import _SQRT_2PI, expected_max, expected_max_abs, max_abs_moments, range_moments
@@ -53,6 +54,10 @@ class RegularPolytope:
     def __post_init__(self):
         # a plain string names its member; an unknown name raises ValueError
         object.__setattr__(self, "kind", PolytopeKind(self.kind))
+        # a numpy integer becomes its Python int; a float or a bool is refused
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"family parameter must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise ValueError(f"family parameter must be positive, got {self.n}")
         if self.kind in (PolytopeKind.SIMPLEX_S, PolytopeKind.SIMPLEX_T) and self.n < 2:
@@ -159,11 +164,11 @@ def family_width_moments(kind: PolytopeKind, ns, ks) -> list[dict[int, MomentEst
     route = "quadrature"
     if kind is PolytopeKind.CUBE:
         route, each = "closed_form", []
-        for n in ns:
+        for p in ps:
             try:
-                each.append(_abs_sum_moments(n, ks))
+                each.append(_abs_sum_moments(p.n, ks))
             except OverflowError as exc:
-                raise ValueError(f"cube moment n={n}, k={max(ks)} is out of double-precision range") from exc
+                raise ValueError(f"cube moment n={p.n}, k={max(ks)} is out of double-precision range") from exc
     elif kind is PolytopeKind.CROSS:
         each = max_abs_moments(ns, ks)
     else:

@@ -25,7 +25,6 @@ from meanwidth.conjecture import (
 from meanwidth.extremes import comparison_reports, expected_max, expected_max_abs
 from meanwidth.limits import (
     LIMIT_VAR,
-    EULER_GAMMA,
     LimitLaw,
     ks_statistic,
     standardized_sample,
@@ -38,7 +37,7 @@ from meanwidth.polytopes import (
     width_moment_cube,
 )
 from meanwidth.sampling import McConfig, estimate_moments
-from test_limits import gumbel_sum_density
+from test_limits import EULER_GAMMA, gumbel_sum_density
 
 
 def verdict(index: int, title: str, ok: bool, detail: str = "") -> None:

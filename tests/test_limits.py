@@ -7,7 +7,6 @@ from scipy import integrate, special
 
 from meanwidth.limits import (
     LIMIT_VAR,
-    EULER_GAMMA,
     LimitLaw,
     ks_statistic,
     limit_cdf,
@@ -16,6 +15,13 @@ from meanwidth.limits import (
 )
 from meanwidth.polytopes import PolytopeKind, RegularPolytope
 from meanwidth.sampling import McConfig
+
+EULER_GAMMA = 0.5772156649015329
+
+
+def gumbel_cdf(x):
+    """The standard Gumbel CDF exp(-exp(-x)); twice a Gumbel variable has CDF gumbel_cdf(x / 2)."""
+    return np.exp(-np.exp(-np.asarray(x, dtype=float)))
 
 
 def gumbel_sum_density(x):
@@ -96,12 +102,12 @@ class TestStandardizers:
 
 class TestSimpleCdfs:
     def test_gumbel_at_zero(self):
-        assert limit_cdf(LimitLaw.GUMBEL, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert limit_cdf(LimitLaw.TWO_GUMBEL, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_two_gumbel_is_scaled_gumbel(self):
         x = np.linspace(-3.0, 8.0, 50)
         assert np.allclose(
-            limit_cdf(LimitLaw.TWO_GUMBEL, x), limit_cdf(LimitLaw.GUMBEL, x / 2.0), atol=1e-15
+            limit_cdf(LimitLaw.TWO_GUMBEL, x), gumbel_cdf(x / 2.0), atol=1e-15
         )
 
     def test_normal_limit_var(self):
@@ -110,7 +116,7 @@ class TestSimpleCdfs:
         assert limit_cdf(LimitLaw.NORMAL_LIMIT_VAR, 1.959964 * s) == pytest.approx(0.975, abs=1e-6)
 
     def test_accepts_string_names(self):
-        assert limit_cdf("gumbel", 0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert limit_cdf("two-gumbel", 0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     @pytest.mark.parametrize("law", list(LimitLaw))
     def test_monotone_and_limits(self, law):
@@ -163,31 +169,33 @@ class TestGumbelSum:
 
 
 class TestKsStatistic:
+    # samples of twice a Gumbel variable: doubling is exact, so TWO_GUMBEL's
+    # CDF at 2x has the bits of the Gumbel CDF at x
     def test_single_midpoint(self):
         # one sample at the median of the law: KS = 1/2
-        x = float(np.log(-1.0 / np.log(0.5)))  # Gumbel median
-        assert ks_statistic(np.array([x]), LimitLaw.GUMBEL) == pytest.approx(0.5, abs=1e-12)
+        x = 2.0 * float(np.log(-1.0 / np.log(0.5)))  # twice the Gumbel median
+        assert ks_statistic(np.array([x]), LimitLaw.TWO_GUMBEL) == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_sample_is_small(self):
-        # inverse-CDF sample from the Gumbel law itself
+        # inverse-CDF sample from the law itself
         n = 100_000
         u = (np.arange(1, n + 1) - 0.5) / n
-        x = -np.log(-np.log(u))
-        assert ks_statistic(x, LimitLaw.GUMBEL) < 1.95 / math.sqrt(n)
+        x = -2.0 * np.log(-np.log(u))
+        assert ks_statistic(x, LimitLaw.TWO_GUMBEL) < 1.95 / math.sqrt(n)
 
     def test_shifted_sample_is_large(self):
         n = 10_000
         u = (np.arange(1, n + 1) - 0.5) / n
-        x = -np.log(-np.log(u)) + 1.0
-        assert ks_statistic(x, LimitLaw.GUMBEL) > 0.2
+        x = 2.0 * (-np.log(-np.log(u)) + 1.0)
+        assert ks_statistic(x, LimitLaw.TWO_GUMBEL) > 0.2
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            ks_statistic(np.array([1.0, 0.0]), LimitLaw.GUMBEL)
+            ks_statistic(np.array([2.0, 0.0]), LimitLaw.TWO_GUMBEL)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            ks_statistic(np.array([]), LimitLaw.GUMBEL)
+            ks_statistic(np.array([]), LimitLaw.TWO_GUMBEL)
 
 
 class TestConvergence:

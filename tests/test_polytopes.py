@@ -71,6 +71,27 @@ class TestRegularPolytope:
             RegularPolytope(PolytopeKind.CUBE, 0)
 
     @pytest.mark.parametrize("kind", list(PolytopeKind))
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3", None])
+    def test_rejects_a_non_integer_n(self, kind, n):
+        # the crosspolytope at 2.5 once gave a value for a body that does not exist
+        with pytest.raises(ValueError, match="must be an integer"):
+            RegularPolytope(kind, n)
+        with pytest.raises(ValueError, match="must be an integer"):
+            family_width_moments(kind, [3, n], (1,))
+
+    @pytest.mark.parametrize("kind", list(PolytopeKind))
+    def test_a_numpy_integer_n_gives_the_python_ints_bits(self, kind):
+        def bits(ests):
+            return [(k, type(est.polytope.n), est.polytope, est.value.hex(), est.error.hex()) for k, est in ests.items()]
+
+        p = RegularPolytope(kind, np.int64(7))
+        assert type(p.n) is int and p == RegularPolytope(kind, 7)
+        ns = [3, 57]
+        want = [bits(ests) for ests in family_width_moments(kind, ns, (1, 3))]
+        for dtype in (np.int64, np.int32, np.uint16):
+            assert [bits(ests) for ests in family_width_moments(kind, [dtype(n) for n in ns], (1, 3))] == want
+
+    @pytest.mark.parametrize("kind", list(PolytopeKind))
     def test_a_string_kind_gives_the_members_bits(self, kind):
         # the kind is coerced to its member, so every `is` check sees it
         p, q = RegularPolytope(kind.value, 10), RegularPolytope(kind, 10)
