@@ -59,6 +59,12 @@ _LIMIT = 200
 _EPSREL = 1e-12
 # _range_batch's inner break points between its ends -t/2 and 9, as offsets from x = -t/2
 _RANGE_OFFSETS = (0.75, 1.5, 2.5, 4.0, 6.0)
+# _survival_moments' break points below each peak, as fractions of it: QAG's
+# first two bisection points of [0, peak], which the simplex and
+# crosspolytope integrals all reach
+_PEAK_FRACTIONS = (0.5, 0.75)
+# _survival_moments' break points past each peak, in units of the integral's scale
+_OUTER_OFFSETS = (1.0, 3.0)
 # range_moments' inner absolute tolerance up to the break point 2 t_n
 _RANGE_EPSABS = 1e-13
 
@@ -116,13 +122,25 @@ _X21 = _mirrored(_GK21_NODES, -1.0)
 _WK21 = _mirrored(_GK21_KRONROD, 1.0)
 _WG21 = _mirrored(_GK21_GAUSS, 1.0)
 _TINY = float(np.finfo(float).tiny)
+# the most intervals one call of f sees: 5376 nodes, 43 KB per float64 array,
+# small enough that numpy's temporaries reuse freed memory instead of page-faulting
+_GK21_ROWS = 256
 
 
 def _gk21(f, lo, hi, owners):
     """qk21 on each interval (lo[r], hi[r]): the arrays of their Kronrod
     values and of QUADPACK's error estimates, from one call f(nodes, owners)
-    on the nodes of all of them.  Row sums, not BLAS, so each interval's bits
-    do not depend on the others."""
+    per block of at most _GK21_ROWS intervals.  Row sums, not BLAS, so each
+    interval's bits do not depend on the others or on the blocks."""
+    # one block also when there are no intervals, so f sees the empty node array
+    blocks = [_gk21_rows(f, lo[r : r + _GK21_ROWS], hi[r : r + _GK21_ROWS], owners[r : r + _GK21_ROWS])
+              for r in range(0, max(len(lo), 1), _GK21_ROWS)]
+    values, errors = zip(*blocks)
+    return np.concatenate(values), np.concatenate(errors)
+
+
+def _gk21_rows(f, lo, hi, owners):
+    # _gk21 on one block of intervals
     half = 0.5 * (hi - lo)
     fv = f((0.5 * (lo + hi))[:, None] + half[:, None] * _X21, owners)
     resk = (fv * _WK21).sum(axis=1)
@@ -213,10 +231,13 @@ def _survival_moments(integrals, epsrel: float = _EPSREL):
     where a quadrature stops and what its tail adds to the error.
 
     Every k integrates over [0, T], envelope * normal_tail(T / scale) =
-    _TRUNC_EPS (T / scale at least the upper quartile), split at peak (at
-    peak = 0 the interval [0, 0] adds an exact 0), every k of every integral
-    in one _quad_batch to the relative tolerance epsrel that calls each surv
-    once per interval (a memo keyed by the integral and its row of nodes).
+    _TRUNC_EPS (T / scale at least the upper quartile), split at f peak
+    for f in _PEAK_FRACTIONS, at peak, and at peak + d scale for d in
+    _OUTER_OFFSETS, where the tail's mass lies, each break point clamped to
+    T (at peak = 0, or where a clamped point meets T, a zero-length interval
+    adds an exact 0), every k of every integral in one _quad_batch to the
+    relative tolerance epsrel that calls each surv once per interval (a memo
+    keyed by the integral and its row of nodes).
     Its error adds a bound on the envelope's moment beyond T.  With U = T / scale,
     normal_tail(s) <= phi(s) / s bounds int_U^inf k s^(k-1) normal_tail(s) ds
     by k J_(k-2) for k >= 2, where J_j = int_U^inf s^j phi(s) ds = U^(j-1) phi(U) + (j-1) J_(j-2),
@@ -243,7 +264,9 @@ def _survival_moments(integrals, epsrel: float = _EPSREL):
             term *= u
             j_moments.append(term + (j - 1) * j_moments[j - 2])
         orders += [(g, k) for k in ks]
-        edges += [(0.0, peak, scale * u)] * len(ks)
+        t_hi = scale * u
+        below = [f * peak for f in _PEAK_FRACTIONS]
+        edges += [(0.0, *below, *(min(peak + d * scale, t_hi) for d in (0.0, *_OUTER_OFFSETS)), t_hi)] * len(ks)
         tails += [(envelope, scale, k * j_moments[k - 2] if k > 1 else phi / (u * u)) for k in ks]
     integral_of, order_of, memo = np.array([g for g, _ in orders]), np.array([k for _, k in orders]), {}
 
@@ -265,7 +288,9 @@ def _survival_moments(integrals, epsrel: float = _EPSREL):
     out, k = [{} for _ in integrals], max((k for _, k in orders), default=0)  # named when the batch itself overflows
     try:
         with np.errstate(over="raise"):
-            results = _quad_batch(integrand, np.reshape(edges, (-1, 3)), epsrel)  # 2-D also when empty
+            # 2-D also when empty
+            rows = np.reshape(edges, (-1, len(_PEAK_FRACTIONS) + len(_OUTER_OFFSETS) + 3))
+            results = _quad_batch(integrand, rows, epsrel)
         for (g, k), (envelope, scale, term), (value, err) in zip(orders, tails, results):
             err += envelope * scale**k * term
             if not math.isfinite(err):
@@ -368,10 +393,12 @@ def range_moments(ns, ks) -> list[dict[int, tuple[float, float]]]:
     quadratures, each over the folded window (-t/2, 9), run to the absolute
     tolerance epsabs = 1e-13 as well as the relative _EPSREL = 1e-12; past
     it, where S is small and the high moments take their weight, to epsrel
-    alone.  The outer quadrature runs to 1e-11 relative.  The error adds
-    what the inner tolerances allow: |dS| <= n epsabs + epsrel below the
-    break point, epsrel S past it, so n epsabs + epsrel times peak^k plus
-    epsrel times the moment.  The outer quadratures of every n and k run as
+    alone.  The outer quadrature runs to 1e-11 relative from the break
+    points 0, 2 t_n f for f in _PEAK_FRACTIONS, 2 t_n, 2 t_n + 2 d for d in
+    _OUTER_OFFSETS (the range's scale is 2), each clamped to the cut-off T,
+    and T.  The error adds what the inner tolerances allow: |dS| <= n epsabs
+    + epsrel below the break point, epsrel S past it, so n epsabs + epsrel
+    times peak^k plus epsrel times the moment.  The outer quadratures of every n and k run as
     one batch that computes each interval's survival values once, and the
     inner quadratures of one outer call's nodes run as one batch per side of
     the break point."""

@@ -359,7 +359,10 @@ def per_k_range_moment(n, k):
     range_moments' shared, batched survival values.  Returns the value,
     QUADPACK's error estimate, the cut-off T and the inner tolerances'
     allowance (n epsabs + epsrel) peak^k + epsrel value: inner epsabs 1e-13
-    up to the break point and 0 past it, inner epsrel 1e-12, outer 1e-11."""
+    up to the break point and 0 past it, inner epsrel 1e-12, outer 1e-11.
+    The outer quadrature starts from 0, f peak for f in _PEAK_FRACTIONS, the
+    peak 2 t_n, peak + 2 d for d in _OUTER_OFFSETS (the range's scale is 2),
+    each clamped to T, and T."""
     t_hi = 2.0 * float(normal_tail_inverse(min(_TRUNC_EPS / (2 * n), 0.25)))
     peak = 2.0 * solve_t_n(n)
 
@@ -370,7 +373,9 @@ def per_k_range_moment(n, k):
         surv = np.array([survival(x) for x in t.ravel().tolist()]).reshape(t.shape)
         return k * t ** (k - 1) * surv
 
-    value, err = _quad_batch(lambda t, owners: integrand(t), [[0.0, peak, t_hi]], epsrel=1e-11)[0]
+    below = [f * peak for f in extremes._PEAK_FRACTIONS]
+    edges = [0.0, *below, *(min(peak + 2.0 * d, t_hi) for d in (0.0, *extremes._OUTER_OFFSETS)), t_hi]
+    value, err = _quad_batch(lambda t, owners: integrand(t), [edges], epsrel=1e-11)[0]
     inner = (n * 1e-13 + 1e-12) * peak**k + 1e-12 * value
     return value, err, t_hi, inner
 

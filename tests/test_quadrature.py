@@ -20,6 +20,7 @@ from meanwidth.extremes import (
     _LIMIT,
     _gk21,
     _quad_batch,
+    comparison_reports,
     expected_max,
     expected_max_gap,
     max_abs_moments,
@@ -457,3 +458,87 @@ class TestOneBatchPerSurvivalMoment:
         range_moments([57], (1, 2, 3, 4))
         assert rows
         assert len(rows) == len(set(rows))
+
+
+class TestRowBlocks:
+    """_gk21 calls f on at most _GK21_ROWS intervals at a time, and the blocks
+    change no bit."""
+
+    def test_a_batch_past_one_block_equals_each_integral_on_its_own(self, monkeypatch):
+        # rows like _survival_moments' past the peak: 0, p, p + 1, p + 3, T clamped
+        # to T = 4, so p = 0 starts with the zero-length [0, 0] and p >= 3 ends with [T, T]
+        t_hi, ps = 4.0, np.linspace(0.0, 3.9, 70)
+        edges = [[0.0, p, min(p + 1.0, t_hi), min(p + 3.0, t_hi), t_hi] for p in ps]
+        assert len(edges) * 4 > extremes._GK21_ROWS
+        assert [0.0, 0.0] in [e[:2] for e in edges] and [t_hi, t_hi] in [e[-2:] for e in edges]
+        widths, rows = 0.3 + ps, []
+
+        def f(x, owners):
+            rows.append(len(x))
+            return x**3 * np.exp(-0.5 * (x / widths[owners][:, None]) ** 2)
+
+        batch = _quad_batch(f, edges)
+        assert max(rows) <= extremes._GK21_ROWS
+        for i, e in enumerate(edges):
+            alone = _quad_batch(lambda x, owners: f(x, np.full_like(owners, i)), [e])
+            assert _bits(batch[i : i + 1]) == _bits(alone)
+        monkeypatch.setattr(extremes, "_GK21_ROWS", 10**6)
+        assert _bits(batch) == _bits(_quad_batch(f, edges))
+
+    def test_an_empty_batch_calls_f_once(self):
+        shapes = []
+
+        def f(x, owners):
+            shapes.append(x.shape)
+            return x
+
+        assert _quad_batch(f, np.empty((0, 5))) == []
+        assert shapes == [(0, 21)]
+        assert max_abs_moments([], (1, 2)) == [] and comparison_reports([]) == []
+
+
+def _count_rounds(monkeypatch):
+    """{depth: [GK21 rounds, intervals]} of the _gk21 calls that follow, depth 1
+    for an outermost _quad_batch and 2 for the quadratures its integrand runs."""
+    counts, depth = {}, [0]
+    real_batch, real_rule = extremes._quad_batch, extremes._gk21
+
+    def batch(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return real_batch(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def rule(f, lo, *args):
+        count = counts.setdefault(depth[0], [0, 0])
+        count[0] += 1
+        count[1] += len(lo)
+        return real_rule(f, lo, *args)
+
+    monkeypatch.setattr(extremes, "_quad_batch", batch)
+    monkeypatch.setattr(extremes, "_gk21", rule)
+    return counts
+
+
+class TestRoundCounts:
+    """GK21 rounds and intervals of two commands' batches; deterministic
+    counts.  Starting each survival integral from (0, peak, T) alone spent
+    rounds bisecting [0, peak] and the tail; the break points peak / 2 and
+    3 peak / 4 (_PEAK_FRACTIONS) and peak + 1 and peak + 3 scales
+    (_OUTER_OFFSETS) save them."""
+
+    def test_range_moments(self, monkeypatch):
+        # simplex-t --n 119,191,356 --k 1,2,3,4: from (0, peak, T), 5 outer
+        # rounds of 120 intervals and 25 inner rounds of 3820; with the break
+        # points past the peak alone, 3 of 96 and 19 of 3064
+        counts = _count_rounds(monkeypatch)
+        range_moments([119, 191, 356], (1, 2, 3, 4))
+        assert counts == {1: [1, 72], 2: [10, 2294]}
+
+    def test_comparison_reports(self, monkeypatch):
+        # extremes --n 2,16,104,538,10429,16148: from (0, peak, T), 8 rounds
+        # of 138 intervals; with the break points past the peak alone, 7 of 112
+        counts = _count_rounds(monkeypatch)
+        comparison_reports([2, 16, 104, 538, 10429, 16148])
+        assert counts == {1: [5, 100]}
