@@ -219,6 +219,9 @@ def solve_t_n(n: int) -> float:
     """The t with normal_tail(t) = 1/(2n), i.e. the (1 - 1/(2n)) normal quantile."""
     if n < 1:
         raise ValueError(f"t_n needs n >= 1, got {n}")
+    # every survival integral's peak: its cut-off tail _TRUNC_EPS / (2n) must stay a normal double
+    if n > _TRUNC_EPS / (2.0 * _TINY):
+        raise ValueError(f"n={n} is past double range: the quadratures take n up to {_TRUNC_EPS / (2.0 * _TINY):.4g}")
     # closed form through erfcinv; abs turns its -0.0 at n = 1 into 0.0
     return abs(float(normal_tail_inverse(1.0 / (2.0 * n))))
 
@@ -337,9 +340,11 @@ def _range_batch(n: int, ts, epsabs: float) -> list[float]:
     smaller of them exactly.  The intervals start at -t/2 + d for d in 0 and
     _RANGE_OFFSETS, where the mass lies, and end at 9.  Where
     u <= exp(-760 / (n - 1)), u^(n-1) rounds to +0.0, which pow reaches by a
-    slow underflow path: no pow there."""
+    slow underflow path: no pow there.  From n of about 1.4e19 the floor is 1: QuadratureError."""
     ts = np.asarray(ts, dtype=float)
     floor = math.exp(-760.0 / (n - 1))
+    if floor == 1.0:  # every power would be skipped and S read 0
+        raise QuadratureError(f"the range survival at n={n} needs powers u^(n-1) past double resolution")
 
     def bracket(u, v):
         # u^(n-1) - (u - v)^(n-1) for 0 <= v <= u, u > 0; v = u only as t -> 0,

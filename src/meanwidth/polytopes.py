@@ -19,11 +19,12 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .extremes import _SQRT_2PI, expected_max, expected_max_abs, max_abs_moments, range_moments
 from .special import (
-    _EPS, _gaussian_abs_moment_rounding, _log_gamma_ratio_rounding, gaussian_abs_moment, log_gamma_ratio,
+    _EPS, _gaussian_abs_moment_rounding, gaussian_abs_moment, log_half_gamma_ratio,
 )
 
 __all__ = [
@@ -60,6 +61,8 @@ class RegularPolytope:
         object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise ValueError(f"family parameter must be positive, got {self.n}")
+        if self.n > sys.float_info.max:  # an exact comparison, also past double range
+            raise ValueError(f"family parameter n={self.n} is past double range")
         if self.kind in (PolytopeKind.SIMPLEX_S, PolytopeKind.SIMPLEX_T) and self.n < 2:
             raise ValueError(f"a simplex needs at least 2 vertices, got n={self.n}")
 
@@ -82,9 +85,10 @@ class MomentEstimate:
 def v1_from_mean_width(dim: int, mean_width: float) -> float:
     """First intrinsic volume from the mean width of a body in R^dim:
     V1 = sqrt(pi) Gamma((dim+1)/2) / Gamma(dim/2) * E[W]."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return math.exp(0.5 * math.log(math.pi) + log_gamma_ratio((dim + 1) / 2, dim / 2)) * mean_width
+    v1 = math.exp(0.5 * math.log(math.pi) + log_half_gamma_ratio(dim)[0]) * mean_width
+    if math.isinf(v1):
+        raise ValueError(f"V1 in dimension {dim} is out of double-precision range")
+    return v1
 
 
 def _abs_sum_moments(n: int, ks) -> dict[int, tuple[float, float]]:
@@ -125,14 +129,15 @@ def _per_norm(moment: float, err: float, d: int, k: int) -> tuple[float, float, 
     E|g|^k = 2^(k/2) Gamma((d+k)/2) / Gamma(d/2) is E|g|^(k mod 2) times
     (d + i) over i = k mod 2, k mod 2 + 2, ..., k - 2.  Dividing by one factor
     at a time keeps every step in double range, at eps/2 each.  For odd k,
-    1 / E|g| = exp(y), y = log_gamma_ratio(d/2, (d+1)/2) - log(2) / 2: exp
-    turns y's absolute rounding relative and adds its own, and the product
-    adds half an eps."""
+    1 / E|g| = exp(y), y = -log(2) / 2 - log_half_gamma_ratio(d), right at
+    every d: exp turns y's absolute rounding relative and adds its own, and
+    the product adds half an eps."""
     rounding = 0.5 * (k // 2)
     if k % 2:
-        y = -0.5 * math.log(2.0) + log_gamma_ratio(d / 2, (d + 1) / 2)
+        ratio, ratio_eps = log_half_gamma_ratio(d)
+        y = -0.5 * math.log(2.0) - ratio
         moment, err = moment * math.exp(y), err * math.exp(y)
-        rounding += 4.0 + abs(y) + _log_gamma_ratio_rounding(d / 2, (d + 1) / 2)
+        rounding += 4.0 + abs(y) + ratio_eps
     for i in range(k % 2, k - 1, 2):
         moment, err = moment / (d + i), err / (d + i)
     return moment, err, rounding

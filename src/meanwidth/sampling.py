@@ -115,12 +115,14 @@ def width_samples(p: RegularPolytope, rng: np.random.Generator, count: int) -> n
     in turn from rng, so working memory is two blocks (or two rows, if a row
     is wider) whatever count and n are.  A block draw continues the same
     stream and every width is a reduction of its own row, so the widths are
-    bit-identical to drawing and reducing the whole count x n array at once.
-    """
+    bit-identical to drawing and reducing the whole count x n array at once;
+    rows that cannot be allocated are refused before any draw."""
     n = p.n
     rows = max(1, min(count, _BLOCK_BYTES // (8 * n)))
-    g_buf = np.empty((rows, n))
-    tmp_buf = np.empty((rows, n))
+    try:
+        g_buf, tmp_buf = np.empty((rows, n)), np.empty((rows, n))
+    except MemoryError as exc:
+        raise ValueError(f"{p.kind.value} n={n}: two rows of {n} doubles do not fit in memory") from exc
     norm_buf = np.empty(rows)
     out = np.empty(count)
     for start in range(0, count, rows):

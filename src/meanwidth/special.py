@@ -1,9 +1,9 @@
 """Special functions used throughout the library.
 
 Everything here is a pure, stateless function: the standard normal tail,
-log-space gamma ratios and absolute Gaussian moments.  The gamma function
-comes from math; scipy.special, which the normal tail's erfc needs, is
-imported on first use, so a run without quadrature never loads it.
+the half-step log gamma ratio and absolute Gaussian moments.  The gamma
+function comes from math; scipy.special, which the normal tail's erfc needs,
+is imported on first use, so a run without quadrature never loads it.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ import numpy as np
 __all__ = [
     "normal_tail",
     "normal_tail_inverse",
-    "log_gamma_ratio",
+    "log_half_gamma_ratio",
     "gaussian_abs_moment",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
-# log_gamma_ratio takes the Stirling difference once both arguments reach this
+# log_half_gamma_ratio takes the Stirling difference once d / 2 reaches this
 _STIRLING_MIN = 20.0
 # math.lgamma is good to this many ulp of max(|lgamma|, 1) at the multiples of
 # 1/2 the package passes it (worst seen: 2.71 ulp at 6.5); pinned by a test
@@ -63,43 +63,25 @@ def _stirling_correction(x: float) -> float:
     return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * x2)) / x2) / x2) / x
 
 
-def log_gamma_ratio(a: float, b: float) -> float:
-    """log Gamma(a) - log Gamma(b), carried in log space.
-
-    Raw gamma ratios overflow already for arguments of a few hundred.  For
-    large nearby arguments the two lgamma values agree to 8+ digits, so the
-    naive difference would lose them; the Stirling difference below keeps the
-    relative error of exp(result) at ~1e-14 up to arguments of 1e7.
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"gamma ratio needs positive arguments, got a={a}, b={b}")
-    if a == b:
-        return 0.0
-    if min(a, b) < _STIRLING_MIN:
-        # small arguments: lgamma values are O(10), no cancellation to fear
-        return math.lgamma(a) - math.lgamma(b)
-    d = b - a
-    value = (
-        -(a - 0.5) * math.log1p(d / a)
-        - d * math.log(b)
-        + d
-        + _stirling_correction(a)
-        - _stirling_correction(b)
-    )
-    return value
-
-
-def _log_gamma_ratio_rounding(a: float, b: float) -> float:
-    """A bound on the absolute rounding error of log_gamma_ratio(a, b), in
-    units of eps: each term's own rounding and that of the sums."""
-    if a == b:
-        return 0.0
-    if min(a, b) < _STIRLING_MIN:
-        # lgamma is good to _LGAMMA_ULPS ulp of max(|lgamma|, 1) (relative
-        # above magnitude 1, absolute below), and the difference rounds once more
-        return (_LGAMMA_ULPS + 0.5) * (max(abs(math.lgamma(a)), 1.0) + max(abs(math.lgamma(b)), 1.0))
-    d = b - a
-    return 5.0 * abs((a - 0.5) * math.log1p(d / a)) + 4.0 * abs(d * math.log(b)) + 2.0 * abs(d) + 1.0
+def log_half_gamma_ratio(d: int) -> tuple[float, float]:
+    """(log Gamma((d+1)/2) - log Gamma(d/2), a bound on its absolute rounding
+    in eps) for an integer d >= 1: E|g| = sqrt(2) Gamma((d+1)/2) / Gamma(d/2)
+    for g ~ N(0, I_d).  Past _STIRLING_MIN the lgamma values would cancel, so
+    a Stirling difference with the step fixed at exactly 1/2 keeps the digits,
+    also where d/2 and (d+1)/2 round to one double (d >= 2^53).  The bound
+    adds each term's rounding and the sums'; the arguments' own eps/2 from
+    2^53 on moves the result by under an eps, inside the first two budgets."""
+    if d < 1:
+        raise ValueError(f"the half-step gamma ratio needs d >= 1, got {d}")
+    x, a = d / 2, (d + 1) / 2
+    if x < _STIRLING_MIN:
+        # lgamma is good to _LGAMMA_ULPS ulp of max(|lgamma|, 1) (relative above
+        # magnitude 1, absolute below), and the difference rounds once more
+        la, lx = math.lgamma(a), math.lgamma(x)
+        return la - lx, (_LGAMMA_ULPS + 0.5) * (max(abs(la), 1.0) + max(abs(lx), 1.0))
+    head = x * math.log1p(-0.5 / a)
+    value = -head + 0.5 * math.log(x) - 0.5 + _stirling_correction(a) - _stirling_correction(x)
+    return value, 5.0 * abs(head) + 2.0 * abs(math.log(x)) + 2.0
 
 
 def gaussian_abs_moment(k: int) -> float:

@@ -3,12 +3,13 @@ import math
 import re
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
 from meanwidth import cli, conjecture, extremes, limits
 from meanwidth.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from meanwidth.extremes import IndefiniteMatrixError, NumericalError, QuadratureError
+from meanwidth.extremes import IndefiniteMatrixError, NumericalError, QuadratureError, max_abs_moments
 from meanwidth.polytopes import PolytopeKind, RegularPolytope, width_moment, width_moment_cube
 from meanwidth.sampling import width_samples
 
@@ -171,6 +172,103 @@ class TestNumericalFailure:
         assert code == expected
         assert out == ""
         assert str(exc) in err
+
+
+HUGE_NS = [2**52, 2**53, 2**53 + 1, 2**60, 2**64, 2**200, 2**1023]
+
+
+def exact_width_moment(kind, n, k):
+    """An oracle of E[W^k] past 2^53, or None, at enough digits to hold n/2
+    and (n+1)/2 apart: E|g| = sqrt(2) rf(n/2, 1/2), whose loggamma form would
+    need more than 64 digits at 2^200.  Cube: n sqrt(2/pi) / E|g| and
+    1 + 2 (n - 1) / pi.  Crosspolytope: 2 A_n / E|g| and 4 E[max^2] / n, with
+    the max |eta_i| moments and their bounds from max_abs_moments, so the
+    reduction E[X^k] -> E[W^k] is what is checked.  Returns (exact, slack)."""
+    with mpmath.workdps(n.bit_length() // 3 + 30):
+        mean_norm = mpmath.sqrt(2) * mpmath.rf(mpmath.mpf(n) / 2, mpmath.mpf(1) / 2)
+        if kind == "cube":
+            exact = n * mpmath.sqrt(2 / mpmath.pi) / mean_norm if k == 1 else 1 + 2 * (n - 1) / mpmath.pi
+            return exact, 0.0
+        if kind == "cross":
+            m, err = max_abs_moments([n], (k,))[0][k]
+            scale = 2 / mean_norm if k == 1 else mpmath.mpf(4) / n
+            return scale * m, scale * err
+    return None
+
+
+class TestEveryNHonestOrRefused:
+    """Past 2^53 the ambient dimension d no longer holds d/2 and (d+1)/2
+    apart in a double.  Every command either prints a value within its
+    error, or exits 2 or 4 with nothing on stdout: never a traceback (exit 1)."""
+
+    @pytest.mark.parametrize("n", HUGE_NS, ids=lambda n: f"2^{n.bit_length() - 1}" + ("+1" if n & 1 else ""))
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("family, route", [
+        ("cube", "closed"), ("cube", "quadrature"), ("cross", "quadrature"),
+        ("simplex-s", "quadrature"), ("simplex-t", "quadrature"),
+    ])
+    def test_grid(self, capsys, family, route, n, k):
+        code, out, err = run_cli(capsys, ["moments", "--family", family, "--n", str(n), "--k", str(k),
+                                          "--route", route])
+        if code != EXIT_OK:
+            assert code in (EXIT_USAGE, EXIT_NUMERICAL)
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            return
+        oracle = exact_width_moment(family, n, k)
+        # the range quadrature refuses every n past about 3e6, so no simplex
+        # row reaches here; one that does needs an oracle first
+        assert oracle is not None, f"{family} n={n} computes: add its oracle"
+        (row,) = parse_csv(out)[1]
+        exact, slack = oracle
+        with mpmath.workdps(n.bit_length() // 3 + 30):
+            assert abs(mpmath.mpf(row["value"]) - exact) <= float(row["error"]) + slack
+        if family == "cross" and k == 1:
+            # V1 = sqrt(2 pi) A_n, within the sum of both errors
+            a_n, a_err = max_abs_moments([n], (1,))[0][1]
+            v1, value = float(row["v1"]), float(row["value"])
+            assert abs(v1 - math.sqrt(2 * math.pi) * a_n) <= v1 * float(row["error"]) / value + math.sqrt(2 * math.pi) * a_err
+
+    def test_cube_at_2_53_reads_its_exact_mean_width(self, capsys):
+        # the general two-float ratio read 5.08e15 here, and 1.128 at 2^53 + 1
+        for n in (2**53, 2**53 + 1):
+            code, out, _ = run_cli(capsys, ["moments", "--family", "cube", "--n", str(n), "--k", "1",
+                                            "--route", "closed"])
+            assert code == EXIT_OK
+            assert float(parse_csv(out)[1][0]["value"]) == pytest.approx(75724244.065046, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["extremes", "cross", "simplex-s", "simplex-t"])
+    @pytest.mark.parametrize("n", [2**1021, 2**1023, 2**1024, 2**1100], ids=lambda n: f"2^{n.bit_length() - 1}")
+    def test_n_past_double_range_is_refused_by_name(self, capsys, command, n):
+        argv = ["extremes"] if command == "extremes" else ["moments", "--family", command, "--k", "1",
+                                                           "--route", "quadrature"]
+        code, out, err = run_cli(capsys, argv + ["--n", str(n)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"n={n}" in err
+
+    def test_simplex_quadrature_refuses_where_its_powers_cannot_resolve(self, capsys):
+        # 1 - exp(-760 / (n - 1)) rounds to 0 here, and S(t) used to read 0
+        code, out, err = run_cli(capsys, ["moments", "--family", "simplex-t", "--n", str(2**64), "--k", "1",
+                                          "--route", "quadrature"])
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert f"n={2**64}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--family", "cube", "--k", "1", "--route", "mc", "--samples", "10"],
+        ["limits", "--family", "cube", "--samples", "10"],
+        ["limits", "--family", "cross", "--samples", "20000", "--threads", "2"],
+    ], ids=["moments", "limits", "limits-threads"])
+    def test_monte_carlo_row_past_memory_is_refused(self, capsys, argv):
+        # two rows of 2^53 doubles (128 PiB) fail to allocate at once; a size
+        # that could really be allocated has no place in a test
+        code, out, err = run_cli(capsys, argv + ["--n", str(2**53), "--seed", "1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "memory" in err
 
 
 class TestMomentsOutput:

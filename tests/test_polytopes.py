@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -29,20 +30,26 @@ from meanwidth.polytopes import (
 )
 from meanwidth.limits import standardize
 from meanwidth.sampling import McConfig, estimate_moments
-from meanwidth.special import gaussian_abs_moment, log_gamma_ratio, normal_tail, normal_tail_inverse
+from meanwidth.special import gaussian_abs_moment, normal_tail, normal_tail_inverse
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def gamma_ratio(n, k):
+    """Gamma(n/2 + k/2) / Gamma(n/2) at 30 digits: the oracles' own gamma ratio."""
+    with mpmath.workdps(30):
+        return float(mpmath.rf(mpmath.mpf(n) / 2, mpmath.mpf(k) / 2))
 
 
 def cube_polynomial(n, k):
     """Hand-derived E[W_{Q_n}^k] for k = 1..4: an oracle of the closed form."""
     if k == 1:
-        return n * math.exp(log_gamma_ratio(n / 2, (n + 1) / 2)) / math.sqrt(math.pi)
+        return n / gamma_ratio(n, 1) / math.sqrt(math.pi)
     if k == 2:
         return 1.0 + 2.0 * (n - 1) / math.pi
     if k == 3:
         poly = 2.0 * n * n + (3.0 * math.pi - 6.0) * n + 4.0 - math.pi
-        return 0.5 * math.exp(log_gamma_ratio(n / 2, (n + 3) / 2)) * math.pi ** -1.5 * n * poly
+        return 0.5 / gamma_ratio(n, 3) * math.pi ** -1.5 * n * poly
     poly = (
         4.0 * n**3
         + (12.0 * math.pi - 24.0) * n**2
@@ -69,6 +76,12 @@ class TestRegularPolytope:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             RegularPolytope(PolytopeKind.CUBE, 0)
+
+    def test_rejects_n_past_double_range(self):
+        top = int(sys.float_info.max)
+        assert RegularPolytope(PolytopeKind.CUBE, top).n == top
+        with pytest.raises(ValueError, match="past double range"):
+            RegularPolytope(PolytopeKind.CUBE, top + 1)
 
     @pytest.mark.parametrize("kind", list(PolytopeKind))
     @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3", None])
@@ -126,6 +139,16 @@ class TestV1FromMeanWidth:
     def test_dim3_factor_is_two(self):
         w = 0.7318
         assert v1_from_mean_width(3, w) == pytest.approx(2.0 * w, rel=1e-13)
+
+    def test_rejects_a_dimension_below_one(self):
+        with pytest.raises(ValueError):
+            v1_from_mean_width(0, 1.0)
+
+    def test_past_double_range_is_refused(self):
+        # the cube's V1 is n; at the largest double it rounds past it
+        top = int(sys.float_info.max)
+        with pytest.raises(ValueError, match="double-precision range"):
+            v1_from_mean_width(top, width_moment_cube(top, 1).value)
 
 
 def cube_moment_mp(n, k):

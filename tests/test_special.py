@@ -8,9 +8,10 @@ from scipy import integrate
 from scipy import special as sp
 
 from meanwidth.special import (
+    _EPS,
     _LGAMMA_ULPS,
     gaussian_abs_moment,
-    log_gamma_ratio,
+    log_half_gamma_ratio,
     normal_tail,
     normal_tail_inverse,
 )
@@ -84,29 +85,35 @@ class TestNormalTailScalarPath:
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 class TestLogGammaRatio:
-    def test_identical_arguments(self):
-        assert log_gamma_ratio(3.0, 3.0) == 0.0
-
-    def test_gamma_2_over_gamma_1(self):
-        assert log_gamma_ratio(2.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-
     def test_half_integer(self):
-        # Gamma(1)/Gamma(1.5) = 2/sqrt(pi)
-        assert log_gamma_ratio(1.0, 1.5) == pytest.approx(math.log(2.0 / math.sqrt(math.pi)), abs=1e-12)
+        # Gamma(1.5)/Gamma(1) = sqrt(pi)/2, Gamma(1)/Gamma(0.5) = 1/sqrt(pi)
+        assert log_half_gamma_ratio(2)[0] == pytest.approx(math.log(math.sqrt(math.pi) / 2.0), abs=1e-12)
+        assert log_half_gamma_ratio(1)[0] == pytest.approx(-0.5 * math.log(math.pi), abs=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            log_gamma_ratio(0.0, 1.0)
+            log_half_gamma_ratio(0)
         with pytest.raises(ValueError):
-            log_gamma_ratio(1.0, -2.0)
+            log_half_gamma_ratio(-2)
 
-    @pytest.mark.parametrize("a", [0.5, 1.0, 7.3, 150.0, 1e4, 1e7])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 7.5, 150.0, 1e4, 1e7])
     def test_recurrence(self, a):
-        # Gamma(a+1)/Gamma(a) = a
-        assert math.exp(log_gamma_ratio(a + 1.0, a)) == pytest.approx(a, rel=1e-10)
+        # two half steps from d = 2a: Gamma(a+1)/Gamma(a) = a, across the Stirling cut-off
+        d = int(2 * a)
+        assert math.exp(log_half_gamma_ratio(d)[0] + log_half_gamma_ratio(d + 1)[0]) == pytest.approx(a, rel=1e-13)
 
     def test_large_arguments_finite(self):
-        assert math.isfinite(math.exp(log_gamma_ratio(1e7 / 2, (1e7 + 4) / 2)))
+        assert math.isfinite(math.exp(log_half_gamma_ratio(10**7)[0]))
+        assert math.isfinite(math.exp(log_half_gamma_ratio(2**1023)[0]))
+
+    @pytest.mark.parametrize("d", [*range(1, 201), 2**53 - 1, 2**53, 2**53 + 1, 2**200])
+    def test_within_its_rounding_bound_of_mpmath(self, d):
+        # from d = 2^53 the two arguments d/2 and (d+1)/2 round to one double;
+        # the oracle needs enough digits to hold them apart (61 at 2^200)
+        with mpmath.workdps(90):
+            exact = mpmath.log(mpmath.rf(mpmath.mpf(d) / 2, mpmath.mpf(1) / 2))
+            value, rounding = log_half_gamma_ratio(d)
+            assert abs(value - exact) <= rounding * _EPS
 
 
 class TestLgamma:
