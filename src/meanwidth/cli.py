@@ -189,54 +189,65 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser p the arguments and defaults of the command name: the one
+    definition behind both the full parser's subcommand and main's parser of
+    the named command alone."""
+    if name == "moments":
+        p.add_argument("--family", choices=[k.value for k in PolytopeKind], required=True)
+        p.add_argument("--n", type=_int_list, required=True)
+        p.add_argument("--k", type=_int_list, required=True)
+        p.add_argument("--route", choices=["closed", "quadrature", "mc"], required=True)
+        p.add_argument("--samples", type=_positive_int, default=1_000_000)
+        p.add_argument("--seed", type=int, default=None)
+    elif name == "extremes":
+        p.add_argument("--n", type=_int_list, required=True)
+    elif name == "limits":
+        p.add_argument("--family", choices=[k.value for k in PolytopeKind], required=True)
+        p.add_argument("--n", type=_positive_int, required=True)
+        p.add_argument("--samples", type=_positive_int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+    else:
+        p.add_argument("--n", type=_positive_int, required=True)
+        p.add_argument("--restarts", type=_positive_int, required=True)
+        p.add_argument("--samples", type=_positive_int, default=100_000)
+        p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
+                   help="worker threads for moments --route mc, limits and search (default: the CPU count)")
+    p.set_defaults(command=name, func=globals()[f"cmd_{name}"])  # looked up per parser, not at import
+    return p
+
+
+# each command's help line in the full parser's list
+_COMMANDS = {
+    "moments": "width moments E[W^k] per family and route",
+    "extremes": "expected-maxima comparison table",
+    "limits": "standardized width sample vs its limit law",
+    "search": "optimize a sphere configuration against the regular simplex",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="meanwidth", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                       help="worker threads for moments --route mc, limits and search (default: the CPU count)")
-
-    p = sub.add_parser("moments", help="width moments E[W^k] per family and route")
-    p.add_argument("--family", choices=[k.value for k in PolytopeKind], required=True)
-    p.add_argument("--n", type=_int_list, required=True)
-    p.add_argument("--k", type=_int_list, required=True)
-    p.add_argument("--route", choices=["closed", "quadrature", "mc"], required=True)
-    p.add_argument("--samples", type=_positive_int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("extremes", help="expected-maxima comparison table")
-    p.add_argument("--n", type=_int_list, required=True)
-    common(p)
-    p.set_defaults(func=cmd_extremes)
-
-    p = sub.add_parser("limits", help="standardized width sample vs its limit law")
-    p.add_argument("--family", choices=[k.value for k in PolytopeKind], required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_limits)
-
-    p = sub.add_parser("search", help="optimize a sphere configuration against the regular simplex")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--restarts", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_search)
-
+    for name, help_line in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the named command's parser alone costs a third of the full one, which takes
+    # anything else: help, version, an unknown name, and arguments left unrecognized
+    args, rest = None, None
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"meanwidth {argv[0]}")
+        args, rest = _add_command(parser, argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -325,6 +325,15 @@ def max_abs_moments(ns, ks) -> list[dict[int, tuple[float, float]]]:
     return _survival_moments([_max_abs_integral(n, ks) for n in ns])
 
 
+def _range_term(n: int, x, u, v):
+    """exp(-x^2/2) (u^(n-1) - (u - v)^(n-1)) for 0 <= v <= u, u > 0, elementwise:
+    -exp(-x^2/2 + (n-1) log u) expm1((n-1) log1p(-v/u)), one exp for phi and
+    the power, which underflows to +0.0 by itself.  v = u only as t -> 0 in
+    _range_batch, where log1p(-1) = -inf gives the exact u^(n-1)."""
+    with np.errstate(divide="ignore"):
+        return -np.exp((n - 1) * np.log(u) - 0.5 * x * x) * np.expm1((n - 1) * np.log1p(-v / u))
+
+
 def _range_batch(n: int, ts, epsabs: float) -> list[float]:
     """P[max eta_i - min eta_i > t] at every t > 0 of ts: one batch of
     quadratures, each value the one its t gets on its own.
@@ -337,30 +346,21 @@ def _range_batch(n: int, ts, epsabs: float) -> list[float]:
     int_{-t/2}^9 [phi(x) (a^(n-1) - (a - b)^(n-1)) + phi(x + t) (q^(n-1) - (q - p)^(n-1))] dx,
     each bracket -u^(n-1) expm1((n-1) log1p(-v/u)) for (u, v) = (a, b), (q, p),
     without a 1 - CDF cancellation.  One normal_tail(|x|) gives a and p, the
-    smaller of them exactly.  The intervals start at -t/2 + d for d in 0 and
-    _RANGE_OFFSETS, where the mass lies, and end at 9.  Where
-    u <= exp(-760 / (n - 1)), u^(n-1) rounds to +0.0, which pow reaches by a
-    slow underflow path: no pow there.  From n of about 1.4e19 the floor is 1: QuadratureError."""
+    smaller of them exactly; _range_term gives each term.  The intervals start
+    at -t/2 + d for d in 0 and _RANGE_OFFSETS, where the mass lies, and end
+    at 9.  From n of about 1.4e19, u^(n-1) underflows for every double
+    u < 1: QuadratureError."""
     ts = np.asarray(ts, dtype=float)
-    floor = math.exp(-760.0 / (n - 1))
-    if floor == 1.0:  # every power would be skipped and S read 0
+    if math.exp(-760.0 / (n - 1)) == 1.0:  # every u^(n-1) is 0 or 1, which cannot resolve S
         raise QuadratureError(f"the range survival at n={n} needs powers u^(n-1) past double resolution")
-
-    def bracket(u, v):
-        # u^(n-1) - (u - v)^(n-1) for 0 <= v <= u, u > 0; v = u only as t -> 0,
-        # where log1p(-1) = -inf gives the exact bracket u^(n-1)
-        power = np.power(u, n - 1, out=np.zeros_like(u), where=u > floor)
-        with np.errstate(divide="ignore"):
-            return -power * np.expm1((n - 1) * np.log1p(-v / u))
 
     def integrand(x, owners):
         shifted = x + ts[owners][:, None]
         c = normal_tail(np.abs(x))
-        below = x < 0.0
-        a, p = np.where(below, 1.0 - c, c), np.where(below, c, 1.0 - c)
+        d, below = 1.0 - c, x < 0.0
+        a, p = np.where(below, d, c), np.where(below, c, d)
         b = normal_tail(shifted)
-        upper, lower = np.exp(-0.5 * x * x) * bracket(a, b), np.exp(-0.5 * shifted * shifted) * bracket(1.0 - b, p)
-        return (upper + lower) / _SQRT_2PI
+        return (_range_term(n, x, a, b) + _range_term(n, shifted, 1.0 - b, p)) / _SQRT_2PI
 
     edges = np.column_stack((-0.5 * ts[:, None] + (0.0, *_RANGE_OFFSETS), np.full(len(ts), 9.0)))
     values = _quad_batch(integrand, edges, epsabs=epsabs)
@@ -477,7 +477,9 @@ def comparison_reports(ns) -> list[ComparisonReport]:
 
     b_2n is recovered as a_n minus the cancellation-free gap so that the
     normalized gap keeps full relative accuracy even at n = 1e5, where
-    a_n / b_2n - 1 is of order 1e-7.
+    a_n / b_2n - 1 is of order 1e-7.  The flags test the gap against its own
+    error, which A_n's outgrows from n of about 1e10: slepian_ok is
+    gap >= -gap_err and upper_ok gap - gap_err <= m (b_2n + slack), m = sqrt(2n/(2n-1)) - 1.
     """
     ns = list(ns)
     moments = _survival_moments([q for n in ns for q in (_max_abs_integral(n, (1,)), _gap_integral(n))])
@@ -485,8 +487,10 @@ def comparison_reports(ns) -> list[ComparisonReport]:
     for n, a, gap in zip(ns, moments[::2], moments[1::2]):
         (a_n, a_err), (gap_n, gap_err) = a[1], gap[1]
         b_2n, slack = a_n - gap_n, a_err + gap_err
-        upper_ok = a_n <= math.sqrt(2 * n / (2 * n - 1)) * b_2n + slack
+        # m = x / (sqrt(1 + x) + 1) for x = 1/(2n-1), without cancellation
+        x = 1.0 / (2 * n - 1)
+        upper_ok = gap_n - gap_err <= x / (math.sqrt(1.0 + x) + 1.0) * (b_2n + slack)
         gap_norm = 8.0 * n * math.log(n) * (gap_n / b_2n) if n >= 2 else math.nan
-        reports.append(ComparisonReport(n=n, a_n=a_n, b_2n=b_2n, ratio=a_n / b_2n, slepian_ok=bool(gap_n >= -slack),
+        reports.append(ComparisonReport(n=n, a_n=a_n, b_2n=b_2n, ratio=a_n / b_2n, slepian_ok=bool(gap_n >= -gap_err),
                                         upper_ok=bool(upper_ok), gap_normalized=gap_norm, slack=slack))
     return reports

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -25,6 +26,55 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
     return header, rows
+
+
+CUBE_ARGV = ["moments", "--family", "cube", "--n", "4", "--k", "1", "--route", "closed"]
+PARSER_CASES = [
+    ["--help"], ["-h"], [], ["--version"], *[[name, "--help"] for name in ("moments", "extremes", "limits", "search")],
+    ["bogus"], CUBE_ARGV[:-2], [*CUBE_ARGV[:2], "octagon", *CUBE_ARGV[3:]], ["extremes", "--n", "3,x"],
+    [*CUBE_ARGV, "--fo", "json"], ["moments", "--s", "5"],
+    ["moments", "--family", "cube", "--n=4", "--k", "1", "--route", "closed", "--format=json"],
+    [*CUBE_ARGV, "--bogus", "1"], [*CUBE_ARGV, "extra"], [*CUBE_ARGV, "-x"], [*CUBE_ARGV, "--", "x"],
+    [*CUBE_ARGV, "--"], ["extremes", "--n", "2"], ["extremes", "--n", "2", "--version"],
+]
+
+
+class TestParser:
+    @staticmethod
+    def outcome(capsys, call):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "empty")
+    def test_main_parses_and_fails_as_the_full_parser(self, capsys, monkeypatch, argv, columns):
+        # main parses a command with that command's parser alone; the full
+        # parser, then its command, is the reference: the same bytes and exit
+        # code at both terminal widths, and the same namespace wherever parsing succeeds
+        monkeypatch.setenv("COLUMNS", columns)
+        namespaces = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            namespaces.append(real(self, *args, **kwargs))
+            return namespaces[-1]
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+
+        def reference():
+            args = cli.build_parser().parse_args(argv)
+            namespaces.append((args, []))
+            return args.func(args)
+
+        got = self.outcome(capsys, lambda: main(argv))
+        parsed = namespaces[-1][0] if namespaces and got[0] == EXIT_OK else None
+        assert got == self.outcome(capsys, reference)
+        if parsed is not None:
+            assert vars(parsed) == vars(namespaces[-1][0])
 
 
 class TestUsageErrors:

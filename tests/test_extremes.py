@@ -302,6 +302,52 @@ class TestComparison:
         dists = [abs(g - 1.0) for g in gaps]
         assert all(a > b for a, b in zip(dists, dists[1:]))
 
+    @staticmethod
+    def reports_and_gaps(monkeypatch, ns, replace=None):
+        """comparison_reports(ns) and the (gap, gap_err) of each n from its own
+        batch, gap replaced by replace(a_n, gap, gap_err) when given."""
+        real, gaps = extremes._survival_moments, []
+
+        def spy(integrals, *args, **kwargs):
+            out = real(integrals, *args, **kwargs)
+            for a, gap in zip(out[::2], out[1::2]):
+                value, err = gap[1]
+                gap[1] = (value if replace is None else replace(a[1][0], value, err), err)
+                gaps.append(gap[1])
+            return out
+
+        monkeypatch.setattr(extremes, "_survival_moments", spy)
+        return comparison_reports(ns), gaps
+
+    @staticmethod
+    def upper_margin(n):
+        # sqrt(2n/(2n-1)) - 1
+        with mpmath.workdps(30):
+            return float(mpmath.sqrt(mpmath.mpf(2 * n) / (2 * n - 1)) - 1)
+
+    def test_flags_hold_with_margin_up_to_1e100(self, monkeypatch):
+        # each flag tests the gap against its own error: for 2 <= n <= 1e12 the
+        # margins measured were at least 3.8e3 (Slepian) and 1.95e5 (upper)
+        # times gap_err; n = 1 is the equality case A_1 = sqrt(2) B_2
+        ns = [*range(1, 401), *(int(10 ** (e / 4)) for e in range(9, 49)), 10**15, 10**18, 10**30, 10**100]
+        reports, gaps = self.reports_and_gaps(monkeypatch, ns)
+        for rep, (gap, gap_err) in zip(reports, gaps):
+            assert rep.slepian_ok and rep.upper_ok, rep.n
+            if 2 <= rep.n <= 10**12:
+                assert gap >= 1e3 * gap_err, rep.n
+                assert self.upper_margin(rep.n) * (rep.b_2n + rep.slack) - (gap - gap_err) >= 1e5 * gap_err, rep.n
+
+    @pytest.mark.parametrize("n", [10**10, 10**12])
+    def test_a_wrong_gap_turns_its_flag_false(self, monkeypatch, n):
+        # slack = a_err + gap_err outgrows the gap from n of about 1e10 (130 times
+        # it at 1e12), so flags tested against it held whatever the gap was
+        m = self.upper_margin(n)
+        (low,), _ = self.reports_and_gaps(monkeypatch, [n], lambda a_n, gap, gap_err: -10.0 * gap_err)
+        assert not low.slepian_ok and low.upper_ok
+        # twice the largest gap the upper bound allows, gap <= m (a_n - gap)
+        (high,), _ = self.reports_and_gaps(monkeypatch, [n], lambda a_n, gap, gap_err: 2.0 * m * a_n / (1.0 + m))
+        assert high.slepian_ok and not high.upper_ok
+
 
 class TestGap:
     @pytest.mark.parametrize("n", [10**3, 10**7, 10**9, 10**12])

@@ -12,6 +12,7 @@ from meanwidth.extremes import (
     _TRUNC_EPS,
     _quad_batch,
     _range_batch,
+    _range_term,
     expected_max,
     max_abs_moments,
     range_moments,
@@ -33,6 +34,8 @@ from meanwidth.sampling import McConfig, estimate_moments
 from meanwidth.special import gaussian_abs_moment, normal_tail, normal_tail_inverse
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the n of the range integrand's checks against its pow reference
+POW_NS = [2, 3, 57, 400, 2000, 10**5]
 
 
 def gamma_ratio(n, k):
@@ -266,11 +269,31 @@ class TestRangeEngine:
         with pytest.raises(QuadratureError):
             range_moments([10**9], (1,))
 
-    @pytest.mark.parametrize("n", [2, 3, 57, 400, 2000, 10**5])
-    def test_skipping_the_underflowing_pow_keeps_the_bits(self, monkeypatch, n):
-        # from n = 57 on, part of the nodes have a <= exp(-760 / (n - 1)), where
-        # _range_batch skips pow; t on both sides of the break point 2 t_n,
-        # each with its inner tolerance
+    @pytest.mark.parametrize("n", POW_NS)
+    def test_skipping_the_underflowing_pow_keeps_the_bits(self, n):
+        # from n = 57 on, phi(x) a^(n-1) underflows at part of the nodes; each
+        # term is then the +0.0 the pow path wrote there, never NaN or a stray
+        # subnormal, on a fine grid over each t's folded domain
+        tiny_log = -1076 * math.log(2.0)  # exp of less rounds to 0, with 0.69 to spare
+        underflows = 0
+        for ts, _ in range_grids(n):
+            for t in ts:
+                x = np.linspace(-0.5 * t, 9.0, 21 * 400)
+                for node, u, v in range_brackets(n, x, t):
+                    term = _range_term(n, node, u, v)
+                    assert not np.isnan(term).any() and not np.signbit(term).any()
+                    # exp(-x^2/2 + (n-1) log u), in extended precision, bounds the term
+                    wide = node.astype(np.longdouble)
+                    gone = (n - 1) * np.log(u.astype(np.longdouble)) - 0.5 * wide * wide < tiny_log
+                    assert term[gone].tobytes() == np.zeros(gone.sum()).tobytes()
+                    underflows += int(gone.sum())
+        assert (underflows > 0) == (n >= 57)
+
+    @pytest.mark.parametrize("n", POW_NS)
+    def test_one_exp_integrand_matches_mpmath(self, monkeypatch, n):
+        # the integrand against the same brackets at 40 digits, 210 nodes per t:
+        # within 4 eps (1 + |A|) of each term, A = -x^2/2 + (n-1) log u its exp's
+        # argument, plus a subnormal's spacing
         integrands = []
         real = extremes._quad_batch
 
@@ -279,16 +302,31 @@ class TestRangeEngine:
             return real(f, *args, **kwargs)
 
         monkeypatch.setattr(extremes, "_quad_batch", spy)
-        peak = 2.0 * solve_t_n(n)
-        for ts, epsabs in (([0.05, 0.5 * peak, peak], 1e-13), ([1.01 * peak, peak + 2.0, peak + 8.0], 0.0)):
-            got = _range_batch(n, ts, epsabs)
-            assert [v.hex() for v in got] == [v.hex() for v in full_pow_range_batch(n, ts, epsabs)]
-            # the integrand itself on a fine grid over each t's folded domain, where
-            # the rule's weights could hide a subnormal power lost to the skip
+        for ts, epsabs in range_grids(n):
+            _range_batch(n, ts, epsabs)
             for i, t in enumerate(ts):
-                x = np.linspace(-0.5 * t, 9.0, 21 * 400).reshape(400, 21)
-                owners = np.full(len(x), i)
-                assert integrands[-1](x, owners).tobytes() == full_pow_integrand(n, ts)(x, owners).tobytes()
+                x = np.linspace(-0.5 * t, 9.0, 21 * 10).reshape(10, 21)
+                got = integrands[-1](x, np.full(len(x), i)).ravel()
+                terms = range_brackets(n, x.ravel(), t)
+                with mpmath.workdps(40):
+                    root = mpmath.sqrt(2 * mpmath.pi)
+                    for j, value in enumerate(got.tolist()):
+                        exact = bound = mpmath.mpf(0)
+                        for node, u, v in terms:
+                            node, u, v = (mpmath.mpf(float(w[j])) for w in (node, u, v))
+                            arg = (n - 1) * mpmath.log(u) - node * node / 2
+                            term = -mpmath.exp(arg) * mpmath.expm1((n - 1) * mpmath.log1p(-v / u)) / root
+                            exact += term
+                            bound += 4 * sys.float_info.epsilon * (1 + abs(arg)) * term
+                        assert abs(value - exact) <= bound + 2.0**-1074, (n, t, j, value, exact)
+
+    @pytest.mark.parametrize("n", POW_NS)
+    def test_one_exp_survival_within_the_inner_tolerance_of_pow(self, n):
+        # the survival through the one-exp integrand against the quadrature of
+        # the pow reference, within the inner tolerance max(n epsabs, epsrel S)
+        for ts, epsabs in range_grids(n):
+            for got, want in zip(_range_batch(n, ts, epsabs), full_pow_range_batch(n, ts, epsabs)):
+                assert abs(got - want) <= max(n * epsabs, 1e-12 * want), (n, got, want)
 
     def test_two_point_survival_matches_the_closed_form(self):
         # at n = 2 the range is sqrt(2) |eta|, so S(t) = 2 normal_tail(t / sqrt(2)),
@@ -329,30 +367,40 @@ class TestRangeEngine:
             _range_batch(221, [0.1], 1e-13)
 
 
+def range_grids(n):
+    """The pow tests' t on both sides of the break point 2 t_n, each with its inner tolerance."""
+    peak = 2.0 * solve_t_n(n)
+    return ([0.05, 0.5 * peak, peak], 1e-13), ([1.01 * peak, peak + 2.0, peak + 8.0], 0.0)
+
+
+def range_brackets(n, x, t):
+    """[(node, u, v)] of _range_batch's two terms at the nodes x for t, as
+    its integrand computes them: (x, a, b) and (x + t, 1 - b, p)."""
+    shifted = x + t
+    c = normal_tail(np.abs(x))
+    below = x < 0.0
+    b = normal_tail(shifted)
+    return [(x, np.where(below, 1.0 - c, c), b), (shifted, 1.0 - b, np.where(below, c, 1.0 - c))]
+
+
 def full_pow_integrand(n, ts):
-    """_range_batch's folded integrand with both powers computed at every
-    node: the reference of its pow skip."""
+    """_range_batch's folded integrand with phi and both powers computed
+    apart, pow at every node: the reference of its one-exp terms."""
     ts = np.asarray(ts, dtype=float)
 
-    def bracket(u, v):
-        with np.errstate(divide="ignore"):
-            return -(u ** (n - 1)) * np.expm1((n - 1) * np.log1p(-v / u))
-
     def integrand(x, owners):
-        shifted = x + ts[owners][:, None]
-        c = normal_tail(np.abs(x))
-        below = x < 0.0
-        a, p = np.where(below, 1.0 - c, c), np.where(below, c, 1.0 - c)
-        b = normal_tail(shifted)
-        upper, lower = np.exp(-0.5 * x * x) * bracket(a, b), np.exp(-0.5 * shifted * shifted) * bracket(1.0 - b, p)
-        return (upper + lower) / SQRT_2PI
+        total = 0.0
+        for node, u, v in range_brackets(n, x, ts[owners][:, None]):
+            with np.errstate(divide="ignore"):
+                total = total + np.exp(-0.5 * node * node) * -(u ** (n - 1)) * np.expm1((n - 1) * np.log1p(-v / u))
+        return total / SQRT_2PI
 
     return integrand
 
 
 def full_pow_range_batch(n, ts, epsabs):
     """_range_batch through full_pow_integrand, its edges built one t at a
-    time: the reference of its pow skip and its edge array."""
+    time: the reference of its one-exp terms and its edge array."""
     edges = [(-0.5 * t, *(-0.5 * t + d for d in extremes._RANGE_OFFSETS), 9.0) for t in ts]
     return [n * value for value, _ in _quad_batch(full_pow_integrand(n, ts), edges, epsabs=epsabs)]
 
