@@ -2,12 +2,10 @@
 
 from .extremes import (
     ComparisonReport,
-    ExtremeValueResult,
     NumericalError,
     QuadratureError,
     comparison_reports,
     expected_max,
-    expected_max_abs,
     solve_t_n,
     u_sequence,
 )

@@ -83,8 +83,11 @@ def emit(manifest: dict, rows: list[dict], fmt: str, out_path: str | None) -> No
 
 def make_manifest(command: str, args: argparse.Namespace, seed: int | None) -> dict:
     # threads is an execution detail: results are bit-identical regardless,
-    # so it must not show up in the reproducibility manifest
-    skip = {"func", "format", "out", "threads"}
+    # so it must not show up in the reproducibility manifest; command is its own key
+    skip = {"command", "func", "format", "out", "threads"}
+    if command == "moments" and args.route != "mc":
+        # the closed form and the quadrature read neither samples nor seed
+        skip |= {"samples", "seed"}
     params = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
     manifest = {
         "command": command,

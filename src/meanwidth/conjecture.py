@@ -102,7 +102,7 @@ def random_unit_diagonal_gram(n: int, rng: np.random.Generator) -> GramConfigura
 def _simplex_bound(n: int) -> float:
     """sqrt(n/(n-1)) E max(eta_1..eta_n): one quadrature per n, since bound
     checks repeat the same few n."""
-    return math.sqrt(n / (n - 1)) * expected_max(n).value
+    return math.sqrt(n / (n - 1)) * expected_max(n)[0]
 
 
 def conjecture_bound_check(g: GramConfiguration, cfg: McConfig, threads: int = 1) -> BoundCheck:

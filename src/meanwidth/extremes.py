@@ -24,13 +24,11 @@ __all__ = [
     "NumericalError",
     "QuadratureError",
     "IndefiniteMatrixError",
-    "ExtremeValueResult",
     "ComparisonReport",
     "u_sequence",
     "solve_t_n",
     "max_abs_moments",
     "range_moments",
-    "expected_max_abs",
     "expected_max",
     "expected_max_gap",
     "comparison_reports",
@@ -67,12 +65,6 @@ _PEAK_FRACTIONS = (0.5, 0.75)
 _OUTER_OFFSETS = (1.0, 3.0)
 # range_moments' inner absolute tolerance up to the break point 2 t_n
 _RANGE_EPSABS = 1e-13
-
-
-@dataclass(frozen=True)
-class ExtremeValueResult:
-    value: float
-    abs_error_bound: float
 
 
 @dataclass(frozen=True)
@@ -159,33 +151,34 @@ def _gk21_rows(f, lo, hi, owners):
     return resk * half, err
 
 
-def _quad_batch(f, edges, epsrel: float = _EPSREL, epsabs: float = 0.0):
+def _quad_batch(f, edges, epsrel: float = _EPSREL, epsabs=0.0):
     """The package's one adaptive quadrature, QUADPACK's QAG with the 21-point
     Gauss-Kronrod rule and no extrapolation, for several integrals side by
     side.  Integral i starts from the intervals between the break points of
     edges[i], a row of a 2-D array; each round bisects the interval with the
     largest error estimate (the leftmost of equal ones) of every integral
-    whose estimates sum to more than max(epsabs, epsrel |value|); only
-    range_moments changes the defaults.  f(nodes, owners) maps a 2-D array of
-    nodes elementwise to integrand values, row r belonging to integral
-    owners[r].  Raises QuadratureError when an integral starts from or needs
-    more than _LIMIT intervals.  Returns [(value, error estimate)] in the
-    order of edges; each equals what the integral gets on its own.  Only the
-    integrals that the first round, on every row of edges at once, leaves
-    above tolerance get lists."""
+    whose estimates sum to more than max(epsabs, epsrel |value|), epsabs
+    one floor or one per integral; only range_moments changes the defaults.
+    f(nodes, owners) maps a 2-D array of nodes elementwise to integrand
+    values, row r belonging to integral owners[r].  Raises QuadratureError
+    when an integral starts from or needs more than _LIMIT intervals.
+    Returns [(value, error estimate)] in the order of edges; each equals what
+    the integral gets on its own.  Only the integrals that the first round,
+    on every row of edges at once, leaves above tolerance get lists."""
     edges = np.asarray(edges, dtype=float)
     count, size = edges.shape[0], edges.shape[1] - 1
     if size > _LIMIT:
         raise QuadratureError(f"an integral starts from more than limit={_LIMIT} intervals")
     values, errors = _gk21(f, edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(np.arange(count), size))
     vals, errs = values.reshape(count, size).tolist(), errors.reshape(count, size).tolist()
+    floors = np.broadcast_to(epsabs, count).tolist()
     # integral i: its break points in ascending order, once it needs a bisection
     points, results, todo = {}, [None] * count, range(count)
     while todo:
         split = {}
         for i in todo:
             value, err = math.fsum(vals[i]), math.fsum(errs[i])
-            if err <= max(epsabs, epsrel * abs(value)):
+            if err <= max(floors[i], epsrel * abs(value)):
                 results[i] = (value, err)
                 continue
             if len(errs[i]) >= _LIMIT:
@@ -334,9 +327,10 @@ def _range_term(n: int, x, u, v):
         return -np.exp((n - 1) * np.log(u) - 0.5 * x * x) * np.expm1((n - 1) * np.log1p(-v / u))
 
 
-def _range_batch(n: int, ts, epsabs: float) -> list[float]:
+def _range_batch(n: int, ts, epsabs) -> list[float]:
     """P[max eta_i - min eta_i > t] at every t > 0 of ts: one batch of
-    quadratures, each value the one its t gets on its own.
+    quadratures, each value the one its t gets on its own under the absolute
+    floor epsabs, one for every t or one per t.
 
     With a = normal_tail(x), b = normal_tail(x + t), p = 1 - a and q = 1 - b,
     the survival is n int phi(x) (a^(n-1) - (a - b)^(n-1)) dx over (-t - 9, 9)
@@ -369,21 +363,16 @@ def _range_batch(n: int, ts, epsabs: float) -> list[float]:
 
 def _range_integral(n: int, ks):
     """range_moments' integral for _survival_moments: the survival function
-    of the range, inner tolerance epsabs = _RANGE_EPSABS up to the break point 2 t_n."""
+    of the range, one _range_batch per call on all its nodes, each t with the
+    inner absolute floor _RANGE_EPSABS up to the break point 2 t_n and none past it."""
     if n < 2:
         raise ValueError(f"range needs n >= 2, got {n}")
     peak = 2.0 * solve_t_n(n)
 
     def surv(t):
         # outer nodes lie inside (0, T), so every t > 0
-        out = np.empty_like(t)
-        body = t <= peak
-        # the nodes of one bisection mostly lie on one side of the break point
-        if body.any():
-            out[body] = _range_batch(n, t[body], _RANGE_EPSABS)
-        if not body.all():
-            out[~body] = _range_batch(n, t[~body], 0.0)
-        return out
+        ts = t.ravel()
+        return np.reshape(_range_batch(n, ts, np.where(ts <= peak, _RANGE_EPSABS, 0.0)), t.shape)
 
     # range > t forces max > t/2 or -min > t/2, so the survival function is
     # bounded by 2n normal_tail(t/2)
@@ -405,21 +394,15 @@ def range_moments(ns, ks) -> list[dict[int, tuple[float, float]]]:
     + epsrel below the break point, epsrel S past it, so n epsabs + epsrel
     times peak^k plus epsrel times the moment.  The outer quadratures of every n and k run as
     one batch that computes each interval's survival values once, and the
-    inner quadratures of one outer call's nodes run as one batch per side of
-    the break point."""
+    inner quadratures of one outer call's nodes run as one batch, with a
+    floor per t."""
     integrals = [_range_integral(n, ks) for n in ns]
     return [{k: (v, e + (n * _RANGE_EPSABS + _EPSREL) * peak**k + _EPSREL * abs(v)) for k, (v, e) in moments.items()}
             for n, (*_, peak, _), moments in zip(ns, integrals, _survival_moments(integrals, epsrel=1e-11))]
 
 
-def expected_max_abs(n: int) -> ExtremeValueResult:
-    """A_n = E max(|eta_1|, ..., |eta_n|), the k = 1 case of max_abs_moments."""
-    value, err = max_abs_moments([n], (1,))[0][1]
-    return ExtremeValueResult(value=value, abs_error_bound=err)
-
-
-def expected_max(m: int) -> ExtremeValueResult:
-    """B_m = E max(eta_1, ..., eta_m), one survival integral.
+def expected_max(m: int) -> tuple[float, float]:
+    """(B_m, error bound), B_m = E max(eta_1, ..., eta_m), one survival integral.
 
     With G = Phi^m the CDF of the max, B_m = int_0^inf (1 - G) dt -
     int_{-inf}^0 G dt, and int_{-inf}^0 Phi(t)^m dt = int_0^inf
@@ -434,8 +417,7 @@ def expected_max(m: int) -> ExtremeValueResult:
         return -np.expm1(m * np.log1p(-r)) - r**m
 
     # 0 <= 1 - Phi^m - normal_tail^m <= 1 - Phi^m <= m normal_tail(t)
-    value, err = _survival_moments([(surv, (1,), m, solve_t_n(m), 1.0)])[0][1]
-    return ExtremeValueResult(value=value, abs_error_bound=err)
+    return _survival_moments([(surv, (1,), m, solve_t_n(m), 1.0)])[0][1]
 
 
 def _gap_integral(n: int):
@@ -455,8 +437,8 @@ def _gap_integral(n: int):
     return diff, (1,), 2 * n, solve_t_n(n), 1.0
 
 
-def expected_max_gap(n: int) -> ExtremeValueResult:
-    """The difference A_n - B_{2n}, one survival integral computed without cancellation.
+def expected_max_gap(n: int) -> tuple[float, float]:
+    """(A_n - B_{2n}, error bound), one survival integral computed without cancellation.
 
     With r = normal_tail(t), F_n = (1 - 2r)^n the CDF of max |eta_i| and
     G_n = (1 - r)^(2n) that of the max of 2n, A_n - B_{2n} =
@@ -466,8 +448,7 @@ def expected_max_gap(n: int) -> ExtremeValueResult:
     The direct subtraction of two ~sqrt(2 log n)-sized quadratures would lose
     every significant digit of the O(1 / (n sqrt(log n))) gap.
     """
-    value, err = _survival_moments([_gap_integral(n)])[0][1]
-    return ExtremeValueResult(value=value, abs_error_bound=err)
+    return _survival_moments([_gap_integral(n)])[0][1]
 
 
 def comparison_reports(ns) -> list[ComparisonReport]:

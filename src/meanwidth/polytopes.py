@@ -22,7 +22,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .extremes import _SQRT_2PI, expected_max, expected_max_abs, max_abs_moments, range_moments
+from .extremes import _SQRT_2PI, expected_max, max_abs_moments, range_moments
 from .special import (
     _EPS, _gaussian_abs_moment_rounding, gaussian_abs_moment, log_half_gamma_ratio,
 )
@@ -212,7 +212,7 @@ def sudakov_v1(p: RegularPolytope) -> float:
     if p.kind is PolytopeKind.CUBE:
         return float(p.n)
     if p.kind is PolytopeKind.SIMPLEX_T:
-        return _SQRT_2PI * math.sqrt(p.n / (p.n - 1)) * expected_max(p.n).value
+        return _SQRT_2PI * math.sqrt(p.n / (p.n - 1)) * expected_max(p.n)[0]
     if p.kind is PolytopeKind.SIMPLEX_S:
         return math.sqrt((p.n - 1) / p.n) * sudakov_v1(RegularPolytope(PolytopeKind.SIMPLEX_T, p.n))
-    return _SQRT_2PI * expected_max_abs(p.n).value
+    return _SQRT_2PI * max_abs_moments([p.n], (1,))[0][1][0]

@@ -423,6 +423,49 @@ class TestMomentsOutput:
         assert abs(value - width_moment_cube(3, 2).value) < 4.0 * error
 
 
+_MOMENTS = ["moments", "--family", "cube", "--n", "3", "--k", "1"]
+
+
+class TestManifest:
+    """The parameters line records what the command reads: command is the
+    manifest's own key, and of moments' routes only mc reads samples and seed."""
+
+    @pytest.mark.parametrize(
+        "argv, parameters",
+        [
+            ([*_MOMENTS, "--route", "closed", "--seed", "5"], {"route": "closed"}),
+            ([*_MOMENTS, "--route", "quadrature", "--samples", "10", "--seed", "5"], {"route": "quadrature"}),
+            ([*_MOMENTS, "--route", "mc", "--samples", "1000", "--seed", "5"],
+             {"route": "mc", "samples": "1000", "seed": "5"}),
+        ],
+        ids=["closed", "quadrature", "mc"],
+    )
+    def test_moments_routes(self, capsys, argv, parameters):
+        code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+        assert code == EXIT_OK
+        manifest = json.loads(out)["manifest"]
+        assert manifest["command"] == "moments"
+        assert manifest["parameters"] == {"family": "cube", "k": "[1]", "n": "[3]", **parameters}
+
+    def test_the_csv_header_line(self, capsys):
+        _, out, _ = run_cli(capsys, [*_MOMENTS, "--route", "closed"])
+        assert '# parameters = {"family": "cube", "k": "[1]", "n": "[3]", "route": "closed"}' in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "argv, parameters",
+        [
+            (["extremes", "--n", "3"], {"n": "[3]"}),
+            (["limits", "--family", "cross", "--n", "5", "--samples", "100", "--seed", "1"],
+             {"family": "cross", "n": "5", "samples": "100", "seed": "1"}),
+        ],
+        ids=["extremes", "limits"],
+    )
+    def test_other_commands(self, capsys, argv, parameters):
+        code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["manifest"]["parameters"] == parameters
+
+
 class TestExtremesOutput:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, ["extremes", "--n", "1,10,100"])
