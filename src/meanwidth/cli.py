@@ -117,7 +117,8 @@ def cmd_moments(args) -> int:
         # the cube's closed form on either route; every n of a quadrature in one batch
         each = family_width_moments(family, args.n, args.k)
     rows = [_moment_row(ests[k]) for ests in each for k in args.k]
-    emit(make_manifest("moments", args, args.seed), rows, args.format, args.out)
+    # only mc reads the seed
+    emit(make_manifest("moments", args, args.seed if args.route == "mc" else None), rows, args.format, args.out)
     return EXIT_OK
 
 

@@ -100,8 +100,8 @@ def random_unit_diagonal_gram(n: int, rng: np.random.Generator) -> GramConfigura
 
 @functools.lru_cache(maxsize=64)
 def _simplex_bound(n: int) -> float:
-    """sqrt(n/(n-1)) E max(eta_1..eta_n): one quadrature per n, since bound
-    checks repeat the same few n."""
+    """sqrt(n/(n-1)) E max(eta_1..eta_n): a closed form up to n = 5, one
+    quadrature per n past it, kept since bound checks repeat the same few n."""
     return math.sqrt(n / (n - 1)) * expected_max(n)[0]
 
 

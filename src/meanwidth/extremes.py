@@ -1,10 +1,10 @@
 """Expected extremes of independent Gaussian samples, by quadrature.
 
 Computes A_n = E max(|eta_1|, ..., |eta_n|), B_m = E max(eta_1, ..., eta_m)
-and the higher moments of max |eta_i| and of the range max eta_i - min eta_i
-as integrals of survival functions, all through the package's one adaptive
-quadrature, _quad_batch; the centering sequence u_n, the quantile sequence
-t_n, and the two comparison inequalities
+(in closed form for m <= 5) and the higher moments of max |eta_i| and of the
+range max eta_i - min eta_i as integrals of survival functions, all through
+the package's one adaptive quadrature, _quad_batch; the centering sequence
+u_n, the quantile sequence t_n, and the two comparison inequalities
 
     B_{2n} <= A_n <= sqrt(2n/(2n-1)) * B_{2n},
     A_n / B_{2n} = 1 + (1 + o(1)) / (8 n log n).
@@ -35,6 +35,14 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+_ASIN_THIRD = math.asin(1.0 / 3.0)
+# B_1, ..., B_5 in closed form (Bose and Gupta, Biometrika 46, 1959)
+_CLOSED_MAX = (0.0, 1.0 / _SQRT_PI, 1.5 / _SQRT_PI, 1.5 / _SQRT_PI * (1.0 + 2.0 / math.pi * _ASIN_THIRD),
+               1.25 / _SQRT_PI * (1.0 + 6.0 / math.pi * _ASIN_THIRD))
+# their rounding bound in eps relative: math.pi, 1/3, sqrt and asin each add at
+# most an ulp, the rest one rounding each, which sums to about 3.2 eps at B_5
+_CLOSED_MAX_EPS = 4.0
 # survival-function mass cut off beyond each quadrature's upper limit
 _TRUNC_EPS = 1e-16
 
@@ -401,8 +409,8 @@ def range_moments(ns, ks) -> list[dict[int, tuple[float, float]]]:
             for n, (*_, peak, _), moments in zip(ns, integrals, _survival_moments(integrals, epsrel=1e-11))]
 
 
-def expected_max(m: int) -> tuple[float, float]:
-    """(B_m, error bound), B_m = E max(eta_1, ..., eta_m), one survival integral.
+def _max_integral(m: int):
+    """expected_max's integral for _survival_moments: 1 - Phi^m - normal_tail^m.
 
     With G = Phi^m the CDF of the max, B_m = int_0^inf (1 - G) dt -
     int_{-inf}^0 G dt, and int_{-inf}^0 Phi(t)^m dt = int_0^inf
@@ -417,7 +425,19 @@ def expected_max(m: int) -> tuple[float, float]:
         return -np.expm1(m * np.log1p(-r)) - r**m
 
     # 0 <= 1 - Phi^m - normal_tail^m <= 1 - Phi^m <= m normal_tail(t)
-    return _survival_moments([(surv, (1,), m, solve_t_n(m), 1.0)])[0][1]
+    return surv, (1,), m, solve_t_n(m), 1.0
+
+
+def expected_max(m: int) -> tuple[float, float]:
+    """(B_m, error bound), B_m = E max(eta_1, ..., eta_m): for m <= 5 the
+    closed form _CLOSED_MAX with its rounding bound, which loads no
+    scipy.special; past it one survival integral, _max_integral."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    if m <= len(_CLOSED_MAX):
+        value = _CLOSED_MAX[m - 1]
+        return value, _CLOSED_MAX_EPS * _EPS * value
+    return _survival_moments([_max_integral(m)])[0][1]
 
 
 def _gap_integral(n: int):
@@ -443,7 +463,7 @@ def expected_max_gap(n: int) -> tuple[float, float]:
     With r = normal_tail(t), F_n = (1 - 2r)^n the CDF of max |eta_i| and
     G_n = (1 - r)^(2n) that of the max of 2n, A_n - B_{2n} =
     int_0^inf (G_n(t) - F_n(t) + r^(2n)) dt (the r^(2n) term is B_2n's part
-    below 0, as in expected_max).  G_n - F_n is evaluated as
+    below 0, as in _max_integral).  G_n - F_n is evaluated as
     G_n * -expm1(-delta), delta = log(G_n / F_n) = n log1p(r^2 / (1 - 2r)).
     The direct subtraction of two ~sqrt(2 log n)-sized quadratures would lose
     every significant digit of the O(1 / (n sqrt(log n))) gap.

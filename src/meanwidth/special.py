@@ -3,7 +3,8 @@
 Everything here is a pure, stateless function: the standard normal tail,
 the half-step log gamma ratio and absolute Gaussian moments.  The gamma
 function comes from math; scipy.special, which the normal tail's erfc needs,
-is imported on first use, so a run without quadrature never loads it.
+is imported on first use: by a quadrature (B_m for m <= 5 is a closed form
+and runs none) or by the normal and Gumbel-sum limit laws.
 """
 
 from __future__ import annotations

@@ -431,21 +431,22 @@ class TestManifest:
     manifest's own key, and of moments' routes only mc reads samples and seed."""
 
     @pytest.mark.parametrize(
-        "argv, parameters",
+        "argv, parameters, seed",
         [
-            ([*_MOMENTS, "--route", "closed", "--seed", "5"], {"route": "closed"}),
-            ([*_MOMENTS, "--route", "quadrature", "--samples", "10", "--seed", "5"], {"route": "quadrature"}),
+            ([*_MOMENTS, "--route", "closed", "--seed", "5"], {"route": "closed"}, None),
+            ([*_MOMENTS, "--route", "quadrature", "--samples", "10", "--seed", "5"], {"route": "quadrature"}, None),
             ([*_MOMENTS, "--route", "mc", "--samples", "1000", "--seed", "5"],
-             {"route": "mc", "samples": "1000", "seed": "5"}),
+             {"route": "mc", "samples": "1000", "seed": "5"}, 5),
         ],
         ids=["closed", "quadrature", "mc"],
     )
-    def test_moments_routes(self, capsys, argv, parameters):
+    def test_moments_routes(self, capsys, argv, parameters, seed):
         code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
         assert code == EXIT_OK
         manifest = json.loads(out)["manifest"]
         assert manifest["command"] == "moments"
         assert manifest["parameters"] == {"family": "cube", "k": "[1]", "n": "[3]", **parameters}
+        assert manifest["seed"] == seed
 
     def test_the_csv_header_line(self, capsys):
         _, out, _ = run_cli(capsys, [*_MOMENTS, "--route", "closed"])

@@ -13,6 +13,7 @@ from meanwidth import extremes
 from meanwidth.extremes import (
     _TRUNC_EPS,
     QuadratureError,
+    _max_integral,
     _survival_moments,
     comparison_reports,
     expected_max,
@@ -22,7 +23,7 @@ from meanwidth.extremes import (
     u_sequence,
 )
 from meanwidth.sampling import McConfig
-from meanwidth.special import gaussian_abs_moment, normal_tail, normal_tail_inverse
+from meanwidth.special import _EPS, gaussian_abs_moment, normal_tail, normal_tail_inverse
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 EULER_GAMMA = 0.5772156649015329
@@ -217,19 +218,28 @@ class TestExpectedMax:
         value, err = expected_max(m)
         assert abs(value - exact) <= err
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 36, 52, 53, 54, 1075, 1076, 2000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 36, 52, 53, 54, 1075, 1076, 2000])
     def test_against_mpmath_within_the_error_bound(self, m):
-        # the negative part's envelope 2^(1-m) reaches the cut-off's clamp at
-        # m = 53 and underflows to 0 at m = 1076
-        with mpmath.workdps(30):
+        # m <= 5 takes the closed forms; the negative part's envelope 2^(1-m)
+        # reaches the cut-off's clamp at m = 53 and underflows to 0 at m = 1076
+        with mpmath.workdps(40):
             def density(t):
                 return t * m * mpmath.npdf(t) * mpmath.ncdf(t) ** (m - 1)
 
             exact = mpmath.quad(density, [-mpmath.inf, -8, -4, -2, 0, 1, 2, 2.5, 3, 3.5, 4, 5, 6, 8, 12, mpmath.inf])
         value, err = expected_max(m)
-        assert abs(value - exact) <= err
+        # 1e-35 is the reference's own error (4e-42 at m = 1, where B_1 = 0 is exact and err = 0)
+        assert abs(value - exact) <= err + 1e-35
         if m == 1:
             assert value == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_closed_forms_against_the_quadrature(self, m):
+        # the survival integral that expected_max runs past m = 5, as the second route
+        value, err = expected_max(m)
+        quad_value, quad_err = _survival_moments([_max_integral(m)])[0][1]
+        assert abs(value - quad_value) <= err + quad_err
+        assert err <= 8.0 * _EPS * value
 
     @pytest.mark.parametrize("m", [10, 36])
     def test_negative_part_keeps_the_bound_tight(self, m):

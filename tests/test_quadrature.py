@@ -363,7 +363,8 @@ class TestIntegrandsAgainstScipy:
         calls = _capture(monkeypatch, extremes, "_quad_batch")
         for n in (1, 4):
             max_abs_moments([n], (2,))
-            expected_max(n)
+            # B_m's integral itself: expected_max takes the closed form at m <= 5
+            extremes._survival_moments([extremes._max_integral(n)])
             expected_max_gap(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -404,6 +405,8 @@ _MC = ["--route", "mc", "--samples", "2000", "--seed", "1"]
           for family in ("cube", "simplex-s", "simplex-t", "cross")),
         ["moments", "--family", "cube", "--n", "5", "--k", "1,3", "--route", "closed"],
         ["limits", "--family", "cross", "--n", "20", "--samples", "2000", "--seed", "1"],
+        # the regular simplex's E max has a closed form up to n = 5
+        *(["search", "--n", str(n), "--restarts", "1", "--samples", "2000", "--seed", "1"] for n in range(2, 6)),
         ["--help"],
         ["moments", "--family", "bogus"],
     ],
@@ -415,6 +418,12 @@ def test_runs_without_quadrature_leave_out_scipy_special(argv):
 
 def test_quadrature_run_loads_scipy_special():
     assert "scipy.special" in _modules_after_cli(["extremes", "--n", "3"])
+
+
+def test_search_past_the_closed_forms_loads_scipy_special():
+    # n = 6 is the first regular simplex whose E max takes a quadrature
+    argv = ["search", "--n", "6", "--restarts", "1", "--samples", "2000", "--seed", "1"]
+    assert "scipy.special" in _modules_after_cli(argv)
 
 
 def test_normal_tail_keeps_scipy_erfc_bits():
@@ -434,13 +443,24 @@ class TestOneBatchPerSurvivalMoment:
         assert len(calls) == 1
         assert len(calls[0][0][1]) == 4
 
-    @pytest.mark.parametrize("run", [expected_max, expected_max_gap], ids=["B_m", "gap"])
+    @pytest.mark.parametrize(
+        "run",
+        # B_m's integral itself: expected_max takes the closed form at m <= 5
+        [lambda n: extremes._survival_moments([extremes._max_integral(n)]), expected_max_gap],
+        ids=["B_m", "gap"],
+    )
     @pytest.mark.parametrize("n", [1, 2, 50])
     def test_each_extreme_value_is_one_integral(self, monkeypatch, run, n):
         calls = _capture(monkeypatch, extremes, "_quad_batch")
         run(n)
         assert len(calls) == 1
         assert len(calls[0][0][1]) == 1
+
+    @pytest.mark.parametrize("m, batches", [(1, 0), (5, 0), (6, 1), (50, 1)])
+    def test_expected_max_integrates_only_past_the_closed_forms(self, monkeypatch, m, batches):
+        calls = _capture(monkeypatch, extremes, "_quad_batch")
+        expected_max(m)
+        assert len(calls) == batches
 
     def test_an_extremes_command_is_one_batch(self, monkeypatch, capsys):
         # A_n and the gap of every n side by side

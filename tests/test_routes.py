@@ -87,6 +87,15 @@ def closed(value):
     return value, math.ulp(value), 0.0
 
 
+def tetrahedron_edges():
+    """V1 of the regular tetrahedron T_3 (unit circumradius) from its edges,
+    sum of length (pi - dihedral angle) / (2 pi): six edges of length
+    sqrt(8/3) at the dihedral angle arccos(1/3).  A route through geometry
+    alone, independent of B_4; 8 eps covers the formula's rounding."""
+    value = 6.0 * math.sqrt(8.0 / 3.0) * (math.pi - math.acos(1.0 / 3.0)) / (2.0 * math.pi)
+    return value, 8.0 * EPS * value, 0.0
+
+
 # ---- the table ------------------------------------------------------------
 
 # (command, column, case, route a, route b); the routes run when the row's test does
@@ -98,6 +107,7 @@ ROUTES = [
     *[("extremes", "b_2n", f"n{n}", (report, n, "b_2n"), (max_of, 2 * n)) for n in (1, 5, 40)],
     ("search", "regular_value", "n2", (sudakov, PolytopeKind.SIMPLEX_T, 2), (closed, 2.0)),
     ("search", "regular_value", "n3", (sudakov, PolytopeKind.SIMPLEX_T, 3), (closed, 1.5 * math.sqrt(3.0))),
+    ("search", "regular_value", "n4", (sudakov, PolytopeKind.SIMPLEX_T, 4), (tetrahedron_edges,)),
 ]
 
 
