@@ -16,7 +16,6 @@ import numpy as np
 from .extremes import u_sequence
 from .polytopes import PolytopeKind, RegularPolytope
 from .sampling import McConfig, _map_chunks, width_samples
-from .special import _scipy_special
 
 __all__ = [
     "LIMIT_VAR",
@@ -30,6 +29,16 @@ __all__ = [
 # variance of the cube width's normal limit, from the bivariate CLT behind it:
 # Var|eta| - (E|eta|)^2 / 2 = (pi - 2)/pi - 1/pi
 LIMIT_VAR = (math.pi - 3.0) / math.pi
+
+_EULER_GAMMA = 0.5772156649015329
+# _z_k1's series coefficients for k < 13 (the first left out is below 1e-20 at z <= 2):
+# c_k = 1/(k! (k+1)!) and d_k = c_k (psi(k+1) + psi(k+2))/2, with psi(k+1) = H_k - gamma
+_HARMONIC = [math.fsum(1.0 / j for j in range(1, k + 1)) for k in range(14)]
+_K1_C = [1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(13)]
+_K1_D = [c * ((_HARMONIC[k] + _HARMONIC[k + 1]) / 2.0 - _EULER_GAMMA) for k, c in enumerate(_K1_C)]
+# past z = 2, the trapezoid rule's nodes u = j/4 (j = 0 ... 25) and weights e^(-u^2)/4, halved at u = 0
+_U2 = [(j / 4.0) ** 2 for j in range(26)]
+_W = [math.exp(-u2) / (4.0 if u2 else 8.0) for u2 in _U2]
 
 
 class LimitLaw(str, enum.Enum):
@@ -65,30 +74,45 @@ def standardized_sample(p: RegularPolytope, cfg: McConfig, threads: int = 1) -> 
     the law it tends to; the bits do not depend on threads."""
     law = _FAMILY_LAWS[p.kind]
     standardize(p, np.empty(0))  # an n it cannot standardize fails here, before any draw
-    if law in (LimitLaw.NORMAL_LIMIT_VAR, LimitLaw.GUMBEL_SUM):
-        # these CDFs need scipy.special: imported after the threaded draws, its
-        # objects raised the next run's peak RSS by 4 MB
-        _scipy_special()
     widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, threads))
     return law, np.sort(standardize(p, widths))
 
 
+def _z_k1(z: np.ndarray) -> np.ndarray:
+    """z K1(z) for an array of z >= 0, by limit_cdf's two branches."""
+    out = np.empty_like(z)
+    near = z <= 2.0
+    # z = 0 (x past about 1490) would make z^2 log(z/2) a NaN; the floor gives 1, as any z below 1e-9 does
+    zn = np.maximum(z[near], np.finfo(float).tiny)
+    q = zn * zn / 4.0
+    out[near] = 1.0 + 2.0 * q * (np.log(zn / 2.0) * np.polyval(_K1_C[::-1], q) - np.polyval(_K1_D[::-1], q))
+    # e^(-z) is 0 from z ~ 745; the clamp keeps z = inf (x = -inf) from giving inf/inf
+    zf = np.minimum(z[~near], 800.0)
+    out[~near] = 2.0 * np.exp(-zf) * sum(w * (zf + u2) / np.sqrt(2.0 * zf + u2) for u2, w in zip(_U2, _W))
+    return out
+
+
 def limit_cdf(law: LimitLaw, x):
-    """CDF of a limit law; scalars or arrays."""
+    """CDF of a limit law; a float for a scalar, else an array.
+
+    The normal law's is erfc(-y / sqrt(2 LIMIT_VAR)) / 2, by math.erfc point by
+    point.  For the Gumbel sum, s = e^(-G2) gives P[G1 + G2 <= x] = int_0^inf
+    exp(-s - e^(-x)/s) ds = z K1(z), z = 2 e^(-x/2).  For z <= 2, A&S 9.6.11
+    (K1 = 1/z + log(z/2) I1 - (z/4) sum_k (psi(k+1) + psi(k+2)) (z^2/4)^k / (k! (k+1)!),
+    I1 = (z/2) sum_k (z^2/4)^k / (k! (k+1)!)) yields _z_k1's series.  Past it,
+    u = sqrt(2z) sinh(t/2) in K1(z) = int_0^inf e^(-z cosh t) cosh t dt gives z K1(z)
+    = 2 e^(-z) int_0^inf e^(-u^2) (z + u^2) / sqrt(2z + u^2) du, whose even integrand
+    is analytic for |Im u| < sqrt(2z), at least 2: the trapezoid rule at h = 1/4
+    errs by about e^(4 - 16 pi) < 1e-19, and the nodes past u = 6.25 add under e^(-42)."""
     law = LimitLaw(law)
     arr = np.asarray(x, dtype=float)
     if law is LimitLaw.TWO_GUMBEL:
         out = np.exp(-np.exp(-arr / 2.0))
     elif law is LimitLaw.NORMAL_LIMIT_VAR:
-        out = _scipy_special().ndtr(arr / math.sqrt(LIMIT_VAR))
+        y = (arr.ravel() / -math.sqrt(2.0 * LIMIT_VAR)).tolist()
+        out = 0.5 * np.fromiter(map(math.erfc, y), float, arr.size).reshape(arr.shape)
     else:
-        # P[G1 + G2 <= x] = z K1(z) with z = 2 exp(-x/2), since
-        # d/dz [z K1(z)] = -z K0(z).  Below z = 1e-300 (where K1(z) ~ 1/z
-        # overflows) z K1(z) rounds to 1; past z ~ 700 K1 underflows to 0.
-        z = 2.0 * np.exp(-arr / 2.0)
-        out = np.where(z < 1e-300, 1.0, 0.0)
-        ok = (z >= 1e-300) & (z < 690.0)
-        out[ok] = z[ok] * _scipy_special().k1(z[ok])
+        out = _z_k1(2.0 * np.exp(-arr / 2.0))
     return out if out.ndim else float(out)
 
 

@@ -3,8 +3,8 @@
 Everything here is a pure, stateless function: the standard normal tail,
 the half-step log gamma ratio and absolute Gaussian moments.  The gamma
 function comes from math; scipy.special, which the normal tail's erfc needs,
-is imported on first use: by a quadrature (B_m for m <= 5 is a closed form
-and runs none) or by the normal and Gumbel-sum limit laws.
+is imported on first use, and only the quadratures use it (B_m for m <= 5 is
+a closed form and runs none; the limit laws' CDFs take math and numpy).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _LGAMMA_ULPS = 3.0
 @functools.cache
 def _scipy_special():
     """scipy.special, imported on the first call: the package's one import of
-    it, which costs more than numpy's and only quadratures and limit laws need."""
+    it, which costs more than numpy's and which only the quadratures need."""
     from scipy import special
 
     return special

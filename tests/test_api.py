@@ -60,6 +60,14 @@ def test_only_extremes_binds_the_quadrature_internals(module):
     assert bound == (names if module is extremes else set()), bound
 
 
+@pytest.mark.parametrize("module", [meanwidth, cli, *MODULES], ids=lambda m: m.__name__)
+def test_only_special_imports_scipy(module):
+    # scipy.special serves the quadratures alone: the limit laws' CDFs take math and numpy
+    imports = re.search(r"^\s*(from|import)\s+scipy\b", inspect.getsource(module), re.M)
+    assert bool(imports) == (module is special)
+    assert ("_scipy_special" in vars(module)) == (module is special)
+
+
 def test_cli_binds_no_sampling_or_special_internals():
     # the CLI draws its standardized limits sample through limits, the one
     # place that pairs a family with its law

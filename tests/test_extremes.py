@@ -207,16 +207,19 @@ class TestExpectedMax:
 
     @pytest.mark.parametrize(
         "m, exact",
+        # 30 digits of B_m from an mpmath route apart from _CLOSED_MAX's formulas: at mpmath.mp.dps = 40,
+        # mpmath.quad(lambda t: t * m * mpmath.npdf(t) * mpmath.ncdf(t) ** (m - 1), [-mpmath.inf, -4, 0, 4, mpmath.inf])
         [
-            (4, 3.0 / (2.0 * math.sqrt(math.pi)) * (1.0 + 2.0 / math.pi * math.asin(1.0 / 3.0))),
-            (5, 5.0 / (4.0 * math.sqrt(math.pi)) * (1.0 + 6.0 / math.pi * math.asin(1.0 / 3.0))),
-            (2, 1.0 / math.sqrt(math.pi)),
-            (3, 3.0 / (2.0 * math.sqrt(math.pi))),
+            (2, "0.564189583547756286948079451561"),
+            (3, "0.846284375321634430422119177341"),
+            (4, "1.02937537300396413205698664698"),
+            (5, "1.16296447364051961277226798855"),
         ],
     )
     def test_m4_m5_closed_forms_within_the_error_bound(self, m, exact):
         value, err = expected_max(m)
-        assert abs(value - exact) <= err
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(value) - mpmath.mpf(exact)) <= err
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 36, 52, 53, 54, 1075, 1076, 2000])
     def test_against_mpmath_within_the_error_bound(self, m):

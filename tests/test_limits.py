@@ -1,6 +1,7 @@
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -8,6 +9,7 @@ from scipy import integrate, special
 from meanwidth.limits import (
     LIMIT_VAR,
     LimitLaw,
+    _z_k1,
     ks_statistic,
     limit_cdf,
     standardize,
@@ -166,6 +168,81 @@ class TestGumbelSum:
         assert np.array_equal(gumbel_sum_density(xs), [0.0, 0.0])
         assert np.array_equal(limit_cdf(LimitLaw.GUMBEL_SUM, xs), [1.0, 1.0])
         assert limit_cdf(LimitLaw.GUMBEL_SUM, 1500.0) == 1.0
+
+
+EPS = float(np.finfo(float).eps)
+SIGMA = math.sqrt(LIMIT_VAR)
+
+
+def _mp_z_k1(z):
+    """z K1(z) at the exact value of z, to 30 digits."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(z)
+        return z * mpmath.besselk(1, z)
+
+
+def _mp_limit_cdf(law, x):
+    """limit_cdf's oracle at the exact value of x, to 30 digits."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+        if law is LimitLaw.NORMAL_LIMIT_VAR:
+            return mpmath.ncdf(x / mpmath.sqrt((mpmath.pi - 3) / mpmath.pi))
+        return _mp_z_k1(2 * mpmath.exp(-x / 2))
+
+
+class TestNumpyCdfs:
+    """The Gumbel-sum CDF z K1(z) (a series up to z = 2, a trapezoid rule past
+    it) and the normal CDF through math.erfc, against 30-digit mpmath."""
+
+    @pytest.mark.parametrize(
+        "zs",
+        [np.geomspace(1e-300, 700.0, 301), np.linspace(1e-3, 6.0, 301), np.nextafter(2.0, [0.0, 2.0, 4.0])],
+        ids=["1e-300..700", "0..6", "around-2"],
+    )
+    def test_z_k1_within_8_eps_relative(self, zs):
+        got = _z_k1(zs)
+        for z, value in zip(zs, got):
+            exact = _mp_z_k1(z)
+            if exact >= np.finfo(float).tiny:  # a normal double
+                assert abs(value - exact) <= 8.0 * EPS * exact, z
+
+    @pytest.mark.parametrize(
+        "law, xs",
+        [
+            (LimitLaw.GUMBEL_SUM, np.linspace(-13.0, 1500.0, 301)),
+            (LimitLaw.GUMBEL_SUM, np.linspace(-13.0, 30.0, 301)),
+            (LimitLaw.NORMAL_LIMIT_VAR, np.linspace(-12.0 * SIGMA, 12.0 * SIGMA, 401)),
+        ],
+        ids=["gumbel-sum-wide", "gumbel-sum-bulk", "normal"],
+    )
+    def test_limit_cdf_within_4_eps_absolute(self, law, xs):
+        got = limit_cdf(law, xs)
+        for x, value in zip(xs, got):
+            assert abs(value - _mp_limit_cdf(law, x)) <= 4.0 * EPS, x
+
+    def test_normal_cdf_within_1e_13_relative(self):
+        ys = np.linspace(-8.0 * SIGMA, 8.0 * SIGMA, 401)
+        for y, value in zip(ys, limit_cdf(LimitLaw.NORMAL_LIMIT_VAR, ys)):
+            exact = _mp_limit_cdf(LimitLaw.NORMAL_LIMIT_VAR, y)
+            assert abs(value - exact) <= 1e-13 * exact, y
+
+    @pytest.mark.parametrize("law", list(LimitLaw))
+    def test_infinities(self, law):
+        assert limit_cdf(law, -math.inf) == 0.0
+        assert limit_cdf(law, math.inf) == 1.0
+        assert np.array_equal(limit_cdf(law, np.array([-np.inf, np.inf])), [0.0, 1.0])
+
+    @pytest.mark.parametrize("law", list(LimitLaw))
+    @pytest.mark.parametrize("x", [-1.5, 0.0, 3.0, np.float64(0.25), np.array(0.5)])
+    def test_scalar_in_gives_float_out(self, law, x):
+        assert type(limit_cdf(law, x)) is float
+
+    @pytest.mark.parametrize("law", list(LimitLaw))
+    def test_array_keeps_its_shape(self, law):
+        x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+        got = limit_cdf(law, x)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), limit_cdf(law, x.ravel()))
 
 
 class TestKsStatistic:

@@ -404,7 +404,9 @@ _MC = ["--route", "mc", "--samples", "2000", "--seed", "1"]
         *(["moments", "--family", family, "--n", "5", "--k", "1,2", *_MC]
           for family in ("cube", "simplex-s", "simplex-t", "cross")),
         ["moments", "--family", "cube", "--n", "5", "--k", "1,3", "--route", "closed"],
-        ["limits", "--family", "cross", "--n", "20", "--samples", "2000", "--seed", "1"],
+        # the limit laws' CDFs take math.erfc and numpy
+        *(["limits", "--family", family, "--n", "20", "--samples", "2000", "--seed", "1"]
+          for family in ("cube", "simplex-s", "simplex-t", "cross")),
         # the regular simplex's E max has a closed form up to n = 5
         *(["search", "--n", str(n), "--restarts", "1", "--samples", "2000", "--seed", "1"] for n in range(2, 6)),
         ["--help"],
