@@ -14,12 +14,12 @@ from .polytopes import (
     MomentEstimate,
     PolytopeKind,
     RegularPolytope,
+    family_width_moments,
     sudakov_v1,
     v1_from_mean_width,
     width_moment,
-    width_moments,
 )
-from .sampling import McConfig, estimate_moment, estimate_moments, sample_correlated_max
+from .sampling import McConfig, estimate_moments, sample_correlated_max
 from .conjecture import (
     GramConfiguration,
     SearchResult,

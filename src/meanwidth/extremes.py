@@ -235,13 +235,12 @@ def _survival_moments(integrals, epsrel: float = _EPSREL):
     where a quadrature stops and what its tail adds to the error.
 
     Every k integrates over [0, T], envelope * normal_tail(T / scale) =
-    _TRUNC_EPS (T / scale at least the upper quartile), split at f peak
-    for f in _PEAK_FRACTIONS, at peak, and at peak + d scale for d in
-    _OUTER_OFFSETS, where the tail's mass lies, each break point clamped to
-    T (at peak = 0, or where a clamped point meets T, a zero-length interval
-    adds an exact 0), every k of every integral in one _quad_batch to the
-    relative tolerance epsrel that calls each surv once per interval (a memo
-    keyed by the integral and its row of nodes).
+    _TRUNC_EPS, split at f peak for f in _PEAK_FRACTIONS, at peak, and at
+    peak + d scale for d in _OUTER_OFFSETS, where the tail's mass lies, each
+    break point clamped to T (at peak = 0, or where a clamped point meets T, a
+    zero-length interval adds an exact 0), every k of every integral in one
+    _quad_batch to the relative tolerance epsrel that calls each surv once per
+    interval (a memo keyed by the integral and its row of nodes).
     Its error adds a bound on the envelope's moment beyond T.  With U = T / scale,
     normal_tail(s) <= phi(s) / s bounds int_U^inf k s^(k-1) normal_tail(s) ds
     by k J_(k-2) for k >= 2, where J_j = int_U^inf s^j phi(s) ds = U^(j-1) phi(U) + (j-1) J_(j-2),
@@ -254,8 +253,7 @@ def _survival_moments(integrals, epsrel: float = _EPSREL):
         ks = tuple(dict.fromkeys(ks))
         if any(k < 1 for k in ks):
             raise ValueError(f"moment orders must be positive, got {ks}")
-        # min(_TRUNC_EPS / envelope, 0.25), also for an envelope that underflowed to 0
-        u = float(normal_tail_inverse(_TRUNC_EPS / max(envelope, 4.0 * _TRUNC_EPS)))
+        u = float(normal_tail_inverse(_TRUNC_EPS / envelope))
         # Every term of the bound is positive, so it rounds to about (k + U^2) eps
         # relative: U^2 / 2 from phi(U)'s exp and normal_tail's erfc, a few eps per
         # step of the recurrence.  The bound exceeds the exact tail by 0.3 % or

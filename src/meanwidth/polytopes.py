@@ -34,7 +34,6 @@ __all__ = [
     "v1_from_mean_width",
     "width_moment_cube",
     "width_moment",
-    "width_moments",
     "family_width_moments",
     "sudakov_v1",
 ]
@@ -144,23 +143,18 @@ def _per_norm(moment: float, err: float, d: int, k: int) -> tuple[float, float, 
 
 
 def width_moment_cube(n: int, k: int) -> MomentEstimate:
-    """Closed-form E[W_{Q_n}^k] = Gamma(n/2) / (2^(k/2) Gamma((n+k)/2)) E[(sum |eta_i|)^k]."""
-    return width_moments(RegularPolytope(PolytopeKind.CUBE, n), (k,))[k]
-
-
-def width_moments(p: RegularPolytope, ks) -> dict[int, MomentEstimate]:
-    """E[W^k] = E[X^k] / E|g|^k for several k, every k of E[X^k] from one
-    computation: family_width_moments of p's n alone."""
-    return family_width_moments(p.kind, (p.n,), ks)[0]
+    """Closed-form E[W_{Q_n}^k] = Gamma(n/2) / (2^(k/2) Gamma((n+k)/2)) E[(sum |eta_i|)^k].
+    The benchmark's reference script is what keeps it."""
+    return width_moment(RegularPolytope(PolytopeKind.CUBE, n), k)
 
 
 def family_width_moments(kind: PolytopeKind, ns, ks) -> list[dict[int, MomentEstimate]]:
-    """width_moments of the polytope of kind for each n of ns: the cube's
-    closed form (X = sum |eta_i|), or quadrature of E[(max |eta_i|)^k]
-    (crosspolytope, X = 2 max |eta_i|) or of E[range^k] (simplices,
-    X = range, scaled by sqrt(n/(n-1)) for T_{n-1}), every n and k of one
-    quadrature in one batch.  The error adds the rounding of the scaling to
-    that of E[X^k]."""
+    """E[W^k] = E[X^k] / E|g|^k of the polytope of kind for each n of ns and
+    each k of ks: the cube's closed form (X = sum |eta_i|), or quadrature of
+    E[(max |eta_i|)^k] (crosspolytope, X = 2 max |eta_i|) or of E[range^k]
+    (simplices, X = range, scaled by sqrt(n/(n-1)) for T_{n-1}), every n and
+    k of one quadrature in one batch.  The error adds the rounding of the
+    scaling to that of E[X^k]."""
     kind = PolytopeKind(kind)
     ps = [RegularPolytope(kind, n) for n in ns]
     ks = tuple(dict.fromkeys(ks))
@@ -200,7 +194,8 @@ def family_width_moments(kind: PolytopeKind, ns, ks) -> list[dict[int, MomentEst
 
 
 def width_moment(p: RegularPolytope, k: int) -> MomentEstimate:
-    return width_moments(p, (k,))[k]
+    """E[W^k] of p alone; the benchmark's reference script is what keeps it."""
+    return family_width_moments(p.kind, (p.n,), (k,))[0][k]
 
 
 def sudakov_v1(p: RegularPolytope) -> float:

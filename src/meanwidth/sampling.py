@@ -28,7 +28,6 @@ __all__ = [
     "McConfig",
     "chunk_rng",
     "width_samples",
-    "estimate_moment",
     "estimate_moments",
     "symmetric_sqrt",
     "sample_correlated_max",
@@ -190,10 +189,6 @@ def estimate_moments(
             raise ValueError(f"{p.kind.value} Monte Carlo moment n={p.n}, k={k} is out of double-precision range")
         out[k] = MomentEstimate(polytope=p, k=k, value=mean, route="monte_carlo", error=stderr)
     return out
-
-
-def estimate_moment(p: RegularPolytope, k: int, cfg: McConfig, threads: int = 1) -> MomentEstimate:
-    return estimate_moments(p, (k,), cfg, threads)[k]
 
 
 def symmetric_sqrt(matrix: np.ndarray) -> np.ndarray:

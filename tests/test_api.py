@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import pathlib
@@ -32,8 +33,22 @@ def test_all_lists_exactly_the_public_functions_and_classes(module):
 
 
 def test_package_exports_both_quadrature_moment_entry_points():
+    assert meanwidth.family_width_moments is polytopes.family_width_moments
     assert meanwidth.width_moment is polytopes.width_moment
-    assert meanwidth.width_moments is polytopes.width_moments
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # the benchmark's scripts import from the package; a deleted name would
+    # break them unseen, since no test here runs them.  Each script is parsed,
+    # never run: only its import statements from the package are executed
+    root = pathlib.Path(__file__).resolve().parents[1]
+    names = set()
+    for path in sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "meanwidth":
+                exec(compile(ast.Module(body=[node], type_ignores=[]), str(path), "exec"), {})
+                names |= {alias.name for alias in node.names}
+    assert {"width_moment", "width_moment_cube", "cli"} <= names
 
 
 @pytest.mark.parametrize("module", [*MODULES, cli], ids=lambda m: m.__name__)

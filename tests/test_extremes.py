@@ -143,7 +143,7 @@ class TestMaxAbsMoment:
 
         with mpmath.workdps(40):
             for envelope in [1.0] + [2.0 * 10.0**j for j in range(13)]:
-                u = float(normal_tail_inverse(min(_TRUNC_EPS / envelope, 0.25)))
+                u = float(normal_tail_inverse(_TRUNC_EPS / envelope))
                 U = mpmath.mpf(u)
                 foot = mpmath.erfc(U / mpmath.sqrt(2)) / 2
                 for k in itertools.count(1):
@@ -223,8 +223,9 @@ class TestExpectedMax:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 36, 52, 53, 54, 1075, 1076, 2000])
     def test_against_mpmath_within_the_error_bound(self, m):
-        # m <= 5 takes the closed forms; the negative part's envelope 2^(1-m)
-        # reaches the cut-off's clamp at m = 53 and underflows to 0 at m = 1076
+        # m <= 5 takes the closed forms; past it the integrand's normal_tail^m
+        # term, 2^-m at t = 0, still moves the integrand there up to m = 53,
+        # is lost to its rounding from m = 54 and underflows to 0 from m = 1075
         with mpmath.workdps(40):
             def density(t):
                 return t * m * mpmath.npdf(t) * mpmath.ncdf(t) ** (m - 1)

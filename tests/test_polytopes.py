@@ -27,7 +27,6 @@ from meanwidth.polytopes import (
     v1_from_mean_width,
     width_moment,
     width_moment_cube,
-    width_moments,
 )
 from meanwidth.limits import standardize
 from meanwidth.sampling import McConfig, estimate_moments
@@ -117,8 +116,8 @@ class TestRegularPolytope:
         def bits(ests):
             return [(k, est.polytope.kind, est.value.hex(), est.error.hex(), est.route) for k, est in ests.items()]
 
-        assert bits(width_moments(p, (1, 2))) == bits(width_moments(q, (1, 2)))
-        assert bits(family_width_moments(kind.value, [10], (1,))[0]) == bits(width_moments(q, (1,)))
+        assert bits({k: width_moment(p, k) for k in (1, 2)}) == bits({k: width_moment(q, k) for k in (1, 2)})
+        assert bits(family_width_moments(kind.value, [10], (1,))[0]) == bits({1: width_moment(q, 1)})
         cfg = McConfig(seed=3, samples=2000)
         assert bits(estimate_moments(p, (1, 2), cfg)) == bits(estimate_moments(q, (1, 2), cfg))
         w = np.linspace(0.5, 3.0, 7)
@@ -582,7 +581,7 @@ class TestWidthMoments:
     @pytest.mark.parametrize("n", [2, 9])
     def test_each_k_equals_width_moment(self, kind, n):
         p = RegularPolytope(kind, n)
-        ests = width_moments(p, (3, 1, 2, 3))
+        ests = family_width_moments(kind, (n,), (3, 1, 2, 3))[0]
         assert list(ests) == [3, 1, 2]
         for k in (1, 2, 3):
             assert ests[k] == width_moment(p, k)
@@ -590,7 +589,7 @@ class TestWidthMoments:
     @pytest.mark.parametrize("kind", list(PolytopeKind))
     def test_rejects_nonpositive_order(self, kind):
         with pytest.raises(ValueError):
-            width_moments(RegularPolytope(kind, 3), (1, 0))
+            family_width_moments(kind, (3,), (1, 0))
 
     @pytest.mark.parametrize(
         "kind, n, exact",
@@ -608,7 +607,7 @@ class TestWidthMoments:
     def test_exact_oracles_within_the_error(self, kind, n, exact):
         # at cross n = 1 the cut-off drops exactly the envelope's mass, so
         # the k = 12 error is nearly all used: the bound is tight, not loose
-        ests = width_moments(RegularPolytope(kind, n), range(1, 13))
+        ests = family_width_moments(kind, (n,), range(1, 13))[0]
         for k in range(1, 13):
             assert abs(ests[k].value - exact(k)) <= ests[k].error, k
 
@@ -631,7 +630,7 @@ class TestWidthMoments:
             return real(*args)
 
         monkeypatch.setattr(polytopes, name, counted)
-        width_moments(RegularPolytope(kind, 5), ks)
+        family_width_moments(kind, (5,), ks)
         family_width_moments(kind, [5, 9], ks)
         if kind is PolytopeKind.CUBE:
             assert calls == [(5, ks), (5, ks), (9, ks)]
@@ -648,7 +647,7 @@ class TestWidthMoments:
             return [(k, est.polytope, est.value.hex(), est.error.hex()) for k, est in ests.items()]
 
         together = family_width_moments(kind, ns, ks)
-        assert [bits(ests) for ests in together] == [bits(width_moments(RegularPolytope(kind, n), ks)) for n in ns]
+        assert [bits(ests) for ests in together] == [bits(family_width_moments(kind, (n,), ks)[0]) for n in ns]
 
     def test_rejects_an_invalid_n_in_a_batch(self):
         with pytest.raises(ValueError, match="at least 2 vertices"):

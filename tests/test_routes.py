@@ -24,7 +24,7 @@ from meanwidth.cli import EXIT_OK, main
 from meanwidth.conjecture import interpolation_covariance
 from meanwidth.extremes import comparison_reports, expected_max, expected_max_gap, max_abs_moments
 from meanwidth.polytopes import PolytopeKind, RegularPolytope, sudakov_v1, v1_from_mean_width, width_moment
-from meanwidth.sampling import McConfig, estimate_moment, sample_correlated_max
+from meanwidth.sampling import McConfig, estimate_moments, sample_correlated_max
 
 Z = 4.0
 EPS = 2.0**-52
@@ -45,7 +45,7 @@ def deterministic(kind, n, k):
 
 
 def monte_carlo(kind, n, k):
-    est = estimate_moment(RegularPolytope(kind, n), k, McConfig(seed=1, samples=200_000))
+    est = estimate_moments(RegularPolytope(kind, n), (k,), McConfig(seed=1, samples=200_000))[k]
     return est.value, 0.0, est.error
 
 

@@ -20,7 +20,6 @@ from meanwidth.polytopes import PolytopeKind, RegularPolytope
 from meanwidth.sampling import (
     McConfig,
     chunk_rng,
-    estimate_moment,
     estimate_moments,
     sample_correlated_max,
     symmetric_sqrt,
@@ -178,8 +177,8 @@ class TestDeterminism:
     def test_thread_count_does_not_change_bits(self):
         p = RegularPolytope(PolytopeKind.CUBE, 4)
         cfg = McConfig(seed=123, samples=60_000, chunk_size=7_000)
-        serial = estimate_moment(p, 2, cfg, threads=1)
-        threaded = estimate_moment(p, 2, cfg, threads=8)
+        serial = estimate_moments(p, (2,), cfg, threads=1)[2]
+        threaded = estimate_moments(p, (2,), cfg, threads=8)[2]
         assert serial.value == threaded.value
         assert serial.error == threaded.error
 
