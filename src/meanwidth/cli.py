@@ -75,115 +75,105 @@ def emit(manifest: dict, rows: list[dict], fmt: str, out_path: str | None) -> No
         out_dir = os.environ.get("MEANWIDTH_OUTPUT_DIR", "")
         if out_dir and not os.path.isabs(out_path):
             out_path = os.path.join(out_dir, out_path)
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
-def make_manifest(command: str, args: argparse.Namespace, seed: int | None) -> dict:
+def make_manifest(args: argparse.Namespace) -> dict:
     # threads is an execution detail: results are bit-identical regardless,
     # so it must not show up in the reproducibility manifest; command is its own key
     skip = {"command", "func", "format", "out", "threads"}
-    if command == "moments" and args.route != "mc":
+    if args.command == "moments" and args.route != "mc":
         # the closed form and the quadrature read neither samples nor seed
         skip |= {"samples", "seed"}
     params = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
-    manifest = {
-        "command": command,
+    return {
+        "command": args.command,
         "parameters": {k: str(v) for k, v in params.items()},
-        "seed": seed,
+        "seed": params.get("seed"),
         "tool_version": __version__,
         # wall-clock timestamps are opt-in so seeded runs stay byte-identical
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         if os.environ.get("MEANWIDTH_TIMESTAMP") == "1"
         else None,
     }
-    return manifest
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> tuple[list[dict], int]:
     family = PolytopeKind(args.family)
     if args.route == "mc" and args.seed is None:
-        print("error: --route mc requires an explicit --seed", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--route mc requires an explicit --seed")
     if args.route == "closed" and family is not PolytopeKind.CUBE:
-        print("error: --route closed is only available for the cube", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--route closed is only available for the cube")
+    ps = [RegularPolytope(family, n) for n in args.n]
     if args.route == "mc":
-        cfg = McConfig(seed=args.seed, samples=args.samples)
-        each = [estimate_moments(RegularPolytope(family, n), tuple(args.k), cfg, threads=args.threads) for n in args.n]
+        route, cfg = "monte_carlo", McConfig(seed=args.seed, samples=args.samples)
+        each = [estimate_moments(p, tuple(args.k), cfg, threads=args.threads) for p in ps]
     else:
         # the cube's closed form on either route; every n of a quadrature in one batch
+        route = "closed_form" if family is PolytopeKind.CUBE else "quadrature"
         each = family_width_moments(family, args.n, args.k)
-    rows = [_moment_row(ests[k]) for ests in each for k in args.k]
-    # only mc reads the seed
-    emit(make_manifest("moments", args, args.seed if args.route == "mc" else None), rows, args.format, args.out)
-    return EXIT_OK
+    return [_moment_row(p, k, route, ests[k]) for p, ests in zip(ps, each) for k in args.k], EXIT_OK
 
 
-def _moment_row(est) -> dict:
-    p = est.polytope
-    v1 = v1_from_mean_width(p.ambient_dim, est.value) if est.k == 1 else math.nan
+def _moment_row(p: RegularPolytope, k: int, route: str, est) -> dict:
+    v1 = v1_from_mean_width(p.ambient_dim, est.value) if k == 1 else math.nan
     return {
         "family": p.kind.value,
         "n": p.n,
-        "k": est.k,
+        "k": k,
         "value": est.value,
-        "route": est.route,
+        "route": route,
         "error": est.error,
         "v1": v1,
     }
 
 
-def cmd_extremes(args) -> int:
+def cmd_extremes(args) -> tuple[list[dict], int]:
     # the report's fields in order are the columns; slack is internal
-    rows = [{k: v for k, v in vars(rep).items() if k != "slack"} for rep in comparison_reports(args.n)]
-    emit(make_manifest("extremes", args, None), rows, args.format, args.out)
-    return EXIT_OK
+    return [{k: v for k, v in vars(rep).items() if k != "slack"} for rep in comparison_reports(args.n)], EXIT_OK
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args) -> tuple[list[dict], int]:
     family = PolytopeKind(args.family)
     p = RegularPolytope(family, args.n)
     law, std = standardized_sample(p, McConfig(seed=args.seed, samples=args.samples), args.threads)
     ks = ks_statistic(std, law)
-    rows = [
-        {
-            "family": family.value,
-            "n": args.n,
-            "samples": args.samples,
-            "law": law.value,
-            "mean": float(std.mean()),
-            "variance": float(std.var(ddof=1)),
-            "ks_distance": ks,
-        }
-    ]
-    emit(make_manifest("limits", args, args.seed), rows, args.format, args.out)
-    return EXIT_OK
+    row = {
+        "family": family.value,
+        "n": args.n,
+        "samples": args.samples,
+        "law": law.value,
+        "mean": float(std.mean()),
+        "variance": float(std.var(ddof=1)),
+        "ks_distance": ks,
+    }
+    return [row], EXIT_OK
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[list[dict], int]:
     cfg = McConfig(seed=args.seed, samples=args.samples)
     result = optimize_configuration(args.n, args.restarts, cfg, threads=args.threads)
     fingerprint = gram_fingerprint_distance(result.best_gram, regular_simplex_gram(args.n))
-    rows = [
-        {
-            "n": args.n,
-            "restarts": args.restarts,
-            "best_value": result.best_value,
-            "best_stderr": result.best_stderr,
-            "regular_value": result.regular_value,
-            "gap": result.gap,
-            "fingerprint_distance": fingerprint,
-        }
-    ]
-    emit(make_manifest("search", args, args.seed), rows, args.format, args.out)
+    row = {
+        "n": args.n,
+        "restarts": args.restarts,
+        "best_value": result.best_value,
+        "best_stderr": result.best_stderr,
+        "regular_value": result.regular_value,
+        "gap": result.gap,
+        "fingerprint_distance": fingerprint,
+    }
     if result.gap > 5.0 * result.best_stderr:
         # a search value above the regular simplex would contradict the
         # conjecture: surface it through the exit code
-        return EXIT_FINDING
-    return EXIT_OK
+        return [row], EXIT_FINDING
+    return [row], EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -253,7 +243,9 @@ def main(argv=None) -> int:
     if args is None or rest:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rows, code = args.func(args)
+        emit(make_manifest(args), rows, args.format, args.out)
+        return code
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

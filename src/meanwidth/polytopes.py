@@ -21,6 +21,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .extremes import _SQRT_2PI, expected_max, max_abs_moments, range_moments
 from .special import (
@@ -72,13 +73,9 @@ class RegularPolytope:
         return self.n - 1 if self.kind is PolytopeKind.SIMPLEX_T else self.n
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
-    polytope: RegularPolytope
-    k: int
+class MomentEstimate(NamedTuple):
     value: float
-    route: str  # closed_form | quadrature | monte_carlo
-    error: float  # deterministic bound for closed_form/quadrature, stderr for MC
+    error: float  # deterministic bound on the closed form and quadrature, stderr on Monte Carlo
 
 
 def v1_from_mean_width(dim: int, mean_width: float) -> float:
@@ -160,9 +157,8 @@ def family_width_moments(kind: PolytopeKind, ns, ks) -> list[dict[int, MomentEst
     ks = tuple(dict.fromkeys(ks))
     if any(k < 1 for k in ks):
         raise ValueError(f"moment orders must be positive, got {ks}")
-    route = "quadrature"
     if kind is PolytopeKind.CUBE:
-        route, each = "closed_form", []
+        each = []
         for p in ps:
             try:
                 each.append(_abs_sum_moments(p.n, ks))
@@ -188,7 +184,7 @@ def family_width_moments(kind: PolytopeKind, ns, ks) -> list[dict[int, MomentEst
             error += _EPS * rounding * abs(value)
             if not (math.isfinite(value) and math.isfinite(error)):
                 raise ValueError(f"{kind.value} moment n={p.n}, k={k} is out of double-precision range")
-            ests[k] = MomentEstimate(polytope=p, k=k, value=value, route=route, error=error)
+            ests[k] = MomentEstimate(value, error)
         out.append(ests)
     return out
 

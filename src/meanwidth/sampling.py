@@ -187,7 +187,7 @@ def estimate_moments(
         mean, stderr = _mean_stderr([c[k] for c in per_chunk], cfg.samples)
         if not (math.isfinite(mean) and math.isfinite(stderr)):
             raise ValueError(f"{p.kind.value} Monte Carlo moment n={p.n}, k={k} is out of double-precision range")
-        out[k] = MomentEstimate(polytope=p, k=k, value=mean, route="monte_carlo", error=stderr)
+        out[k] = MomentEstimate(mean, stderr)
     return out
 
 

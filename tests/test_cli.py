@@ -1,6 +1,8 @@
 import argparse
+import errno
 import json
 import math
+import os
 import re
 import threading
 
@@ -8,8 +10,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from meanwidth import cli, conjecture, extremes, limits
-from meanwidth.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from meanwidth import __version__, cli, conjecture, extremes, limits
+from meanwidth.cli import EXIT_FINDING, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from meanwidth.conjecture import SearchResult, regular_simplex_gram
 from meanwidth.extremes import IndefiniteMatrixError, NumericalError, QuadratureError, max_abs_moments
 from meanwidth.polytopes import PolytopeKind, RegularPolytope, width_moment, width_moment_cube
 from meanwidth.sampling import width_samples
@@ -68,7 +71,9 @@ class TestParser:
         def reference():
             args = cli.build_parser().parse_args(argv)
             namespaces.append((args, []))
-            return args.func(args)
+            rows, code = args.func(args)
+            cli.emit(cli.make_manifest(args), rows, args.format, args.out)
+            return code
 
         got = self.outcome(capsys, lambda: main(argv))
         parsed = namespaces[-1][0] if namespaces and got[0] == EXIT_OK else None
@@ -322,6 +327,23 @@ class TestEveryNHonestOrRefused:
 
 
 class TestMomentsOutput:
+    @pytest.mark.parametrize(
+        "family, route, label",
+        [
+            ("cube", "closed", "closed_form"),
+            ("cube", "quadrature", "closed_form"),
+            *[(family, "quadrature", "quadrature") for family in ("cross", "simplex-s", "simplex-t")],
+            *[(kind.value, "mc", "monte_carlo") for kind in PolytopeKind],
+        ],
+    )
+    def test_route_column(self, capsys, family, route, label):
+        # the cube's closed form answers either deterministic route
+        argv = ["moments", "--family", family, "--n", "3,4", "--k", "1,2", "--route", route]
+        code, out, _ = run_cli(capsys, argv + (["--samples", "200", "--seed", "1"] if route == "mc" else []))
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert [r["route"] for r in rows] == [label] * 4
+
     def test_closed_csv_values(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -453,18 +475,23 @@ class TestManifest:
         assert '# parameters = {"family": "cube", "k": "[1]", "n": "[3]", "route": "closed"}' in out.splitlines()
 
     @pytest.mark.parametrize(
-        "argv, parameters",
+        "argv, parameters, seed",
         [
-            (["extremes", "--n", "3"], {"n": "[3]"}),
+            (["extremes", "--n", "3"], {"n": "[3]"}, None),
             (["limits", "--family", "cross", "--n", "5", "--samples", "100", "--seed", "1"],
-             {"family": "cross", "n": "5", "samples": "100", "seed": "1"}),
+             {"family": "cross", "n": "5", "samples": "100", "seed": "1"}, 1),
+            (["search", "--n", "3", "--restarts", "1", "--samples", "200", "--seed", "2"],
+             {"n": "3", "restarts": "1", "samples": "200", "seed": "2"}, 2),
         ],
-        ids=["extremes", "limits"],
+        ids=["extremes", "limits", "search"],
     )
-    def test_other_commands(self, capsys, argv, parameters):
+    def test_other_commands(self, capsys, argv, parameters, seed):
         code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
         assert code == EXIT_OK
-        assert json.loads(out)["manifest"]["parameters"] == parameters
+        manifest = json.loads(out)["manifest"]
+        assert manifest["command"] == argv[0]
+        assert manifest["parameters"] == parameters
+        assert manifest["seed"] == seed
 
 
 class TestExtremesOutput:
@@ -534,6 +561,38 @@ class TestSearchOutput:
         row = rows[0]
         assert float(row["gap"]) <= 5.0 * float(row["best_stderr"])
 
+    # gap > 5 best_stderr is a finding (exit 3); gap = 5 best_stderr exactly is not
+    @pytest.mark.parametrize("best_stderr, gap, expected", [(0.03125, 0.25, EXIT_FINDING), (0.0625, 0.3125, EXIT_OK)])
+    def test_a_finding_exits_3_after_the_full_table(self, capsys, monkeypatch, best_stderr, gap, expected):
+        def fake(n, restarts, cfg, threads):
+            return SearchResult(regular_simplex_gram(n), 2.5 + gap, best_stderr, 2.5, gap)
+
+        monkeypatch.setattr(cli, "optimize_configuration", fake)
+        monkeypatch.delenv("MEANWIDTH_TIMESTAMP", raising=False)
+        argv = ["search", "--n", "3", "--restarts", "2", "--samples", "100", "--seed", "4"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (expected, "")
+        assert out == (
+            '# command = "search"\n'
+            '# parameters = {"n": "3", "restarts": "2", "samples": "100", "seed": "4"}\n'
+            "# seed = 4\n"
+            "# started_at = null\n"
+            f'# tool_version = "{__version__}"\n'
+            "n,restarts,best_value,best_stderr,regular_value,gap,fingerprint_distance\n"
+            f"3,2,{2.5 + gap!r},{best_stderr!r},2.5,{gap!r},0\n"
+        )
+        code, out, err = run_cli(capsys, [*argv, "--format", "json"])
+        assert (code, err) == (expected, "")
+        payload = json.loads(out)
+        assert payload["manifest"]["command"] == "search"
+        assert payload["manifest"]["seed"] == 4
+        assert payload["columns"] == ["n", "restarts", "best_value", "best_stderr", "regular_value", "gap",
+                                      "fingerprint_distance"]
+        assert payload["rows"] == [{
+            "n": 3, "restarts": 2, "best_value": 2.5 + gap, "best_stderr": best_stderr, "regular_value": 2.5,
+            "gap": gap, "fingerprint_distance": 0.0,
+        }]
+
     def test_threads_run_the_restarts_in_parallel(self, capsys, monkeypatch):
         argv = ["search", "--n", "3", "--restarts", "2", "--samples", "20000", "--seed", "5"]
         _, serial, _ = run_cli(capsys, argv + ["--threads", "1"])
@@ -573,3 +632,24 @@ class TestFileOutput:
         text = (tmp_path / "table.csv").read_text()
         _, rows = parse_csv(text)
         assert rows[0]["family"] == "cube"
+
+    @pytest.mark.parametrize("case", ["missing directory", "a directory", "missing output dir"])
+    def test_an_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch, case):
+        # an error line and exit 2, not a traceback; nothing reaches stdout
+        if case == "missing directory":
+            out_arg = path = str(tmp_path / "missing" / "x.csv")
+            reason = errno.ENOENT
+        elif case == "a directory":
+            out_arg = path = str(tmp_path)
+            reason = errno.EISDIR
+        else:
+            monkeypatch.setenv("MEANWIDTH_OUTPUT_DIR", str(tmp_path / "missing"))
+            out_arg, path = "x.csv", str(tmp_path / "missing" / "x.csv")
+            reason = errno.ENOENT
+        code, out, err = run_cli(
+            capsys, ["moments", "--family", "cube", "--n", "2", "--k", "1", "--route", "closed", "--out", out_arg]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: cannot write {path}: {os.strerror(reason)}\n"
+        assert not (tmp_path / "missing").exists()

@@ -97,7 +97,7 @@ class TestRegularPolytope:
     @pytest.mark.parametrize("kind", list(PolytopeKind))
     def test_a_numpy_integer_n_gives_the_python_ints_bits(self, kind):
         def bits(ests):
-            return [(k, type(est.polytope.n), est.polytope, est.value.hex(), est.error.hex()) for k, est in ests.items()]
+            return [(k, est.value.hex(), est.error.hex()) for k, est in ests.items()]
 
         p = RegularPolytope(kind, np.int64(7))
         assert type(p.n) is int and p == RegularPolytope(kind, 7)
@@ -114,7 +114,7 @@ class TestRegularPolytope:
         assert p.ambient_dim == q.ambient_dim
 
         def bits(ests):
-            return [(k, est.polytope.kind, est.value.hex(), est.error.hex(), est.route) for k, est in ests.items()]
+            return [(k, est.value.hex(), est.error.hex()) for k, est in ests.items()]
 
         assert bits({k: width_moment(p, k) for k in (1, 2)}) == bits({k: width_moment(q, k) for k in (1, 2)})
         assert bits(family_width_moments(kind.value, [10], (1,))[0]) == bits({1: width_moment(q, 1)})
@@ -586,6 +586,14 @@ class TestWidthMoments:
         for k in (1, 2, 3):
             assert ests[k] == width_moment(p, k)
 
+    def test_a_moment_is_the_value_error_pair(self):
+        # every route returns the (value, error) pair that the extremes return
+        p = RegularPolytope(PolytopeKind.CROSS, 5)
+        for est in (width_moment(p, 1), estimate_moments(p, (1,), McConfig(seed=1, samples=200))[1]):
+            assert est._fields == ("value", "error")
+            value, error = est
+            assert (value, error) == (est.value, est.error)
+
     @pytest.mark.parametrize("kind", list(PolytopeKind))
     def test_rejects_nonpositive_order(self, kind):
         with pytest.raises(ValueError):
@@ -644,7 +652,7 @@ class TestWidthMoments:
         ns, ks = (9, 2, 57, 9, 3), (4, 1, 3)
 
         def bits(ests):
-            return [(k, est.polytope, est.value.hex(), est.error.hex()) for k, est in ests.items()]
+            return [(k, est.value.hex(), est.error.hex()) for k, est in ests.items()]
 
         together = family_width_moments(kind, ns, ks)
         assert [bits(ests) for ests in together] == [bits(family_width_moments(kind, (n,), ks)[0]) for n in ns]
