@@ -39,6 +39,8 @@ _K1_D = [c * ((_HARMONIC[k] + _HARMONIC[k + 1]) / 2.0 - _EULER_GAMMA) for k, c i
 # past z = 2, the trapezoid rule's nodes u = j/4 (j = 0 ... 25) and weights e^(-u^2)/4, halved at u = 0
 _U2 = [(j / 4.0) ** 2 for j in range(26)]
 _W = [math.exp(-u2) / (4.0 if u2 else 8.0) for u2 in _U2]
+# points per math.erfc pass of the normal CDF, which holds them as Python floats
+_ERFC_SLICE = 1 << 13
 
 
 class LimitLaw(str, enum.Enum):
@@ -55,27 +57,36 @@ _FAMILY_LAWS = {
 }
 
 
+def _shift_scale(p: RegularPolytope) -> tuple[float, float]:
+    """standardize's map w -> scale * (w - shift), as (shift, scale)."""
+    n = p.n
+    if p.kind is PolytopeKind.CUBE:
+        return math.sqrt(2.0 * n / math.pi), 1.0
+    if p.kind is PolytopeKind.CROSS and n < 2:
+        raise ValueError(f"standardizing the crosspolytope width needs n >= 2, got {n}")
+    u = u_sequence(2 * n if p.kind is PolytopeKind.CROSS else n)
+    return 2.0 * u / math.sqrt(n), math.sqrt(2.0 * n * math.log(n))
+
+
 def standardize(p: RegularPolytope, w):
     """The cube width centered at its sqrt(2n/pi) limit location; a simplex
     width as sqrt(2 n log n) (w - 2 u_n / sqrt(n)), the crosspolytope's with
     u_{2n} in place of u_n."""
-    n = p.n
-    if p.kind is PolytopeKind.CUBE:
-        return np.asarray(w, dtype=float) - math.sqrt(2.0 * n / math.pi)
-    if p.kind is PolytopeKind.CROSS and n < 2:
-        raise ValueError(f"standardizing the crosspolytope width needs n >= 2, got {n}")
-    u = u_sequence(2 * n if p.kind is PolytopeKind.CROSS else n)
-    scale = math.sqrt(2.0 * n * math.log(n))
-    return scale * (np.asarray(w, dtype=float) - 2.0 * u / math.sqrt(n))
+    shift, scale = _shift_scale(p)
+    # the cube's scale is 1, and multiplying by 1 is exact
+    return scale * (np.asarray(w, dtype=float) - shift)
 
 
 def standardized_sample(p: RegularPolytope, cfg: McConfig, threads: int = 1) -> tuple[LimitLaw, np.ndarray]:
     """The seeded width sample of p, standardized and sorted ascending, and
-    the law it tends to; the bits do not depend on threads."""
+    the law it tends to; the bits do not depend on threads, and are those of
+    np.sort(standardize(p, widths)) computed in place."""
     law = _FAMILY_LAWS[p.kind]
-    standardize(p, np.empty(0))  # an n it cannot standardize fails here, before any draw
-    widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, threads))
-    return law, np.sort(standardize(p, widths))
+    shift, scale = _shift_scale(p)  # an n it cannot standardize fails here, before any draw
+    sample = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, threads))
+    np.multiply(np.subtract(sample, shift, out=sample), scale, out=sample)
+    sample.sort()
+    return law, sample
 
 
 def _z_k1(z: np.ndarray) -> np.ndarray:
@@ -88,7 +99,15 @@ def _z_k1(z: np.ndarray) -> np.ndarray:
     out[near] = 1.0 + 2.0 * q * (np.log(zn / 2.0) * np.polyval(_K1_C[::-1], q) - np.polyval(_K1_D[::-1], q))
     # e^(-z) is 0 from z ~ 745; the clamp keeps z = inf (x = -inf) from giving inf/inf
     zf = np.minimum(z[~near], 800.0)
-    out[~near] = 2.0 * np.exp(-zf) * sum(w * (zf + u2) / np.sqrt(2.0 * zf + u2) for u2, w in zip(_U2, _W))
+    # the sum over the nodes of w (zf + u2) / sqrt(2 zf + u2), term by term in two reused buffers
+    two_zf, total = 2.0 * zf, np.zeros_like(zf)
+    num, den = np.empty_like(zf), np.empty_like(zf)
+    for u2, w in zip(_U2, _W):
+        np.multiply(np.add(zf, u2, out=num), w, out=num)
+        np.sqrt(np.add(two_zf, u2, out=den), out=den)
+        np.add(total, np.divide(num, den, out=num), out=total)
+    np.exp(np.negative(zf, out=zf), out=zf)
+    out[~near] = np.multiply(np.multiply(zf, 2.0, out=zf), total, out=zf)
     return out
 
 
@@ -96,7 +115,7 @@ def limit_cdf(law: LimitLaw, x):
     """CDF of a limit law; a float for a scalar, else an array.
 
     The normal law's is erfc(-y / sqrt(2 LIMIT_VAR)) / 2, by math.erfc point by
-    point.  For the Gumbel sum, s = e^(-G2) gives P[G1 + G2 <= x] = int_0^inf
+    point over slices of _ERFC_SLICE points.  For the Gumbel sum, s = e^(-G2) gives P[G1 + G2 <= x] = int_0^inf
     exp(-s - e^(-x)/s) ds = z K1(z), z = 2 e^(-x/2).  For z <= 2, A&S 9.6.11
     (K1 = 1/z + log(z/2) I1 - (z/4) sum_k (psi(k+1) + psi(k+2)) (z^2/4)^k / (k! (k+1)!),
     I1 = (z/2) sum_k (z^2/4)^k / (k! (k+1)!)) yields _z_k1's series.  Past it,
@@ -106,13 +125,19 @@ def limit_cdf(law: LimitLaw, x):
     errs by about e^(4 - 16 pi) < 1e-19, and the nodes past u = 6.25 add under e^(-42)."""
     law = LimitLaw(law)
     arr = np.asarray(x, dtype=float)
-    if law is LimitLaw.TWO_GUMBEL:
-        out = np.exp(-np.exp(-arr / 2.0))
-    elif law is LimitLaw.NORMAL_LIMIT_VAR:
-        y = (arr.ravel() / -math.sqrt(2.0 * LIMIT_VAR)).tolist()
-        out = 0.5 * np.fromiter(map(math.erfc, y), float, arr.size).reshape(arr.shape)
-    else:
-        out = _z_k1(2.0 * np.exp(-arr / 2.0))
+    # far in a tail, a finite x overflows exp or the normal's divide to inf,
+    # which yields the exact 0 or 1
+    with np.errstate(over="ignore"):
+        if law is LimitLaw.TWO_GUMBEL:
+            out = np.exp(-np.exp(-arr / 2.0))
+        elif law is LimitLaw.NORMAL_LIMIT_VAR:
+            flat, out = arr.ravel(), np.empty(arr.size)
+            for start in range(0, arr.size, _ERFC_SLICE):
+                y = (flat[start : start + _ERFC_SLICE] / -math.sqrt(2.0 * LIMIT_VAR)).tolist()
+                np.multiply(np.fromiter(map(math.erfc, y), float, len(y)), 0.5, out=out[start : start + len(y)])
+            out = out.reshape(arr.shape)
+        else:
+            out = _z_k1(2.0 * np.exp(-arr / 2.0))
     return out if out.ndim else float(out)
 
 
@@ -121,9 +146,15 @@ def ks_statistic(sample: np.ndarray, law: LimitLaw) -> float:
     sample = np.asarray(sample, dtype=float)
     if sample.size == 0:
         raise ValueError("KS statistic needs a nonempty sample")
-    if np.any(np.diff(sample) < 0):
+    if np.any(sample[1:] < sample[:-1]):
         raise ValueError("sample must be sorted ascending")
     n = sample.size
     cdf = np.atleast_1d(limit_cdf(law, sample))
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+    # max(i/n - cdf) and max(cdf - (i-1)/n), i = 1 ... n, in one reused buffer
+    d = np.arange(1, n + 1, dtype=float)
+    above = np.max(np.subtract(np.divide(d, n, out=d), cdf, out=d))
+    d.fill(1.0)
+    d[0] = 0.0
+    np.add.accumulate(d, out=d)  # 0, 1, ..., n - 1, exactly
+    below = np.max(np.subtract(cdf, np.divide(d, n, out=d), out=d))
+    return float(max(above, below))

@@ -20,9 +20,9 @@ import numpy as np
 from .extremes import IndefiniteMatrixError
 from .polytopes import MomentEstimate, PolytopeKind, RegularPolytope
 
-# bytes of each of width_samples' two row-block buffers (normals, scratch);
-# budgets from 256 KiB to 4 MiB draw equally fast, and larger ones raise RSS
-_BLOCK_BYTES = 1 << 20
+# bytes of width_samples' one row-block buffer, which it draws the normals into
+# and reduces in place; 256 KiB draws as fast as 1 MiB, and larger ones raise RSS
+_BLOCK_BYTES = 1 << 18
 
 __all__ = [
     "McConfig",
@@ -111,41 +111,40 @@ def width_samples(p: RegularPolytope, rng: np.random.Generator, count: int) -> n
     centered norm (the direction is uniform inside the hyperplane).
 
     The count x n normals are drawn in row blocks of at most _BLOCK_BYTES,
-    in turn from rng, so working memory is two blocks (or two rows, if a row
-    is wider) whatever count and n are.  A block draw continues the same
-    stream and every width is a reduction of its own row, so the widths are
-    bit-identical to drawing and reducing the whole count x n array at once;
-    rows that cannot be allocated are refused before any draw."""
+    in turn from rng, into one buffer that each family reduces in place, so
+    working memory is one block (or one row, if a row is wider) whatever
+    count and n are.  A block draw continues the same stream and every width
+    is a reduction of its own row, so the widths are bit-identical to drawing
+    and reducing the whole count x n array at once; a row that cannot be
+    allocated is refused before any draw."""
     n = p.n
     rows = max(1, min(count, _BLOCK_BYTES // (8 * n)))
     try:
-        g_buf, tmp_buf = np.empty((rows, n)), np.empty((rows, n))
+        g_buf = np.empty((rows, n))
     except MemoryError as exc:
-        raise ValueError(f"{p.kind.value} n={n}: two rows of {n} doubles do not fit in memory") from exc
+        raise ValueError(f"{p.kind.value} n={n}: a row of {n} doubles does not fit in memory") from exc
     norm_buf = np.empty(rows)
     out = np.empty(count)
     for start in range(0, count, rows):
         w = out[start : start + rows]
-        g, tmp, norm = g_buf[: len(w)], tmp_buf[: len(w)], norm_buf[: len(w)]
+        g, norm = g_buf[: len(w)], norm_buf[: len(w)]
         rng.standard_normal(out=g)
         if p.kind is PolytopeKind.CUBE:
-            np.add.reduce(np.abs(g, out=tmp), axis=1, out=w)
+            np.add.reduce(np.abs(g, out=g), axis=1, out=w)
         elif p.kind is PolytopeKind.CROSS:
-            np.maximum.reduce(np.abs(g, out=tmp), axis=1, out=w)
+            np.maximum.reduce(np.abs(g, out=g), axis=1, out=w)
             np.multiply(w, 2.0, out=w)
         else:
             np.maximum.reduce(g, axis=1, out=w)
             np.subtract(w, np.minimum.reduce(g, axis=1, out=norm), out=w)
         if p.kind is PolytopeKind.SIMPLEX_T:
             np.multiply(w, math.sqrt(n / (n - 1)), out=w)
-            # g - g.mean(axis=1, keepdims=True), into the spare block
+            # g - g.mean(axis=1, keepdims=True), now that the range is taken
             np.divide(np.add.reduce(g, axis=1, out=norm), n, out=norm)
-            np.subtract(g, norm[:, None], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-        else:
-            np.multiply(g, g, out=tmp)
-        # np.linalg.norm(x, axis=1) is exactly sqrt(add.reduce(x * x, axis=1))
-        np.sqrt(np.add.reduce(tmp, axis=1, out=norm), out=norm)
+            np.subtract(g, norm[:, None], out=g)
+        # np.linalg.norm(x, axis=1) is exactly sqrt(add.reduce(x * x, axis=1)),
+        # and |g| * |g| has the bits of g * g
+        np.sqrt(np.add.reduce(np.multiply(g, g, out=g), axis=1, out=norm), out=norm)
         np.divide(w, norm, out=w)
     return out
 

@@ -317,7 +317,7 @@ class TestEveryNHonestOrRefused:
         ["limits", "--family", "cross", "--samples", "20000", "--threads", "2"],
     ], ids=["moments", "limits", "limits-threads"])
     def test_monte_carlo_row_past_memory_is_refused(self, capsys, argv):
-        # two rows of 2^53 doubles (128 PiB) fail to allocate at once; a size
+        # one row of 2^53 doubles (64 PiB) fails to allocate at once; a size
         # that could really be allocated has no place in a test
         code, out, err = run_cli(capsys, argv + ["--n", str(2**53), "--seed", "1"])
         assert code == EXIT_USAGE

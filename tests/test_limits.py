@@ -7,6 +7,12 @@ import pytest
 from scipy import integrate, special
 
 from meanwidth.limits import (
+    _ERFC_SLICE,
+    _FAMILY_LAWS,
+    _K1_C,
+    _K1_D,
+    _U2,
+    _W,
     LIMIT_VAR,
     LimitLaw,
     _z_k1,
@@ -16,7 +22,7 @@ from meanwidth.limits import (
     standardized_sample,
 )
 from meanwidth.polytopes import PolytopeKind, RegularPolytope
-from meanwidth.sampling import McConfig
+from meanwidth.sampling import McConfig, chunk_rng, width_samples
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -238,11 +244,64 @@ class TestNumpyCdfs:
         assert type(limit_cdf(law, x)) is float
 
     @pytest.mark.parametrize("law", list(LimitLaw))
+    @pytest.mark.parametrize("x, cdf", [(-2000.0, 0.0), (2000.0, 1.0), (-1e308, 0.0), (1e308, 1.0)])
+    def test_finite_tails_are_exact_without_warnings(self, law, x, cdf):
+        # exp and the normal's divide overflow to inf out here; the config
+        # turns any RuntimeWarning into an error
+        assert limit_cdf(law, x) == cdf
+        assert np.array_equal(limit_cdf(law, np.array([x, -x])), [cdf, 1.0 - cdf])
+        assert ks_statistic(np.array([-abs(x), abs(x)]), law) == 0.5
+
+    @pytest.mark.parametrize("law", list(LimitLaw))
     def test_array_keeps_its_shape(self, law):
         x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
         got = limit_cdf(law, x)
         assert got.shape == (2, 3)
         assert np.array_equal(got.ravel(), limit_cdf(law, x.ravel()))
+
+
+def _plain_z_k1(z):
+    """_z_k1 in plain array expressions, its trapezoid a generator sum: the
+    bits that its in-place form must keep."""
+    out = np.empty_like(z)
+    near = z <= 2.0
+    zn = np.maximum(z[near], np.finfo(float).tiny)
+    q = zn * zn / 4.0
+    out[near] = 1.0 + 2.0 * q * (np.log(zn / 2.0) * np.polyval(_K1_C[::-1], q) - np.polyval(_K1_D[::-1], q))
+    zf = np.minimum(z[~near], 800.0)
+    out[~near] = 2.0 * np.exp(-zf) * sum(w * (zf + u2) / np.sqrt(2.0 * zf + u2) for u2, w in zip(_U2, _W))
+    return out
+
+
+class TestInPlaceKeepsTheBits:
+    """The in-place sample, CDFs and KS distance against the plain expressions."""
+
+    def test_z_k1(self):
+        z = np.concatenate([[0.0, 2.0, np.inf], np.geomspace(1e-300, 1e300, 2001), np.linspace(0.0, 9.0, 2001)])
+        assert _z_k1(z).tobytes() == _plain_z_k1(z).tobytes()
+
+    @pytest.mark.parametrize("kind,n", [(PolytopeKind.CUBE, 200), (PolytopeKind.CROSS, 200),
+                                        (PolytopeKind.SIMPLEX_S, 50), (PolytopeKind.SIMPLEX_T, 50)])
+    @pytest.mark.parametrize("samples", [1, 2, _ERFC_SLICE + 1], ids=["1", "2", "past-one-erfc-slice"])
+    def test_standardized_sample_cdf_and_ks(self, kind, n, samples):
+        p, law = RegularPolytope(kind, n), _FAMILY_LAWS[kind]
+        cfg = McConfig(seed=3, samples=samples)
+        widths = np.concatenate([width_samples(p, chunk_rng(3, i), c) for i, c in cfg.chunks()])
+        sample = np.sort(standardize(p, widths))
+        if samples > 1:  # one sample has no standard error, so no chunk map draws it
+            got_law, got = standardized_sample(p, cfg, threads=2)
+            assert got_law is law
+            assert got.tobytes() == sample.tobytes()
+        if law is LimitLaw.NORMAL_LIMIT_VAR:
+            y = (sample / -math.sqrt(2.0 * LIMIT_VAR)).tolist()
+            cdf = 0.5 * np.fromiter(map(math.erfc, y), float, samples)
+        elif law is LimitLaw.GUMBEL_SUM:
+            cdf = _plain_z_k1(2.0 * np.exp(-sample / 2.0))
+        else:
+            cdf = np.exp(-np.exp(-sample / 2.0))
+        assert limit_cdf(law, sample).tobytes() == cdf.tobytes()
+        i = np.arange(1, samples + 1)
+        assert ks_statistic(sample, law) == float(max(np.max(i / samples - cdf), np.max(cdf - (i - 1) / samples)))
 
 
 class TestKsStatistic:

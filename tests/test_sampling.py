@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,24 @@ class TestBoundedMemory:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         before, after = (int(line) for line in proc.stdout.split())
         assert (after - before) * 1024 < 64e6, (before, after)  # ru_maxrss is in KiB on Linux
+
+    @pytest.mark.parametrize("kind,n", [(PolytopeKind.CUBE, 1000), (PolytopeKind.SIMPLEX_T, 2000),
+                                        (PolytopeKind.CROSS, 10)])
+    def test_one_row_block_is_the_working_set(self, kind, n):
+        # the block, the widths returned and two vectors of one double per
+        # block row; numpy's ufunc buffer (getbufsize() doubles) serves the
+        # broadcast centering of T_{n-1}, and 4 KiB covers the small objects
+        count = 8_192
+        rows = min(count, sampling._BLOCK_BYTES // (8 * n))
+        bound = sampling._BLOCK_BYTES + 8 * count + 2 * 8 * rows + 8 * np.getbufsize() + 4096
+        p, rng = RegularPolytope(kind, n), chunk_rng(1, 0)
+        tracemalloc.start()
+        try:
+            width_samples(p, rng, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 class TestDeterminism:
