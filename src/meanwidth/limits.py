@@ -57,36 +57,27 @@ _FAMILY_LAWS = {
 }
 
 
-def _shift_scale(p: RegularPolytope) -> tuple[float, float]:
-    """standardize's map w -> scale * (w - shift), as (shift, scale)."""
-    n = p.n
-    if p.kind is PolytopeKind.CUBE:
-        return math.sqrt(2.0 * n / math.pi), 1.0
-    if p.kind is PolytopeKind.CROSS and n < 2:
-        raise ValueError(f"standardizing the crosspolytope width needs n >= 2, got {n}")
-    u = u_sequence(2 * n if p.kind is PolytopeKind.CROSS else n)
-    return 2.0 * u / math.sqrt(n), math.sqrt(2.0 * n * math.log(n))
-
-
 def standardize(p: RegularPolytope, w):
     """The cube width centered at its sqrt(2n/pi) limit location; a simplex
     width as sqrt(2 n log n) (w - 2 u_n / sqrt(n)), the crosspolytope's with
     u_{2n} in place of u_n."""
-    shift, scale = _shift_scale(p)
-    # the cube's scale is 1, and multiplying by 1 is exact
-    return scale * (np.asarray(w, dtype=float) - shift)
+    n = p.n
+    if p.kind is PolytopeKind.CUBE:
+        return np.asarray(w, dtype=float) - math.sqrt(2.0 * n / math.pi)
+    if p.kind is PolytopeKind.CROSS and n < 2:
+        raise ValueError(f"standardizing the crosspolytope width needs n >= 2, got {n}")
+    u = u_sequence(2 * n if p.kind is PolytopeKind.CROSS else n)
+    scale = math.sqrt(2.0 * n * math.log(n))
+    return scale * (np.asarray(w, dtype=float) - 2.0 * u / math.sqrt(n))
 
 
 def standardized_sample(p: RegularPolytope, cfg: McConfig, threads: int = 1) -> tuple[LimitLaw, np.ndarray]:
     """The seeded width sample of p, standardized and sorted ascending, and
-    the law it tends to; the bits do not depend on threads, and are those of
-    np.sort(standardize(p, widths)) computed in place."""
+    the law it tends to; the bits do not depend on threads."""
     law = _FAMILY_LAWS[p.kind]
-    shift, scale = _shift_scale(p)  # an n it cannot standardize fails here, before any draw
-    sample = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, threads))
-    np.multiply(np.subtract(sample, shift, out=sample), scale, out=sample)
-    sample.sort()
-    return law, sample
+    standardize(p, np.empty(0))  # an n it cannot standardize fails here, before any draw
+    widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, threads))
+    return law, np.sort(standardize(p, widths))
 
 
 def _z_k1(z: np.ndarray) -> np.ndarray:
@@ -99,15 +90,7 @@ def _z_k1(z: np.ndarray) -> np.ndarray:
     out[near] = 1.0 + 2.0 * q * (np.log(zn / 2.0) * np.polyval(_K1_C[::-1], q) - np.polyval(_K1_D[::-1], q))
     # e^(-z) is 0 from z ~ 745; the clamp keeps z = inf (x = -inf) from giving inf/inf
     zf = np.minimum(z[~near], 800.0)
-    # the sum over the nodes of w (zf + u2) / sqrt(2 zf + u2), term by term in two reused buffers
-    two_zf, total = 2.0 * zf, np.zeros_like(zf)
-    num, den = np.empty_like(zf), np.empty_like(zf)
-    for u2, w in zip(_U2, _W):
-        np.multiply(np.add(zf, u2, out=num), w, out=num)
-        np.sqrt(np.add(two_zf, u2, out=den), out=den)
-        np.add(total, np.divide(num, den, out=num), out=total)
-    np.exp(np.negative(zf, out=zf), out=zf)
-    out[~near] = np.multiply(np.multiply(zf, 2.0, out=zf), total, out=zf)
+    out[~near] = 2.0 * np.exp(-zf) * sum(w * (zf + u2) / np.sqrt(2.0 * zf + u2) for u2, w in zip(_U2, _W))
     return out
 
 
@@ -142,19 +125,15 @@ def limit_cdf(law: LimitLaw, x):
 
 
 def ks_statistic(sample: np.ndarray, law: LimitLaw) -> float:
-    """Kolmogorov-Smirnov distance between a sorted sample and a limit law."""
+    """Kolmogorov-Smirnov distance between a sorted 1-D sample and a limit law."""
     sample = np.asarray(sample, dtype=float)
+    if sample.ndim != 1:
+        raise ValueError(f"KS statistic needs a 1-D sample, got shape {sample.shape}")
     if sample.size == 0:
         raise ValueError("KS statistic needs a nonempty sample")
     if np.any(sample[1:] < sample[:-1]):
         raise ValueError("sample must be sorted ascending")
     n = sample.size
-    cdf = np.atleast_1d(limit_cdf(law, sample))
-    # max(i/n - cdf) and max(cdf - (i-1)/n), i = 1 ... n, in one reused buffer
-    d = np.arange(1, n + 1, dtype=float)
-    above = np.max(np.subtract(np.divide(d, n, out=d), cdf, out=d))
-    d.fill(1.0)
-    d[0] = 0.0
-    np.add.accumulate(d, out=d)  # 0, 1, ..., n - 1, exactly
-    below = np.max(np.subtract(cdf, np.divide(d, n, out=d), out=d))
-    return float(max(above, below))
+    cdf = limit_cdf(law, sample)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))

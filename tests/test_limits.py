@@ -254,10 +254,14 @@ class TestNumpyCdfs:
 
     @pytest.mark.parametrize("law", list(LimitLaw))
     def test_array_keeps_its_shape(self, law):
-        x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
-        got = limit_cdf(law, x)
-        assert got.shape == (2, 3)
-        assert np.array_equal(got.ravel(), limit_cdf(law, x.ravel()))
+        # (3, _ERFC_SLICE // 2) is one and a half slices of the normal CDF,
+        # which it runs over the flattened array before it reshapes
+        for shape in [(2, 3), (3, _ERFC_SLICE // 2)]:
+            x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+            got = limit_cdf(law, x)
+            assert got.shape == shape
+            assert np.array_equal(got.ravel(), limit_cdf(law, x.ravel()))
+            assert np.array_equal(got[-1], limit_cdf(law, x[-1]))
 
 
 def _plain_z_k1(z):
@@ -332,6 +336,16 @@ class TestKsStatistic:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ks_statistic(np.array([]), LimitLaw.TWO_GUMBEL)
+
+    @pytest.mark.parametrize(
+        "sample",
+        [1.0, np.float64(1.0), np.array([[0.0, 1.0]]), np.array([[0.0], [1.0]])],
+        ids=["float", "float64", "row", "column"],
+    )
+    def test_rejects_a_sample_that_is_not_1d(self, sample):
+        # a (n, 1) column would broadcast against its n CDF values into an n x n table
+        with pytest.raises(ValueError, match="1-D"):
+            ks_statistic(sample, LimitLaw.TWO_GUMBEL)
 
 
 class TestConvergence:
