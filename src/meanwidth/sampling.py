@@ -1,9 +1,9 @@
 """Reproducible Monte Carlo sampling of random widths and correlated maxima.
 
-Reproducibility contract: an McConfig (seed, samples, chunk_size) fully
-determines every estimate, bit for bit, regardless of how many worker
-threads evaluate the chunks.  Each chunk owns a private PCG64 substream
-spawned from the seed, and chunk results are reduced in chunk-index order.
+Reproducibility contract: an McConfig (seed, samples) fully determines every
+estimate, bit for bit, regardless of how many worker threads evaluate the
+chunks.  Each chunk owns a private PCG64 substream spawned from the seed, and
+chunk results are reduced in chunk-index order.
 The worker threads belong to one process-wide pool, reused across calls.
 """
 
@@ -38,15 +38,13 @@ __all__ = [
 class McConfig:
     seed: int
     samples: int
-    # rows per PCG64 substream; width_samples draws a chunk in row blocks of
-    # _BLOCK_BYTES, while sample_correlated_max holds chunk_size x dim doubles
-    chunk_size: int = 8_192
+    # rows per PCG64 substream (a constant, not a field); width_samples draws a
+    # chunk in _BLOCK_BYTES row blocks, sample_correlated_max as chunk_size x dim doubles
+    chunk_size = 8_192
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be positive, got {self.samples}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
 
     def chunks(self):
         """Yield (chunk_index, chunk_sample_count)."""

@@ -49,6 +49,8 @@ def test_every_name_the_benchmark_imports_exists():
                 exec(compile(ast.Module(body=[node], type_ignores=[]), str(path), "exec"), {})
                 names |= {alias.name for alias in node.names}
     assert {"width_moment", "width_moment_cube", "cli"} <= names
+    # perfbench/child.py's machine() reads the chunk size off an instance
+    assert sampling.McConfig(seed=0, samples=1).chunk_size == 8192
 
 
 @pytest.mark.parametrize("module", [*MODULES, cli], ids=lambda m: m.__name__)

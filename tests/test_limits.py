@@ -265,8 +265,8 @@ class TestNumpyCdfs:
 
 
 def _plain_z_k1(z):
-    """_z_k1 in plain array expressions, its trapezoid a generator sum: the
-    bits that its in-place form must keep."""
+    """_z_k1's series and trapezoid as plain array expressions, written out
+    here: the bits that any rewrite of _z_k1 must keep."""
     out = np.empty_like(z)
     near = z <= 2.0
     zn = np.maximum(z[near], np.finfo(float).tiny)
@@ -277,8 +277,9 @@ def _plain_z_k1(z):
     return out
 
 
-class TestInPlaceKeepsTheBits:
-    """The in-place sample, CDFs and KS distance against the plain expressions."""
+class TestBitsOfThePlainExpressions:
+    """The standardized sample, the CDFs and the KS distance have the bits of
+    the plain expressions written out here."""
 
     def test_z_k1(self):
         z = np.concatenate([[0.0, 2.0, np.inf], np.geomspace(1e-300, 1e300, 2001), np.linspace(0.0, 9.0, 2001)])

@@ -22,7 +22,7 @@ import pytest
 
 from meanwidth.cli import EXIT_OK, main
 from meanwidth.conjecture import interpolation_covariance
-from meanwidth.extremes import comparison_reports, expected_max, expected_max_gap, max_abs_moments
+from meanwidth.extremes import comparison_reports, expected_max, expected_max_gap
 from meanwidth.polytopes import PolytopeKind, RegularPolytope, sudakov_v1, v1_from_mean_width, width_moment
 from meanwidth.sampling import McConfig, estimate_moments, sample_correlated_max
 
@@ -58,13 +58,13 @@ def v1_of_mean_width(kind, n):
 
 def sudakov(kind, n):
     """sudakov_v1 with the relative bound of the expected maximum it scales
-    (max |eta_i| for the crosspolytope, max eta_i for the simplices), plus
-    a few eps for the scaling; the cube's V1 = n is exact."""
+    (max eta_i for the simplices), plus a few eps for the scaling; the cube's
+    V1 = n is exact."""
     p = RegularPolytope(kind, n)
     v1 = sudakov_v1(p)
     if p.kind is PolytopeKind.CUBE:
         return v1, 0.0, 0.0
-    value, err = max_abs_moments([n], (1,))[0][1] if p.kind is PolytopeKind.CROSS else expected_max(n)
+    value, err = expected_max(n)
     return v1, v1 * (err / value + 4.0 * EPS), 0.0
 
 
@@ -87,12 +87,14 @@ def closed(value):
     return value, math.ulp(value), 0.0
 
 
-def tetrahedron_edges():
-    """V1 of the regular tetrahedron T_3 (unit circumradius) from its edges,
-    sum of length (pi - dihedral angle) / (2 pi): six edges of length
-    sqrt(8/3) at the dihedral angle arccos(1/3).  A route through geometry
-    alone, independent of B_4; 8 eps covers the formula's rounding."""
-    value = 6.0 * math.sqrt(8.0 / 3.0) * (math.pi - math.acos(1.0 / 3.0)) / (2.0 * math.pi)
+def edges(count, length, cos_dihedral):
+    """V1 of a regular polyhedron (unit circumradius) from its edges, the sum
+    of length (pi - dihedral angle) / (2 pi) over `count` congruent edges.  The
+    tetrahedron T_3 has six edges of length sqrt(8/3) at the dihedral angle
+    arccos(1/3), the octahedron C_3 twelve of length sqrt(2) at arccos(-1/3).
+    A route through geometry alone, independent of any Gaussian maximum; 8 eps
+    covers the formula's rounding."""
+    value = count * length * (math.pi - math.acos(cos_dihedral)) / (2.0 * math.pi)
     return value, 8.0 * EPS * value, 0.0
 
 
@@ -102,12 +104,15 @@ def tetrahedron_edges():
 ROUTES = [
     *[("moments", "value", f"{kind.value}-5-{k}", (deterministic, kind, 5, k), (monte_carlo, kind, 5, k))
       for kind in PolytopeKind for k in (1, 2)],
-    *[("moments", "v1", f"{kind.value}-5", (v1_of_mean_width, kind, 5), (sudakov, kind, 5)) for kind in PolytopeKind],
+    *[("moments", "v1", f"{kind.value}-5", (v1_of_mean_width, kind, 5), (sudakov, kind, 5))
+      for kind in PolytopeKind if kind is not PolytopeKind.CROSS],
+    # sudakov_v1(C_n) reads the quadrature that E W does, so C_3 meets its edges instead
+    ("moments", "v1", "cross-3", (v1_of_mean_width, PolytopeKind.CROSS, 3), (edges, 12, math.sqrt(2.0), -1.0 / 3.0)),
     *[("extremes", "a_n", f"n{n}", (report, n, "a_n"), (max_abs_by_sampling, n)) for n in (1, 5, 40)],
     *[("extremes", "b_2n", f"n{n}", (report, n, "b_2n"), (max_of, 2 * n)) for n in (1, 5, 40)],
     ("search", "regular_value", "n2", (sudakov, PolytopeKind.SIMPLEX_T, 2), (closed, 2.0)),
     ("search", "regular_value", "n3", (sudakov, PolytopeKind.SIMPLEX_T, 3), (closed, 1.5 * math.sqrt(3.0))),
-    ("search", "regular_value", "n4", (sudakov, PolytopeKind.SIMPLEX_T, 4), (tetrahedron_edges,)),
+    ("search", "regular_value", "n4", (sudakov, PolytopeKind.SIMPLEX_T, 4), (edges, 6, math.sqrt(8.0 / 3.0), 1.0 / 3.0)),
 ]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -29,17 +30,25 @@ from meanwidth.sampling import (
 
 
 class TestMcConfig:
-    def test_chunk_plan_covers_samples(self):
-        cfg = McConfig(seed=1, samples=20_001, chunk_size=8_192)
+    def test_chunk_plan_covers_samples(self, monkeypatch):
+        cfg = McConfig(seed=1, samples=20_001)
         plan = list(cfg.chunks())
         assert [c for _, c in plan] == [8_192, 8_192, 3_617]
         assert [i for i, _ in plan] == [0, 1, 2]
+        # the tests set the chunk size on the class, to cover many chunks cheaply
+        monkeypatch.setattr(McConfig, "chunk_size", 7)
+        assert list(McConfig(seed=1, samples=20).chunks()) == [(0, 7), (1, 7), (2, 6)]
+
+    def test_the_contract_is_seed_and_samples(self):
+        # the chunk size is a class constant, not a field
+        assert [f.name for f in dataclasses.fields(McConfig)] == ["seed", "samples"]
+        assert McConfig.chunk_size == McConfig(seed=1, samples=2).chunk_size == 8_192
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             McConfig(seed=1, samples=0)
-        with pytest.raises(ValueError):
-            McConfig(seed=1, samples=10, chunk_size=0)
+        with pytest.raises(TypeError):
+            McConfig(seed=1, samples=10, chunk_size=8)
 
     def test_one_sample_has_no_standard_error(self):
         cfg = McConfig(seed=1, samples=1)
@@ -133,8 +142,9 @@ class TestGoldenValues:
     }
 
     @pytest.mark.parametrize("kind,n", list(GOLDEN))
-    def test_seeded_moments_keep_their_bits(self, kind, n):
-        cfg = McConfig(seed=8, samples=20_000, chunk_size=3_000)
+    def test_seeded_moments_keep_their_bits(self, kind, n, monkeypatch):
+        monkeypatch.setattr(McConfig, "chunk_size", 3_000)
+        cfg = McConfig(seed=8, samples=20_000)
         est = estimate_moments(RegularPolytope(kind, n), (1, 2), cfg, threads=2)
         for k, (value, error) in zip((1, 2), self.GOLDEN[(kind, n)]):
             assert (est[k].value, est[k].error) == (value, error)
@@ -193,17 +203,19 @@ class TestDeterminism:
             assert a[k].value == b[k].value
             assert a[k].error == b[k].error
 
-    def test_thread_count_does_not_change_bits(self):
+    def test_thread_count_does_not_change_bits(self, monkeypatch):
+        monkeypatch.setattr(McConfig, "chunk_size", 7_000)
         p = RegularPolytope(PolytopeKind.CUBE, 4)
-        cfg = McConfig(seed=123, samples=60_000, chunk_size=7_000)
+        cfg = McConfig(seed=123, samples=60_000)
         serial = estimate_moments(p, (2,), cfg, threads=1)[2]
         threaded = estimate_moments(p, (2,), cfg, threads=8)[2]
         assert serial.value == threaded.value
         assert serial.error == threaded.error
 
-    def test_correlated_max_thread_invariance(self):
+    def test_correlated_max_thread_invariance(self, monkeypatch):
+        monkeypatch.setattr(McConfig, "chunk_size", 6_000)
         gram = np.eye(3)
-        cfg = McConfig(seed=5, samples=40_000, chunk_size=6_000)
+        cfg = McConfig(seed=5, samples=40_000)
         assert sample_correlated_max(gram, cfg, threads=1) == sample_correlated_max(
             gram, cfg, threads=4
         )
@@ -229,8 +241,9 @@ class TestWorkerPool:
         with pytest.raises(TypeError):
             sampling._map_chunks(lambda rng, count: count, McConfig(seed=1, samples=4))
 
-    def test_successive_calls_reuse_the_workers(self):
-        cfg = McConfig(seed=1, samples=8, chunk_size=1)
+    def test_successive_calls_reuse_the_workers(self, monkeypatch):
+        monkeypatch.setattr(McConfig, "chunk_size", 1)
+        cfg = McConfig(seed=1, samples=8)
         # chunks meet in pairs, so each call runs on two workers at once
         barrier = threading.Barrier(2, timeout=10)
 
@@ -251,9 +264,10 @@ class TestWorkerPool:
         assert threading.current_thread() not in first
         assert workers() == first
 
-    def test_concurrent_callers_with_different_thread_counts(self):
+    def test_concurrent_callers_with_different_thread_counts(self, monkeypatch):
         # callers swap the pool between 2 and 3 threads under each other
-        cfg = McConfig(seed=3, samples=600, chunk_size=7)
+        monkeypatch.setattr(McConfig, "chunk_size", 7)
+        cfg = McConfig(seed=3, samples=600)
         expected = sampling._map_chunks(lambda rng, c: rng.standard_normal(c).sum(), cfg, 1)
         failures = []
 
@@ -281,9 +295,10 @@ class TestWorkerPool:
         assert failures == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_draws_on_a_pool_of_its_own(self):
+    def test_forked_child_draws_on_a_pool_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(McConfig, "chunk_size", 6_000)
         gram = np.eye(3)
-        cfg = McConfig(seed=5, samples=40_000, chunk_size=6_000)
+        cfg = McConfig(seed=5, samples=40_000)
         parent = sample_correlated_max(gram, cfg, threads=2)  # leaves a live pool behind
         read_end, write_end = os.pipe()
         pid = os.fork()
@@ -320,16 +335,17 @@ class TestExtremeSampleCounts:
     def test_threads_keep_the_bits(self, data, chunk_size, threads):
         samples = data.draw(st.integers(2, 3 * chunk_size), label="samples")
         kind = data.draw(st.sampled_from(list(PolytopeKind)), label="kind")
-        cfg = McConfig(seed=21, samples=samples, chunk_size=chunk_size)
+        cfg = McConfig(seed=21, samples=samples)
 
         argv = ["limits", "--family", kind.value, "--n", "5", "--samples", str(samples), "--seed", "21"]
+        # patching the class reaches the configs the CLI builds as well
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "McConfig", lambda **kw: McConfig(**kw, chunk_size=chunk_size))
+            mp.setattr(McConfig, "chunk_size", chunk_size)
             serial = _limits_stdout(argv + ["--threads", "1"])
             assert _limits_stdout(argv + ["--threads", str(threads)]) == serial
 
-        gram = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
-        assert sample_correlated_max(gram, cfg, threads) == sample_correlated_max(gram, cfg, 1)
+            gram = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
+            assert sample_correlated_max(gram, cfg, threads) == sample_correlated_max(gram, cfg, 1)
 
 
 class TestCrossDegenerate:
