@@ -76,8 +76,10 @@ def standardized_sample(p: RegularPolytope, cfg: McConfig, threads: int = 1) -> 
     the law it tends to; the bits do not depend on threads."""
     law = _FAMILY_LAWS[p.kind]
     standardize(p, np.empty(0))  # an n it cannot standardize fails here, before any draw
-    widths = np.concatenate(_map_chunks(lambda rng, c: width_samples(p, rng, c), cfg, threads))
-    return law, np.sort(standardize(p, widths))
+    # standardize is elementwise: each chunk standardizes its own widths, and no second full copy lives
+    sample = np.concatenate(_map_chunks(lambda rng, c: standardize(p, width_samples(p, rng, c)), cfg, threads))
+    sample.sort()
+    return law, sample
 
 
 def _z_k1(z: np.ndarray) -> np.ndarray:
@@ -131,9 +133,14 @@ def ks_statistic(sample: np.ndarray, law: LimitLaw) -> float:
         raise ValueError(f"KS statistic needs a 1-D sample, got shape {sample.shape}")
     if sample.size == 0:
         raise ValueError("KS statistic needs a nonempty sample")
+    if np.isnan(sample).any():
+        raise ValueError("sample has a NaN")
     if np.any(sample[1:] < sample[:-1]):
         raise ValueError("sample must be sorted ascending")
-    n = sample.size
-    cdf = limit_cdf(law, sample)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+    n, d = sample.size, 0.0
+    # slice by slice, so each temporary holds _ERFC_SLICE points, not n
+    for start in range(0, n, _ERFC_SLICE):
+        cdf = limit_cdf(law, sample[start : start + _ERFC_SLICE])
+        i = np.arange(start + 1, start + cdf.size + 1)
+        d = max(d, np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+    return float(d)

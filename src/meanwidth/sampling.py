@@ -9,6 +9,7 @@ The worker threads belong to one process-wide pool, reused across calls.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -23,6 +24,9 @@ from .polytopes import MomentEstimate, PolytopeKind, RegularPolytope
 # bytes of width_samples' one row-block buffer, which it draws the normals into
 # and reduces in place; 256 KiB draws as fast as 1 MiB, and larger ones raise RSS
 _BLOCK_BYTES = 1 << 18
+# tasks _pool_map keeps on the pool at once (at least two per thread): every
+# worker stays busy, and the futures held do not grow with the number of chunks
+_IN_FLIGHT = 64
 
 __all__ = [
     "McConfig",
@@ -90,14 +94,17 @@ def _map_chunks(fn, cfg: McConfig, threads: int):
 
 def _pool_map(fn, arg_tuples: list, threads: int) -> list:
     """[fn(*args) for args in arg_tuples], in that order, as tasks on the
-    shared pool; on the calling thread when threads <= 1 or there is only
-    one task.  fn must not map on the pool itself: its workers would wait on
-    tasks queued behind them."""
+    shared pool, a window of them at once; on the calling thread when threads
+    <= 1 or there is only one task.  fn must not map on the pool itself: its
+    workers would wait on tasks queued behind them."""
     if threads <= 1 or len(arg_tuples) <= 1:
         return [fn(*args) for args in arg_tuples]
-    pool = _pool(threads)
-    futures = [pool.submit(fn, *args) for args in arg_tuples]
-    return [f.result() for f in futures]
+    pool, pending, out = _pool(threads), collections.deque(), []
+    for args in arg_tuples:
+        if len(pending) == max(_IN_FLIGHT, 2 * threads):
+            out.append(pending.popleft().result())
+        pending.append(pool.submit(fn, *args))
+    return out + [f.result() for f in pending]
 
 
 def width_samples(p: RegularPolytope, rng: np.random.Generator, count: int) -> np.ndarray:

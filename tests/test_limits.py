@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -287,7 +288,8 @@ class TestBitsOfThePlainExpressions:
 
     @pytest.mark.parametrize("kind,n", [(PolytopeKind.CUBE, 200), (PolytopeKind.CROSS, 200),
                                         (PolytopeKind.SIMPLEX_S, 50), (PolytopeKind.SIMPLEX_T, 50)])
-    @pytest.mark.parametrize("samples", [1, 2, _ERFC_SLICE + 1], ids=["1", "2", "past-one-erfc-slice"])
+    @pytest.mark.parametrize("samples", [1, 2, _ERFC_SLICE + 1, 2 * _ERFC_SLICE, 3 * _ERFC_SLICE + 1],
+                             ids=["1", "2", "past-one-erfc-slice", "two-erfc-slices", "past-three-erfc-slices"])
     def test_standardized_sample_cdf_and_ks(self, kind, n, samples):
         p, law = RegularPolytope(kind, n), _FAMILY_LAWS[kind]
         cfg = McConfig(seed=3, samples=samples)
@@ -338,6 +340,20 @@ class TestKsStatistic:
         with pytest.raises(ValueError):
             ks_statistic(np.array([]), LimitLaw.TWO_GUMBEL)
 
+    @pytest.mark.parametrize("sample", [[math.nan, 0.0, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [math.nan]],
+                             ids=["first", "middle", "last", "lone"])
+    def test_rejects_a_nan(self, sample):
+        # a NaN passes the sortedness check, and a maximum over slices would drop it
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic(np.array(sample), LimitLaw.TWO_GUMBEL)
+
+    @pytest.mark.parametrize("law", list(LimitLaw))
+    def test_infinities_are_a_valid_sample(self, law):
+        # the CDF is 0 at -inf and 1 at +inf, so each end is 1/3 away from the empirical steps
+        mid = limit_cdf(law, 0.0)
+        assert ks_statistic(np.array([-math.inf, 0.0, math.inf]), law) == pytest.approx(
+            max(1.0 / 3.0, 2.0 / 3.0 - mid, mid - 1.0 / 3.0), abs=1e-15)
+
     @pytest.mark.parametrize(
         "sample",
         [1.0, np.float64(1.0), np.array([[0.0, 1.0]]), np.array([[0.0], [1.0]])],
@@ -347,6 +363,25 @@ class TestKsStatistic:
         # a (n, 1) column would broadcast against its n CDF values into an n x n table
         with pytest.raises(ValueError, match="1-D"):
             ks_statistic(sample, LimitLaw.TWO_GUMBEL)
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("kind,n", [(PolytopeKind.SIMPLEX_S, 50), (PolytopeKind.CUBE, 200)])
+    def test_the_sample_twice_is_the_working_set(self, kind, n):
+        # the chunks and their join hold the sample twice; the standardized
+        # chunks, the in-place sort and the KS slices add a few slices at most
+        samples = 100_000
+        bound = 2 * 8 * samples + 4 * 8 * _ERFC_SLICE
+        p = RegularPolytope(kind, n)
+        standardized_sample(p, McConfig(seed=1, samples=2), threads=2)  # caches u_n and the pool
+        tracemalloc.start()
+        try:
+            law, sample = standardized_sample(p, McConfig(seed=1, samples=samples), threads=2)
+            ks_statistic(sample, law)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 class TestConvergence:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -263,6 +264,36 @@ class TestWorkerPool:
         assert len(first) == 2
         assert threading.current_thread() not in first
         assert workers() == first
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_bounded_window_of_tasks_in_flight(self, monkeypatch, threads):
+        # a task is in flight from its submit until _pool_map asks for its
+        # result; later tasks sleep less, so they often finish first
+        pool, window = sampling._pool(threads), max(sampling._IN_FLIGHT, 2 * threads)
+        submitted, collected, most = [0], [0], [0]
+        submit = pool.submit
+
+        class Counted:
+            def __init__(self, future):
+                self.future = future
+
+            def result(self):
+                collected[0] += 1
+                return self.future.result()
+
+        def counting_submit(fn, *args):
+            submitted[0] += 1
+            most[0] = max(most[0], submitted[0] - collected[0])
+            return Counted(submit(fn, *args))
+
+        def task(i):
+            time.sleep((2 - i % 3) * 1e-4)
+            return i * i
+
+        monkeypatch.setattr(pool, "submit", counting_submit)
+        tasks = 5 * window + 1
+        assert sampling._pool_map(task, [(i,) for i in range(tasks)], threads) == [i * i for i in range(tasks)]
+        assert (submitted[0], collected[0], most[0]) == (tasks, tasks, window)
 
     def test_concurrent_callers_with_different_thread_counts(self, monkeypatch):
         # callers swap the pool between 2 and 3 threads under each other
