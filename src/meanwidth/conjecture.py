@@ -181,8 +181,8 @@ def optimize_configuration(
     (lowest index on ties), rows are renormalized to the sphere after every
     step, step size 0.5/sqrt(iter).  The CRN batch is shared by all restarts
     so restart objectives are directly comparable.  All starting points are
-    drawn first, in restart order; the restarts then run as tasks on the
-    shared worker pool, and the first best one wins, so the result does not
+    drawn first, in restart order; the restarts then run as tasks on at most
+    threads workers, and the first best one wins, so the result does not
     depend on threads.
     """
     if n < 2:

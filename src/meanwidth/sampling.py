@@ -4,15 +4,13 @@ Reproducibility contract: an McConfig (seed, samples) fully determines every
 estimate, bit for bit, regardless of how many worker threads evaluate the
 chunks.  Each chunk owns a private PCG64 substream spawned from the seed, and
 chunk results are reduced in chunk-index order.
-The worker threads belong to one process-wide pool, reused across calls.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import math
-import os
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,8 +45,12 @@ class McConfig:
     chunk_size = 8_192
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples}")
+        for name, least in (("seed", 0), ("samples", 1)):
+            value = getattr(self, name)
+            # a numpy integer becomes its Python int; a float or a bool is refused
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     def chunks(self):
         """Yield (chunk_index, chunk_sample_count)."""
@@ -62,21 +64,6 @@ class McConfig:
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Independent PCG64 substream of one chunk."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, chunk_index)))
-
-
-@functools.lru_cache(maxsize=1)
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """The process-wide worker pool.  Reusing its threads reuses their malloc
-    arenas, so repeated draws do not grow the process; asking for another
-    thread count drops the old pool, whose idle workers exit once it is
-    collected."""
-    return ThreadPoolExecutor(max_workers=threads)
-
-
-# a forked child inherits the pool but none of its threads: submitting to it
-# would wait forever, so the child starts a pool of its own
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _map_chunks(fn, cfg: McConfig, threads: int):
@@ -93,18 +80,21 @@ def _map_chunks(fn, cfg: McConfig, threads: int):
 
 
 def _pool_map(fn, arg_tuples: list, threads: int) -> list:
-    """[fn(*args) for args in arg_tuples], in that order, as tasks on the
-    shared pool, a window of them at once; on the calling thread when threads
-    <= 1 or there is only one task.  fn must not map on the pool itself: its
-    workers would wait on tasks queued behind them."""
+    """[fn(*args) for args in arg_tuples], in that order, as tasks on a pool
+    of at most threads workers that the call starts and joins, a window of
+    them at once; on the calling thread when threads <= 1 or there is only one
+    task.  An error cancels the tasks still queued."""
     if threads <= 1 or len(arg_tuples) <= 1:
         return [fn(*args) for args in arg_tuples]
-    pool, pending, out = _pool(threads), collections.deque(), []
-    for args in arg_tuples:
-        if len(pending) == max(_IN_FLIGHT, 2 * threads):
-            out.append(pending.popleft().result())
-        pending.append(pool.submit(fn, *args))
-    return out + [f.result() for f in pending]
+    pool, pending, out = ThreadPoolExecutor(max_workers=threads), collections.deque(), []
+    try:
+        for args in arg_tuples:
+            if len(pending) == max(_IN_FLIGHT, 2 * threads):
+                out.append(pending.popleft().result())
+            pending.append(pool.submit(fn, *args))
+        return out + [f.result() for f in pending]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def width_samples(p: RegularPolytope, rng: np.random.Generator, count: int) -> np.ndarray:

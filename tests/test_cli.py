@@ -125,6 +125,21 @@ class TestUsageErrors:
         assert out == ""
         assert "2 samples" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--family", "cube", "--n", "3", "--k", "1", "--route", "mc"],
+            ["limits", "--family", "cube", "--n", "3"],
+            ["search", "--n", "3", "--restarts", "1"],
+        ],
+        ids=["moments", "limits", "search"],
+    )
+    def test_a_negative_seed_is_refused_by_name(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv + ["--samples", "10", "--seed", "-1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_cross_limits_reject_n1_before_any_draw(self, capsys, monkeypatch):
         # the standardization needs n >= 2; the draws alone would take seconds
         calls = []

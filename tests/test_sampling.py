@@ -51,6 +51,19 @@ class TestMcConfig:
         with pytest.raises(TypeError):
             McConfig(seed=1, samples=10, chunk_size=8)
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("samples", 2.5), ("samples", np.float64(3)), ("samples", True),
+    ])
+    def test_refuses_a_seed_or_sample_count_it_cannot_use(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            McConfig(**{"seed": 1, "samples": 10, field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        cfg = McConfig(seed=np.int64(3), samples=np.uint32(10))
+        assert (cfg, type(cfg.seed), type(cfg.samples)) == (McConfig(seed=3, samples=10), int, int)
+        # the smallest config, whose chunk size the benchmark harness reads
+        assert McConfig(seed=0, samples=1).chunk_size == 8_192
+
     def test_one_sample_has_no_standard_error(self):
         cfg = McConfig(seed=1, samples=1)
         with pytest.raises(ValueError, match="2 samples"):
@@ -151,6 +164,16 @@ class TestGoldenValues:
             assert (est[k].value, est[k].error) == (value, error)
 
 
+def _printed_ints(script: str) -> list[int]:
+    """The integers a fresh interpreter prints, one a line, running script
+    against this meanwidth with one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(meanwidth.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return [int(line) for line in proc.stdout.split()]
+
+
 class TestBoundedMemory:
     def test_wide_rows_keep_peak_rss_flat(self):
         # simplex-t n = 5000: a whole 8192-row chunk is 328 MB, plus its
@@ -168,12 +191,30 @@ class TestBoundedMemory:
             print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
             """
         )
-        src = os.path.dirname(os.path.dirname(meanwidth.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        before, after = (int(line) for line in proc.stdout.split())
+        before, after = _printed_ints(script)
         assert (after - before) * 1024 < 64e6, (before, after)  # ru_maxrss is in KiB on Linux
+
+    def test_repeated_threaded_draws_do_not_grow_the_process(self):
+        # each threaded map starts and joins its own workers; after three
+        # warm-up rounds, 40 more threaded calls must not raise peak RSS
+        script = textwrap.dedent(
+            """
+            import resource
+            from meanwidth.limits import standardized_sample
+            from meanwidth.polytopes import PolytopeKind, RegularPolytope
+            from meanwidth.sampling import McConfig, estimate_moments
+
+            cube, simplex = RegularPolytope(PolytopeKind.CUBE, 100), RegularPolytope(PolytopeKind.SIMPLEX_S, 50)
+            for seed in range(23):
+                if seed == 3:
+                    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+                estimate_moments(cube, (1, 2), McConfig(seed=seed, samples=20_000), threads=2)
+                standardized_sample(simplex, McConfig(seed=seed, samples=20_000), 2)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """
+        )
+        before, after = _printed_ints(script)
+        assert (after - before) * 1024 <= 4 * 2**20, (before, after)  # ru_maxrss is in KiB on Linux
 
     @pytest.mark.parametrize("kind,n", [(PolytopeKind.CUBE, 1000), (PolytopeKind.SIMPLEX_T, 2000),
                                         (PolytopeKind.CROSS, 10)])
@@ -237,41 +278,56 @@ class TestMomentOverflow:
             estimate_moments(p, (1, k), McConfig(seed=1, samples=samples), threads=2)
 
 
+def _in_forked_child(report):
+    """(bytes, exit code) of a forked child that writes report() to a pipe, or
+    is killed by an alarm after 10 s: a child that would hang fails instead."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            signal.alarm(10)
+            os.write(write_end, report())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        data = fh.read()
+    _, status = os.waitpid(pid, 0)
+    return data, os.waitstatus_to_exitcode(status)
+
+
 class TestWorkerPool:
     def test_thread_count_is_required(self):
         with pytest.raises(TypeError):
             sampling._map_chunks(lambda rng, count: count, McConfig(seed=1, samples=4))
 
-    def test_successive_calls_reuse_the_workers(self, monkeypatch):
+    def test_no_worker_outlives_its_call(self, monkeypatch):
         monkeypatch.setattr(McConfig, "chunk_size", 1)
         cfg = McConfig(seed=1, samples=8)
-        # chunks meet in pairs, so each call runs on two workers at once
+        # chunks meet in pairs, so the call runs on two workers at once
         barrier = threading.Barrier(2, timeout=10)
+        seen = set()
 
-        def workers():
-            # Thread objects, not idents: a new thread may get a dead one's ident
-            seen = set()
+        def fn(rng, count):
+            seen.add(threading.current_thread())
+            barrier.wait()
+            return count
 
-            def fn(rng, count):
-                seen.add(threading.current_thread())
-                barrier.wait()
-                return count
-
-            assert sampling._map_chunks(fn, cfg, 2) == [1] * 8
-            return seen
-
-        first = workers()
-        assert len(first) == 2
-        assert threading.current_thread() not in first
-        assert workers() == first
+        assert sampling._map_chunks(fn, cfg, 2) == [1] * 8
+        assert len(seen) == 2
+        assert threading.current_thread() not in seen
+        assert not any(t.is_alive() for t in seen)
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_a_bounded_window_of_tasks_in_flight(self, monkeypatch, threads):
         # a task is in flight from its submit until _pool_map asks for its
         # result; later tasks sleep less, so they often finish first
-        pool, window = sampling._pool(threads), max(sampling._IN_FLIGHT, 2 * threads)
+        window = max(sampling._IN_FLIGHT, 2 * threads)
         submitted, collected, most = [0], [0], [0]
-        submit = pool.submit
+        submit = sampling.ThreadPoolExecutor.submit
 
         class Counted:
             def __init__(self, future):
@@ -281,22 +337,22 @@ class TestWorkerPool:
                 collected[0] += 1
                 return self.future.result()
 
-        def counting_submit(fn, *args):
+        def counting_submit(pool, fn, *args):
             submitted[0] += 1
             most[0] = max(most[0], submitted[0] - collected[0])
-            return Counted(submit(fn, *args))
+            return Counted(submit(pool, fn, *args))
 
         def task(i):
             time.sleep((2 - i % 3) * 1e-4)
             return i * i
 
-        monkeypatch.setattr(pool, "submit", counting_submit)
+        monkeypatch.setattr(sampling.ThreadPoolExecutor, "submit", counting_submit)
         tasks = 5 * window + 1
         assert sampling._pool_map(task, [(i,) for i in range(tasks)], threads) == [i * i for i in range(tasks)]
         assert (submitted[0], collected[0], most[0]) == (tasks, tasks, window)
 
     def test_concurrent_callers_with_different_thread_counts(self, monkeypatch):
-        # callers swap the pool between 2 and 3 threads under each other
+        # callers with 2 and 3 threads map at once, each on workers of its own
         monkeypatch.setattr(McConfig, "chunk_size", 7)
         cfg = McConfig(seed=3, samples=600)
         expected = sampling._map_chunks(lambda rng, c: rng.standard_normal(c).sum(), cfg, 1)
@@ -330,24 +386,41 @@ class TestWorkerPool:
         monkeypatch.setattr(McConfig, "chunk_size", 6_000)
         gram = np.eye(3)
         cfg = McConfig(seed=5, samples=40_000)
-        parent = sample_correlated_max(gram, cfg, threads=2)  # leaves a live pool behind
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # the child: report its draw, or be killed by the alarm
-            code = 1
-            try:
-                os.close(read_end)
-                signal.alarm(10)
-                os.write(write_end, struct.pack("dd", *sample_correlated_max(gram, cfg, threads=2)))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_end)
-        with os.fdopen(read_end, "rb") as fh:
-            data = fh.read()
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+        parent = sample_correlated_max(gram, cfg, threads=2)  # the parent has run workers before the fork
+        data, code = _in_forked_child(lambda: struct.pack("dd", *sample_correlated_max(gram, cfg, threads=2)))
+        assert code == 0
         assert struct.unpack("dd", data) == parent
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_task_may_map_on_workers_of_its_own(self):
+        # both outer tasks hold a worker while their inner maps run; in a
+        # forked child, so a deadlock ends in the alarm, not a hung test run
+        barrier = threading.Barrier(2, timeout=10)
+
+        def outer(i):
+            barrier.wait()
+            return sum(sampling._pool_map(lambda j: i + j, [(j,) for j in range(4)], 2))
+
+        data, code = _in_forked_child(lambda: struct.pack("qq", *sampling._pool_map(outer, [(0,), (1,)], 2)))
+        assert code == 0
+        assert struct.unpack("qq", data) == (6, 10)
+
+    def test_an_error_cancels_the_queued_tasks(self):
+        ran = []
+
+        def task(i):
+            ran.append(threading.current_thread())
+            if i == 0:
+                raise RuntimeError("chunk 0")
+            time.sleep(0.01)
+            return i
+
+        with pytest.raises(RuntimeError, match="chunk 0"):
+            sampling._pool_map(task, [(i,) for i in range(200)], 2)
+        count = len(ran)
+        time.sleep(0.1)
+        assert len(ran) == count
+        assert not any(t.is_alive() for t in ran)
 
 
 def _limits_stdout(argv):
